@@ -219,11 +219,9 @@ let analyze_run bench_name system_file plan_file seed no_lint trace
   match resolve_problem ~no_lint bench_name system_file plan_file seed with
   | Error e -> prerr_endline e; 1
   | Ok (arch, apps, plan) ->
-    let happ = H.Happ.build arch apps plan in
-    let js = S.Jobset.build happ in
-    let ctx = S.Bounds.make js in
-    let report = A.Wcrt.analyze ctx in
-    let naive = A.Naive.analyze ctx in
+    let _, js, ctx = Mcmap.plan_context arch apps plan in
+    let report = A.Wcrt.analyze_with (module S.Flat) ctx in
+    let naive = A.Naive.analyze_with (module S.Flat) ctx in
     Format.printf "%a@." (A.Wcrt.pp_report js) report;
     Format.printf "schedulable: %b@." (A.Wcrt.schedulable js report);
     Array.iteri

@@ -51,11 +51,33 @@ let scenario_exec ~base (nb : Bounds.job_bounds array) (v : Job.t)
     external_exec ~base ~min_start:nb.(v.Job.id).Bounds.min_start
       ~max_finish:nb.(v.Job.id).Bounds.max_finish nb w
 
-let analyze_spanned ?max_iterations ctx =
-  let js = Bounds.jobset ctx in
+type 'ctx engine = (module Mcmap_sched.Fixpoint.ENGINE with type ctx = 'ctx)
+
+(* The scenario steps take the hyperperiod from the context's jobset
+   ([Jobset.restrict] keeps it), so a component context replays exactly
+   the scenarios of the full one. *)
+let normal (type c) ((module E) : c engine) ?max_iterations ctx =
+  E.analyze ?max_iterations ctx ~exec:Bounds.nominal_exec
+
+let trigger_scenario (type c) ((module E) : c engine) ?max_iterations ctx
+    ~normal v =
+  let base = (E.jobset ctx).Jobset.base_hyperperiod in
+  E.analyze ?max_iterations ctx
+    ~exec:(scenario_exec ~base normal.Bounds.bounds v)
+
+let external_scenario (type c) ((module E) : c engine) ?max_iterations ctx
+    ~normal ~min_start ~max_finish =
+  let base = (E.jobset ctx).Jobset.base_hyperperiod in
+  E.analyze ?max_iterations ctx
+    ~exec:(external_exec ~base ~min_start ~max_finish normal.Bounds.bounds)
+
+let analyze_with (type c) ((module E) as engine : c engine) ?max_iterations
+    ctx =
+  Obs.with_span "wcrt.analyze" @@ fun () ->
+  let js = E.jobset ctx in
   let happ = js.Jobset.happ in
   let n_graphs = Happ.n_graphs happ in
-  let normal = Bounds.analyze ?max_iterations ctx ~exec:Bounds.nominal_exec in
+  let normal = normal engine ?max_iterations ctx in
   let per_graph result =
     Array.init n_graphs (fun graph ->
         Verdict.of_option (Bounds.graph_wcrt js result ~graph)) in
@@ -63,14 +85,13 @@ let analyze_spanned ?max_iterations ctx =
   let wcrt = Array.copy normal_wcrt in
   let required_wcrt = Array.copy normal_wcrt in
   let scenarios = ref 0 in
-  let base = js.Jobset.base_hyperperiod in
   if normal.Bounds.converged then
     List.iter
       (fun (v : Job.t) ->
         incr scenarios;
-        let exec = scenario_exec ~base normal.Bounds.bounds v in
-        let res = Bounds.analyze ?max_iterations ctx ~exec in
-        let scenario_wcrt = per_graph res in
+        let scenario_wcrt =
+          per_graph (trigger_scenario engine ?max_iterations ctx ~normal v)
+        in
         for g = 0 to n_graphs - 1 do
           wcrt.(g) <- Verdict.max wcrt.(g) scenario_wcrt.(g);
           (* Dropped-set graphs owe their deadline only while alive, i.e.
@@ -97,7 +118,7 @@ let analyze_spanned ?max_iterations ctx =
   report
 
 let analyze ?max_iterations ctx =
-  Obs.with_span "wcrt.analyze" (fun () -> analyze_spanned ?max_iterations ctx)
+  analyze_with (module Bounds) ?max_iterations ctx
 
 let schedulable js report =
   let happ = js.Jobset.happ in

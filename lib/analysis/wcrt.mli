@@ -34,12 +34,49 @@ type report = {
   scenarios : int;  (** number of trigger scenarios analysed *)
 }
 
+type 'ctx engine = (module Mcmap_sched.Fixpoint.ENGINE with type ctx = 'ctx)
+(** [(module Mcmap_sched.Flat)] or [(module Mcmap_sched.Bounds)]. *)
+
+val analyze_with : 'ctx engine -> ?max_iterations:int -> 'ctx -> report
+(** Algorithm 1 on [engine]: the normal state, then every trigger
+    scenario of the context's jobset. Both engines give equal reports
+    (the [flat-agreement] oracle checks it). [max_iterations] defaults
+    to {!Mcmap_sched.Bounds.default_max_iterations}, the one shared
+    fixed-point cap of the analysis stack — callers forwarding the
+    option (evaluator sessions, the GA) must not restate it. *)
+
 val analyze : ?max_iterations:int -> Mcmap_sched.Bounds.ctx -> report
-(** Run Algorithm 1 on a prepared bounds context. [max_iterations]
-    defaults to {!Mcmap_sched.Bounds.default_max_iterations}, the one
-    shared fixed-point cap of the analysis stack — callers forwarding the
-    option (evaluator sessions, the GA) inherit the same default and must
-    not restate it. *)
+(** [analyze_with (module Bounds)]: the independent reference. *)
+
+(** {1 Scenario steps} — what {!analyze_with} folds, and what the
+    evaluator session composes per processor component. *)
+
+val normal :
+  'ctx engine -> ?max_iterations:int -> 'ctx -> Mcmap_sched.Bounds.result
+(** The normal-state fixed point ({!Mcmap_sched.Bounds.nominal_exec}). *)
+
+val trigger_scenario :
+  'ctx engine ->
+  ?max_iterations:int ->
+  'ctx ->
+  normal:Mcmap_sched.Bounds.result ->
+  Mcmap_sched.Job.t ->
+  Mcmap_sched.Bounds.result
+(** The scenario of trigger [v] ({!scenario_exec}), given the context's
+    normal-state result. *)
+
+val external_scenario :
+  'ctx engine ->
+  ?max_iterations:int ->
+  'ctx ->
+  normal:Mcmap_sched.Bounds.result ->
+  min_start:int ->
+  max_finish:int ->
+  Mcmap_sched.Bounds.result
+(** The scenario of a trigger outside the context's jobset. A
+    non-triggering job sees the trigger only through its normal-state
+    [min_start]/[max_finish], so that pair summarises a remote trigger
+    exactly. *)
 
 val scenario_exec :
   base:int ->
@@ -50,23 +87,7 @@ val scenario_exec :
 (** [scenario_exec ~base nb v w]: the per-job execution bounds of the
     trigger scenario of job [v], given normal-state bounds [nb] and the
     application hyperperiod [base] (Algorithm 1 lines 12-29 — the
-    chronology cases documented above). Exposed for the evaluator
-    session, which replays single-component scenarios incrementally. *)
-
-val external_exec :
-  base:int ->
-  min_start:int ->
-  max_finish:int ->
-  Mcmap_sched.Bounds.job_bounds array ->
-  Mcmap_sched.Job.t ->
-  int * int
-(** {!scenario_exec} for a trigger that lies outside the analysed jobset:
-    every chronology case of a non-triggering job depends on the trigger
-    only through its normal-state [min_start]/[max_finish], so a remote
-    trigger is fully summarised by that pair. For a trigger [v] inside
-    the jobset, [scenario_exec ~base nb v] and
-    [external_exec ~base ~min_start:nb.(v.id).min_start
-    ~max_finish:nb.(v.id).max_finish nb] agree on every other job. *)
+    chronology cases documented above). *)
 
 val schedulable : Mcmap_sched.Jobset.t -> report -> bool
 (** Every graph's [required_wcrt] meets its relative deadline. *)

@@ -21,7 +21,9 @@ module Criticality = Mcmap_model.Criticality
 module Jobset = Mcmap_sched.Jobset
 module Job = Mcmap_sched.Job
 module Bounds = Mcmap_sched.Bounds
+module Flat = Mcmap_sched.Flat
 module Wcrt = Mcmap_analysis.Wcrt
+module Naive = Mcmap_analysis.Naive
 module Verdict = Mcmap_analysis.Verdict
 module Engine = Mcmap_sim.Engine
 module Fault_profile = Mcmap_sim.Fault_profile
@@ -84,8 +86,19 @@ let soundness_runs js =
   base @ random
 
 let check_soundness sys =
-  let js, report = analyze sys in
-  let n_graphs = Happ.n_graphs js.Jobset.happ in
+  let happ = Happ.build sys.Gen.arch sys.Gen.apps sys.Gen.plan in
+  (* Odd seeds analyse and simulate two hyperperiods, so the return to
+     the normal state (restoring dropped graphs) at the hyperperiod
+     boundary is exercised too. *)
+  let js = Jobset.build ~hyperperiods:(1 + (sys.Gen.seed land 1)) happ in
+  (* The bounds users get: Algorithm 1 on the flat engine. *)
+  let ctx = Flat.make js in
+  let report = Wcrt.analyze_with (module Flat) ctx in
+  let naive = Naive.analyze_with (module Flat) ctx in
+  let n_graphs = Happ.n_graphs happ in
+  let pp_resp ppf = function
+    | Some r -> Format.pp_print_int ppf r
+    | None -> Format.pp_print_string ppf "-" in
   let check_run acc (label, (o : Engine.outcome)) =
     match acc with
     | Error _ -> acc
@@ -96,29 +109,32 @@ let check_soundness sys =
         if not (covers report.Wcrt.wcrt.(g) resp) then
           bad :=
             failf
-              "graph %d: simulated response %s exceeds WCRT bound %a \
+              "graph %d: simulated response %a exceeds WCRT bound %a \
                (profile %s)"
-              g
-              (match resp with Some r -> string_of_int r | None -> "-")
-              Verdict.pp report.Wcrt.wcrt.(g) label;
+              g pp_resp resp Verdict.pp report.Wcrt.wcrt.(g) label;
+        (* The Naive baseline ignores the transition's chronology but
+           must stay safe: it dominates every run as well. *)
+        if not (covers naive.(g) resp) then
+          bad :=
+            failf
+              "graph %d: simulated response %a exceeds Naive bound %a \
+               (profile %s)"
+              g pp_resp resp Verdict.pp naive.(g) label;
         (* In a fault-free run the system never leaves the normal mode,
            so the tighter normal-state bound must already cover it. *)
         if label = "none/wc"
            && not (covers report.Wcrt.normal_wcrt.(g) resp) then
           bad :=
             failf
-              "graph %d: fault-free response %s exceeds normal-mode \
+              "graph %d: fault-free response %a exceeds normal-mode \
                bound %a"
-              g
-              (match resp with Some r -> string_of_int r | None -> "-")
-              Verdict.pp report.Wcrt.normal_wcrt.(g)
+              g pp_resp resp Verdict.pp report.Wcrt.normal_wcrt.(g)
       done;
       !bad in
   (* Per-job differential: the fault-free worst-case trace must respect
      the per-job finish bounds of the normal-state interval analysis. *)
   let per_job =
-    let ctx = Bounds.make js in
-    let normal = Bounds.analyze ctx ~exec:Bounds.nominal_exec in
+    let normal = Wcrt.normal (module Flat) ctx in
     if not normal.Bounds.converged then Ok ()
     else begin
       let o = Engine.run js ~profile:Fault_profile.none in
@@ -736,10 +752,9 @@ let check_evaluator_agreement (sys : Gen.system) =
    converged flag — for every exec hook, iteration cap and horizon.
    Agreement is checked at several caps (so the engines agree sweep for
    sweep, not only at the fixed point), on every trigger scenario, under
-   horizon truncation, and at full-evaluation level with one session per
-   engine walking the same mutation chain. *)
-
-module Flat = Mcmap_sched.Flat
+   horizon truncation, on the Algorithm 1 and Naive reports, and at
+   full-evaluation level with one session per engine walking the same
+   mutation chain. *)
 
 let ( let* ) = Result.bind
 
@@ -807,6 +822,19 @@ let check_flat_agreement (sys : Gen.system) =
             (Printf.sprintf "trigger scenario of job %d" v.Job.id)
             ~max_iterations:Bounds.default_max_iterations rctx fctx ~exec)
         (Ok ()) (Jobset.triggers js) in
+  (* Report level: Algorithm 1 and the Naive baseline
+     give equal verdicts on either engine. *)
+  let* () =
+    let r = Wcrt.analyze rctx and f = Wcrt.analyze_with (module Flat) fctx in
+    if (r : Wcrt.report) = f then Ok ()
+    else
+      failf
+        "flat: Algorithm 1 reports differ between the reference and the \
+         flat engine (%d vs %d scenarios)"
+        r.Wcrt.scenarios f.Wcrt.scenarios in
+  let* () =
+    if Naive.analyze rctx = Naive.analyze_with (module Flat) fctx then Ok ()
+    else failf "flat: Naive verdicts differ between the engines" in
   (* Horizon truncation parity: both engines must overflow at exactly
      the same cap and return the same truncated intervals. *)
   let* () =
@@ -938,8 +966,9 @@ let check_bus_noc_equivalence (sys : Gen.system) =
 let soundness =
   { name = "wcrt-soundness";
     doc =
-      "analytic WCRT dominates every fault-injected simulation, per \
-       graph, per job and per criticality mode";
+      "analytic WCRT (flat engine) and the Naive bound dominate \
+       every fault-injected simulation, per graph, per job and per \
+       criticality mode, over one or two hyperperiods";
     check = check_soundness }
 
 let reliability_agreement =
@@ -1004,7 +1033,8 @@ let flat_agreement =
       "the flat structure-of-arrays kernel reproduces the reference \
        fixed point exactly — per-job intervals and convergence — at \
        every iteration cap, on every trigger scenario, under horizon \
-       truncation, and at evaluation level along mutation chains";
+       truncation, in the Algorithm 1 and Naive reports, and at \
+       evaluation level along mutation chains";
     check = check_flat_agreement }
 
 let bus_noc_equivalence =

@@ -84,6 +84,7 @@ module Sched = struct
   module Jobset = Mcmap_sched.Jobset
   module Bounds = Mcmap_sched.Bounds
   module Flat = Mcmap_sched.Flat
+  module Fixpoint = Mcmap_sched.Fixpoint
   module Static_schedule = Mcmap_sched.Static_schedule
 end
 
@@ -161,11 +162,11 @@ end
 
 (** {1 Convenience pipeline} *)
 
-(** Build the hardened application, its job set and a WCRT report for a
-    plan in one call. *)
-let analyze_plan arch apps plan =
+let plan_context arch apps plan =
   let happ = Mcmap_hardening.Happ.build arch apps plan in
   let js = Mcmap_sched.Jobset.build happ in
-  let ctx = Mcmap_sched.Bounds.make js in
-  let report = Mcmap_analysis.Wcrt.analyze ctx in
-  (happ, js, report)
+  (happ, js, Mcmap_sched.Flat.make js)
+
+let analyze_plan arch apps plan =
+  let happ, js, ctx = plan_context arch apps plan in
+  (happ, js, Mcmap_analysis.Wcrt.analyze_with (module Mcmap_sched.Flat) ctx)

@@ -92,6 +92,7 @@ module Sched : sig
   module Jobset = Mcmap_sched.Jobset
   module Bounds = Mcmap_sched.Bounds
   module Flat = Mcmap_sched.Flat
+  module Fixpoint = Mcmap_sched.Fixpoint
   module Static_schedule = Mcmap_sched.Static_schedule
 end
 
@@ -170,12 +171,22 @@ end
 
 (** {1 Convenience pipeline} *)
 
+val plan_context :
+  Mcmap_model.Arch.t ->
+  Mcmap_model.Appset.t ->
+  Mcmap_hardening.Plan.t ->
+  Mcmap_hardening.Happ.t * Mcmap_sched.Jobset.t * Mcmap_sched.Flat.ctx
+(** The hardened application, its job set and a flat-engine context for
+    a plan: what {!analyze_plan} and [mcmap analyze] run Algorithm 1
+    (and the Naive baseline) on. *)
+
 val analyze_plan :
   Mcmap_model.Arch.t ->
   Mcmap_model.Appset.t ->
   Mcmap_hardening.Plan.t ->
   Mcmap_hardening.Happ.t * Mcmap_sched.Jobset.t * Mcmap_analysis.Wcrt.report
 (** Build the hardened application, its job set and a WCRT report for a
-    plan in one call. One-shot convenience: inside optimisation loops
-    prefer an {!Dse.Evaluator} session, which caches analyses across
-    plans. *)
+    plan in one call, on the flat engine (equal to the reference
+    [Wcrt.analyze (Bounds.make js)] report field for field). One-shot
+    convenience: inside optimisation loops prefer an {!Dse.Evaluator}
+    session, which caches analyses across plans. *)

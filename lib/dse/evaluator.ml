@@ -124,7 +124,7 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
      are immutable once published, so a value evicted while another
      domain still holds it stays valid — eviction only drops the
      cache's reference.
-   - The analysis contexts inside [centry] are shared across domains
+   - The analysis contexts captured by [centry] are shared across domains
      without the lock, which is safe for both engines: [Bounds.ctx]
      is read-only during [analyze] (scratch is allocated per call) and
      [Flat.ctx]'s scratch lives in a per-domain arena (Domain.DLS).
@@ -142,23 +142,6 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
 
 type engine = Reference | Flat
 
-(* The two Algorithm 1 backends behind one face: the reference
-   interval analysis ([Bounds]) and its flat structure-of-arrays twin
-   ([Flat]). They agree field-for-field on every input — the
-   [flat-agreement] oracle enforces it — so engine choice changes
-   wall-clock only, never results. *)
-type ectx = Ref_ctx of Bounds.ctx | Flat_ctx of Flat.ctx
-
-let make_ectx engine ~horizon rjs =
-  match engine with
-  | Reference -> Ref_ctx (Bounds.make ~horizon rjs)
-  | Flat -> Flat_ctx (Flat.make ~horizon rjs)
-
-let analyze_ectx ~max_iterations ectx ~exec =
-  match ectx with
-  | Ref_ctx ctx -> Bounds.analyze ~max_iterations ctx ~exec
-  | Flat_ctx ctx -> Flat.analyze ~max_iterations ctx ~exec
-
 type sched_info = {
   required : Verdict.t array;  (* per source graph: required WCRT *)
   ok : bool;  (* every required verdict meets its deadline *)
@@ -174,9 +157,10 @@ type outcome = {
    jobset's normal-state fixed point, one scenario per internal trigger,
    and a lazily-grown table of external-trigger scenarios keyed by the
    trigger's (min_start, max_finish) summary — the only channel through
-   which a remote fault is visible here (see {!Wcrt.external_exec}). *)
+   which a remote fault is visible here (see {!Wcrt.external_scenario}). *)
 type centry = {
-  ce_ctx : ectx;
+  ce_solve_external : min_start:int -> max_finish:int -> Bounds.result;
+      (* [Wcrt.external_scenario] on this component's engine context *)
   ce_graphs : int array;  (* ascending source graph indices *)
   ce_response : Job.t array array;
       (* per graph: its sink-task response jobs — static per restricted
@@ -215,7 +199,6 @@ type t = {
   n_graphs : int;
   deadlines : int array;
   rel_bounds : float option array;
-  base : int;  (* application hyperperiod *)
   horizon : int;  (* full-jobset divergence horizon, plan-independent *)
   lock : Mutex.t;
   population_lock : Mutex.t;
@@ -284,7 +267,7 @@ let create ?(cache_capacity = 4096) ?(component_capacity = 64)
     (4 * base) + !max_deadline in
   { arch; apps; salt; engine; check_rescue; max_iterations; domains;
     n_graphs; deadlines;
-    rel_bounds; base; horizon; lock = Mutex.create ();
+    rel_bounds; horizon; lock = Mutex.create ();
     population_lock = Mutex.create ();
     results = Lru.create ~capacity:cache_capacity ();
     sched = Lru.create ~capacity:cache_capacity ();
@@ -487,6 +470,40 @@ let per_graph_outcome response res =
              end))
         response }
 
+(* A fresh component entry: [Wcrt.normal] and [Wcrt.trigger_scenario]
+   on the session's engine, both engines behind one signature
+   (they agree field for field — the [flat-agreement] oracle enforces
+   it — so the engine changes wall-clock only, never results). *)
+let solve_component (type c) (engine : c Wcrt.engine) t rjs graphs =
+  let (module E) = engine in
+  let max_iterations = t.max_iterations in
+  let ctx = E.make ~horizon:t.horizon rjs in
+  let response = response_jobs_for rjs graphs in
+  let normal = Wcrt.normal engine ~max_iterations ctx in
+  let triggers = Array.of_list (Jobset.triggers rjs) in
+  { ce_solve_external =
+      (fun ~min_start ~max_finish ->
+        Wcrt.external_scenario engine ~max_iterations ctx ~normal ~min_start
+          ~max_finish);
+    ce_graphs = graphs; ce_response = response; ce_normal = normal;
+    ce_normal_verdicts = (per_graph_outcome response normal).o_verdicts;
+    ce_triggers = triggers;
+    ce_summaries =
+      Array.map
+        (fun (v : Job.t) ->
+          ( normal.Bounds.bounds.(v.Job.id).Bounds.min_start,
+            normal.Bounds.bounds.(v.Job.id).Bounds.max_finish ))
+        triggers;
+    ce_internal =
+      (if normal.Bounds.converged then
+         Array.map
+           (fun v ->
+             per_graph_outcome response
+               (Wcrt.trigger_scenario engine ~max_iterations ctx ~normal v))
+           triggers
+       else [||]);
+    ce_external = Hashtbl.create 16 }
+
 let centry_for t js graphs =
   let rjs = Jobset.restrict js ~graphs in
   let key = structure_fp rjs in
@@ -501,35 +518,10 @@ let centry_for t js graphs =
     entry
   | None ->
     tier_event "evaluator.component" Flight.Cache_miss "resolve";
-    let ctx = make_ectx t.engine ~horizon:t.horizon rjs in
-    let response = response_jobs_for rjs graphs in
-    let normal =
-      analyze_ectx ~max_iterations:t.max_iterations ctx
-        ~exec:Bounds.nominal_exec in
-    let normal_verdicts = (per_graph_outcome response normal).o_verdicts in
-    let triggers = Array.of_list (Jobset.triggers rjs) in
-    let summaries =
-      Array.map
-        (fun (v : Job.t) ->
-          ( normal.Bounds.bounds.(v.Job.id).Bounds.min_start,
-            normal.Bounds.bounds.(v.Job.id).Bounds.max_finish ))
-        triggers in
-    let internal =
-      if normal.Bounds.converged then
-        Array.map
-          (fun (v : Job.t) ->
-            let exec =
-              Wcrt.scenario_exec ~base:t.base normal.Bounds.bounds v in
-            per_graph_outcome response
-              (analyze_ectx ~max_iterations:t.max_iterations ctx ~exec))
-          triggers
-      else [||] in
     let entry =
-      { ce_ctx = ctx; ce_graphs = graphs; ce_response = response;
-        ce_normal = normal;
-        ce_normal_verdicts = normal_verdicts; ce_triggers = triggers;
-        ce_summaries = summaries; ce_internal = internal;
-        ce_external = Hashtbl.create 16 } in
+      match t.engine with
+      | Reference -> solve_component (module Bounds) t rjs graphs
+      | Flat -> solve_component (module Flat) t rjs graphs in
     with_lock t (fun () ->
         t.n_component_misses <- t.n_component_misses + 1;
         tier_add "evaluator.component" t.components key entry);
@@ -546,12 +538,9 @@ let external_outcome t entry (ms, mf) =
   with
   | Some o -> o
   | None ->
-    let exec =
-      Wcrt.external_exec ~base:t.base ~min_start:ms ~max_finish:mf
-        entry.ce_normal.Bounds.bounds in
-    let res =
-      analyze_ectx ~max_iterations:t.max_iterations entry.ce_ctx ~exec in
-    let o = per_graph_outcome entry.ce_response res in
+    let o =
+      per_graph_outcome entry.ce_response
+        (entry.ce_solve_external ~min_start:ms ~max_finish:mf) in
     if Obs.enabled () then Obs.incr "evaluator.external_scenarios";
     with_lock t (fun () ->
         t.n_external <- t.n_external + 1;

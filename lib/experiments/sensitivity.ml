@@ -5,7 +5,7 @@ module Plan = Mcmap_hardening.Plan
 module Technique = Mcmap_hardening.Technique
 module Happ = Mcmap_hardening.Happ
 module Jobset = Mcmap_sched.Jobset
-module Bounds = Mcmap_sched.Bounds
+module Flat = Mcmap_sched.Flat
 module Priority = Mcmap_sched.Priority
 module Wcrt = Mcmap_analysis.Wcrt
 module Verdict = Mcmap_analysis.Verdict
@@ -53,7 +53,7 @@ let k_sweep ?(benchmark = "cruise") ?(seed = 42) () =
       let plan = with_uniform_k apps base k in
       let happ = Happ.build arch apps plan in
       let js = Jobset.build happ in
-      let report = Wcrt.analyze (Bounds.make js) in
+      let report = Wcrt.analyze_with (module Flat) (Flat.make js) in
       let failure_rate =
         List.fold_left
           (fun acc g ->
@@ -104,7 +104,7 @@ let priority_ablation ?(benchmark = "cruise") ?(seed = 42) () =
   let happ = Happ.build arch apps plan in
   let analyse label order =
     let js = Jobset.build ~priority_order:order happ in
-    let report = Wcrt.analyze (Bounds.make js) in
+    let report = Wcrt.analyze_with (module Flat) (Flat.make js) in
     let worst graphs =
       List.fold_left
         (fun acc g -> Verdict.max acc report.Wcrt.required_wcrt.(g))

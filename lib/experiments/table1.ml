@@ -1,7 +1,7 @@
 module B = Mcmap_benchmarks
 module Happ = Mcmap_hardening.Happ
 module Jobset = Mcmap_sched.Jobset
-module Bounds = Mcmap_sched.Bounds
+module Flat = Mcmap_sched.Flat
 module Static = Mcmap_sched.Static_schedule
 module Wcrt = Mcmap_analysis.Wcrt
 module Verdict = Mcmap_analysis.Verdict
@@ -24,7 +24,7 @@ let run ?(seed = 42) ?(benchmarks = B.Registry.names) () =
       let plan = B.Sampler.balanced_plan ~seed arch apps in
       let happ = Happ.build arch apps plan in
       let js = Jobset.build happ in
-      let report = Wcrt.analyze (Bounds.make js) in
+      let report = Wcrt.analyze_with (module Flat) (Flat.make js) in
       let static_wc = Static.worst_case js in
       let criticals = Appset.critical_graphs apps in
       let static_response =

@@ -1,7 +1,7 @@
 module B = Mcmap_benchmarks
 module Happ = Mcmap_hardening.Happ
 module Jobset = Mcmap_sched.Jobset
-module Bounds = Mcmap_sched.Bounds
+module Flat = Mcmap_sched.Flat
 module Wcrt = Mcmap_analysis.Wcrt
 module Naive = Mcmap_analysis.Naive
 module Verdict = Mcmap_analysis.Verdict
@@ -26,9 +26,9 @@ let run ?(profiles = 10_000) ?(seed = 42) () =
          let happ =
            Happ.build bench.B.Benchmark.arch bench.B.Benchmark.apps plan in
          let js = Jobset.build happ in
-         let ctx = Bounds.make js in
-         let report = Wcrt.analyze ctx in
-         let naive = Naive.analyze ctx in
+         let ctx = Flat.make js in
+         let report = Wcrt.analyze_with (module Flat) ctx in
+         let naive = Naive.analyze_with (module Flat) ctx in
          let adhoc = Mcmap_sim.Adhoc.run js in
          let mc = Mcmap_sim.Monte_carlo.run ~profiles ~seed js in
          List.map

@@ -109,6 +109,13 @@ let registry =
        cols) lies outside the declared mesh, so no XY route can reach \
        it. Reported per offending processor, alongside MC020 on the \
        mesh itself.";
+    reg "MC022" Error "job-budget-exceeded"
+      "One hyperperiod expands to more jobs (the sum over applications \
+       of hyperperiod / period x tasks) than the analysis budget. \
+       Every analysis and simulation instantiates these jobs and the \
+       fixed-point contexts grow with the square of their number, so \
+       such a system would exhaust memory. Shorten the hyperperiod: \
+       lengthen short periods or make the periods divide each other.";
     (* MC1xx — plan consistency *)
     reg "MC100" Error "plan-syntax"
       "The plan file is not syntactically valid: malformed \

@@ -308,12 +308,87 @@ let check_hyperperiod ctx (apps : Ast.app list) =
       end in
   go 1 apps
 
+(* Every analysis and simulation expands one hyperperiod into jobs, and
+   the engines' contexts grow with the square of the job count, so an
+   innocent-looking pair of periods (10 and 10^8) can demand gigabytes.
+   The budget leaves ample room above the shipped specs (at most ~180
+   jobs) while keeping a fixed-point context in the tens of megabytes. *)
+let job_budget = 5_000
+
+(* Saturating: [max_int] stands for any count an int cannot hold. *)
+let sat_mul a b = if b <> 0 && a > max_int / b then max_int else a * b
+
+(* Per application, its jobs over one hyperperiod, [(H / period) * tasks]
+   in declaration order. Applications with a non-positive period (MC010)
+   expand to no jobs. *)
+let jobs_per_app (apps : (int * int) list) =
+  let h =
+    List.fold_left
+      (fun h (p, _) -> if p <= 0 then h else sat_mul h (p / Mathx.gcd h p))
+      1 apps in
+  List.map
+    (fun (p, tasks) ->
+      if p <= 0 || tasks = 0 then 0
+      else if h = max_int then max_int
+      else sat_mul (h / p) tasks)
+    apps
+
+let total_jobs counts =
+  List.fold_left
+    (fun acc c -> if acc > max_int - c then max_int else acc + c)
+    0 counts
+
+let pp_jobs ppf n =
+  if n = max_int then Format.pp_print_string ppf "more than 2^62"
+  else Format.pp_print_int ppf n
+
+let job_budget_error (apps : Appset.t) =
+  let n =
+    total_jobs
+      (jobs_per_app
+         (List.init (Appset.n_graphs apps) (fun g ->
+              let graph = Appset.graph apps g in
+              (graph.Graph.period, Graph.n_tasks graph)))) in
+  if n <= job_budget then None
+  else
+    Some
+      (Format.asprintf
+         "[MC022] one hyperperiod expands to %a jobs, over the budget of %d"
+         pp_jobs n job_budget)
+
+let check_job_budget ctx (apps : Ast.app list) =
+  let counts =
+    jobs_per_app
+      (List.map
+         (fun (g : Ast.app) -> (g.Ast.g_period.Ast.v, List.length g.Ast.g_tasks))
+         apps) in
+  let total = total_jobs counts in
+  if total > job_budget then begin
+    (* Point at the application contributing the most jobs. *)
+    let g, count =
+      List.fold_left
+        (fun ((_, best) as acc) ((_, c) as cand) ->
+          if c > best then cand else acc)
+        (List.hd apps, -1)
+        (List.combine apps counts) in
+    emit ctx ~pos:g.Ast.g_period.Ast.pos ~code:"MC022"
+      ~fixit:
+        (Format.asprintf
+           "lengthen the period of application %s or harmonise the \
+            periods so the hyperperiod shrinks"
+           (loc_value g.Ast.g_name))
+      "one hyperperiod expands to %a jobs, over the budget of %d \
+       (application %s alone contributes %a)"
+      pp_jobs total job_budget (loc_value g.Ast.g_name) pp_jobs count
+  end
+
 let check_system_ast ctx (s : Ast.system) =
   check_arch ctx s.Ast.sys_arch;
   check_duplicates ctx ~code:"MC002" ~what:"application name"
     (List.map (fun (g : Ast.app) -> g.Ast.g_name) s.Ast.sys_apps);
   List.iter (check_app ctx) s.Ast.sys_apps;
-  check_hyperperiod ctx s.Ast.sys_apps
+  check_hyperperiod ctx s.Ast.sys_apps;
+  check_job_budget ctx s.Ast.sys_apps
 
 (* ------------------------------------------------------------------ *)
 (* MC2xx: schedulability necessary conditions on the built system *)

@@ -45,3 +45,15 @@ val lint_files :
   system:string -> ?plan:string -> unit -> (Diagnostic.t list, string) result
 (** Read and lint files. [Error] only for I/O failures — unreadable
     content is a diagnostic, not an error. *)
+
+val job_budget : int
+(** The most jobs one hyperperiod may expand to: above it the
+    analysis contexts, which grow with the square of the job count, and
+    the simulator's job tables would demand unbounded memory. A system
+    over budget fails lint with [MC022]. *)
+
+val job_budget_error : Mcmap_model.Appset.t -> string option
+(** [MC022] on a built application set: [Some message] when one
+    hyperperiod expands to more than {!job_budget} jobs
+    ([sum over graphs of (H / period) * tasks]). For ingest paths that
+    skip the full lint gate, such as [mcmap serve] with [(no-lint)]. *)

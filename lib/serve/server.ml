@@ -113,8 +113,13 @@ let build_system ~no_lint forms =
   let text = system_text forms in
   if no_lint then
     match Spec.read_system text with
-    | Ok s -> Ok s
     | Error e -> Error ("system: " ^ e)
+    | Ok s -> (
+      (* The job budget (MC022) holds even without the gate: one system
+         over it would exhaust the daemon's memory. *)
+      match Lint.job_budget_error s.Spec.apps with
+      | Some e -> Error ("system: " ^ e)
+      | None -> Ok s)
   else
     let diags, sys = Lint.lint_system text in
     if Diagnostic.error_count diags > 0 then

@@ -173,6 +173,72 @@ let test_naive_exec_shape () =
         hi)
     js.Jobset.jobs
 
+(* ------------------------------------------------------------------ *)
+(* The user-facing one-shot path ([Mcmap.analyze_plan], on the flat
+   engine) against the reference engine, on every shipped spec and
+   registry benchmark: equal reports field for field and byte-identical
+   rendered text, and equal Naive verdicts. *)
+
+module B = Mcmap_benchmarks
+module Spec = Mcmap_spec.Spec
+
+let specs_dir = "../examples/specs"
+
+let test_analyze_plan_matches_reference () =
+  let check_plan label arch apps plan =
+    let _, js, got = Mcmap.analyze_plan arch apps plan in
+    let ref_js = Jobset.build (Happ.build arch apps plan) in
+    let ref_ctx = Bounds.make ref_js in
+    let want = Wcrt.analyze ref_ctx in
+    let field name f = check Alcotest.bool (label ^ ": " ^ name) true f in
+    field "wcrt" (got.Wcrt.wcrt = want.Wcrt.wcrt);
+    field "normal_wcrt" (got.Wcrt.normal_wcrt = want.Wcrt.normal_wcrt);
+    field "required_wcrt" (got.Wcrt.required_wcrt = want.Wcrt.required_wcrt);
+    check Alcotest.int (label ^ ": scenarios") want.Wcrt.scenarios
+      got.Wcrt.scenarios;
+    let render js r = Format.asprintf "%a" (Wcrt.pp_report js) r in
+    check Alcotest.string (label ^ ": rendered report")
+      (render ref_js want) (render js got);
+    let _, _, ctx = Mcmap.plan_context arch apps plan in
+    field "naive"
+      (Naive.analyze_with (module Mcmap_sched.Flat) ctx
+       = Naive.analyze ref_ctx) in
+  let balanced label arch apps =
+    List.iter
+      (fun seed ->
+        check_plan
+          (Printf.sprintf "%s seed %d" label seed)
+          arch apps
+          (B.Sampler.balanced_plan ~seed arch apps))
+      [ 1; 42 ] in
+  let specs =
+    Sys.readdir specs_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mcmap")
+    |> List.sort compare in
+  check Alcotest.bool "shipped specs found" true (List.length specs >= 3);
+  List.iter
+    (fun f ->
+      match Spec.load_system (Filename.concat specs_dir f) with
+      | Error e -> Alcotest.failf "%s: %s" f e
+      | Ok { Spec.arch; apps } -> balanced f arch apps)
+    specs;
+  (match Spec.load_system (Filename.concat specs_dir "cruise.mcmap") with
+   | Error e -> Alcotest.fail e
+   | Ok system -> (
+     match
+       Spec.load_plan system
+         (Filename.concat specs_dir "cruise-mapping1.plan")
+     with
+     | Error e -> Alcotest.fail e
+     | Ok plan ->
+       check_plan "cruise-mapping1.plan" system.Spec.arch system.Spec.apps
+         plan));
+  List.iter
+    (fun name ->
+      let bench = B.Registry.find_exn name in
+      balanced name bench.B.Benchmark.arch bench.B.Benchmark.apps)
+    B.Registry.names
+
 let suite =
   [ Alcotest.test_case "verdict: operations" `Quick test_verdict_ops;
     Alcotest.test_case "wcrt: report shape" `Quick test_report_shape;
@@ -183,6 +249,8 @@ let suite =
     Alcotest.test_case "wcrt: dropping relaxes" `Quick
       test_dropping_relaxes_requirements;
     Alcotest.test_case "naive: exec shape" `Quick test_naive_exec_shape;
+    Alcotest.test_case "analyze_plan: flat equals reference (specs)" `Quick
+      test_analyze_plan_matches_reference;
     qtest prop_wcrt_at_least_normal;
     qtest prop_naive_is_safe;
     qtest prop_required_below_wcrt ]

@@ -130,7 +130,8 @@ let test_corpus_positions () =
           (List.length ds))
     [ ("MC001.mcmap", 6, 20); (* second (name p0) value *)
       ("MC008.mcmap", 11, 35); (* the (bcet 20) value *)
-      ("MC016.mcmap", 5, 31) (* the (speed -1) value *) ]
+      ("MC016.mcmap", 5, 31); (* the (speed -1) value *)
+      ("MC022.mcmap", 11, 11) (* the (period 10) of the biggest app *) ]
 
 (* ------------------------------------------------------------------ *)
 (* Shipped example specs stay clean even with warnings denied *)
@@ -152,6 +153,40 @@ let test_examples_clean () =
       check Alcotest.int "dt-med clean (hints allowed)" 0
         (D.error_count ~deny:D.Warning ds)
   end
+
+(* The MC022 job budget on built systems (the serve ingest check): every
+   registry benchmark is well inside it, the memory bomb of the corpus
+   is over it, and an overflowing hyperperiod is over it too. *)
+let test_job_budget () =
+  List.iter
+    (fun name ->
+      let b = Mcmap_benchmarks.Registry.find_exn name in
+      check (Alcotest.option Alcotest.string) (name ^ " within budget") None
+        (Lint.job_budget_error b.Mcmap_benchmarks.Benchmark.apps))
+    Mcmap_benchmarks.Registry.names;
+  let over text =
+    match Spec.read_system text with
+    | Error e -> Alcotest.fail e
+    | Ok sys -> Lint.job_budget_error sys.Spec.apps <> None in
+  check Alcotest.bool "corpus bomb over budget" true
+    (over (read_corpus "MC022.mcmap"));
+  let app name period =
+    Printf.sprintf
+      "(application (name %s) (period %d) (droppable 1) (task (name t) \
+       (wcet 1)))"
+      name period in
+  check Alcotest.bool "overflowing hyperperiod over budget" true
+    (over
+       (String.concat "\n"
+          [ "(architecture (processor (name p0) (speed 1)))";
+            app "a" 1_000_000_007; app "b" 1_000_000_009;
+            app "c" 1_000_000_021 ]));
+  (* H = budget - 1: a expands to budget - 1 jobs, b to one *)
+  check Alcotest.bool "exactly the budget is fine" false
+    (over
+       (String.concat "\n"
+          [ "(architecture (processor (name p0) (speed 1)))";
+            app "a" 1; app "b" (Lint.job_budget - 1) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Registry and diagnostic mechanics *)
@@ -271,6 +306,8 @@ let suite =
     Alcotest.test_case "corpus: positioned diagnostics" `Quick
       test_corpus_positions;
     Alcotest.test_case "examples: lint clean" `Quick test_examples_clean;
+    Alcotest.test_case "job budget (MC022) on built systems" `Quick
+      test_job_budget;
     Alcotest.test_case "registry: well-formed" `Quick
       test_registry_well_formed;
     Alcotest.test_case "registry: lookup" `Quick test_registry_lookup;

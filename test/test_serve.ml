@@ -602,6 +602,47 @@ let test_serve_oversized_frame () =
   | { P.r_body = P.Pong; _ } -> ()
   | _ -> Alcotest.fail "connection unusable after oversized frame"
 
+(* A lint-clean-looking system whose hyperperiod expands to 10^7 jobs
+   (MC022) is refused at ingest, with or without the lint gate, and the
+   daemon keeps serving. *)
+let test_serve_job_budget () =
+  let forms =
+    match
+      Sexp.parse
+        "(architecture (processor (name p0) (speed 1)))\n\
+         (application (name fast) (period 10) (droppable 1)\n\
+        \  (task (name t0) (wcet 1)))\n\
+         (application (name slow) (period 100000000) (droppable 1)\n\
+        \  (task (name u0) (wcet 5)))"
+    with
+    | Ok forms -> forms
+    | Error e -> Alcotest.failf "bomb forms: %s" e in
+  let addr, _path, server = start_server (fun c -> c) in
+  Fun.protect ~finally:(fun () -> shutdown_server addr server)
+  @@ fun () ->
+  let c = connect_exn addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let mentions_mc022 e =
+    let n = String.length e in
+    let rec at i = i + 5 <= n && (String.sub e i 5 = "MC022" || at (i + 1)) in
+    at 0 in
+  List.iter
+    (fun no_lint ->
+      List.iter
+        (fun body ->
+          match call_exn c (request c ~no_lint body) with
+          | { P.r_body = P.Error_response e; _ } ->
+            check Alcotest.bool
+              (Printf.sprintf "no-lint %b: names MC022 in %S" no_lint e)
+              true (mentions_mc022 e)
+          | _ -> Alcotest.failf "no-lint %b: expected an error" no_lint)
+        [ P.Analyze { system = forms; plan = None };
+          P.Eval_population { system = forms; plans = [] } ])
+    [ false; true ];
+  match call_exn c (request c P.Ping) with
+  | { P.r_body = P.Pong; _ } -> ()
+  | _ -> Alcotest.fail "daemon unusable after the rejected system"
+
 let test_serve_stats_over_protocol () =
   let addr, _path, server = start_server (fun c -> c) in
   Fun.protect ~finally:(fun () -> shutdown_server addr server)
@@ -656,4 +697,6 @@ let suite =
     Alcotest.test_case "serve backpressure: oversized frame" `Quick
       test_serve_oversized_frame;
     Alcotest.test_case "serve stats over the protocol" `Quick
-      test_serve_stats_over_protocol ]
+      test_serve_stats_over_protocol;
+    Alcotest.test_case "serve ingest: job budget (MC022)" `Quick
+      test_serve_job_budget ]
