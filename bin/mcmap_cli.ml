@@ -148,54 +148,50 @@ let no_lint_arg =
            ~doc:"Skip the static lint gate run over --system/--plan \
                  files before the analysis.")
 
-(* Refuse to analyse files with error-severity diagnostics: a dangling
-   endpoint or colliding replicas would otherwise surface as an
-   exception (or silently wrong numbers) deep inside the pipeline. *)
-let lint_gate ~system ?plan () =
-  match L.Lint.lint_files ~system ?plan () with
-  | Error _ as err -> err
-  | Ok ds ->
+(* Print the ingest gate's diagnostics and say why the input was
+   refused: a dangling endpoint or colliding replicas would otherwise
+   surface as an exception (or silently wrong numbers) deep inside the
+   pipeline. *)
+let refusal ~no_lint ds =
+  prerr_string (L.Diagnostic.render_human ds);
+  if no_lint then "the input does not build"
+  else
     let errors = L.Diagnostic.error_count ds in
-    if errors = 0 then Ok ()
-    else begin
-      prerr_string (L.Diagnostic.render_human ds);
-      Error
-        (Format.asprintf
-           "%d lint error%s — fix the file or pass --no-lint to bypass \
-            the gate"
-           errors
-           (if errors = 1 then "" else "s"))
-    end
+    Format.asprintf "%d lint error%s — fix the input or pass --no-lint to \
+                     bypass the gate"
+      errors
+      (if errors = 1 then "" else "s")
 
-(* Resolve --system/--plan or fall back to a built-in benchmark with a
-   seeded balanced plan. *)
+(* Resolve --system/--plan through the ingest gate, or fall back to a
+   built-in benchmark with a seeded balanced plan. *)
 let resolve_problem ?(no_lint = false) bench_name system_file plan_file
     seed =
+  let with_plan arch apps plan =
+    ( arch,
+      apps,
+      match plan with
+      | Some plan -> plan
+      | None -> B.Sampler.balanced_plan ~seed arch apps ) in
   match system_file with
   | None ->
-    (match find_benchmark bench_name with
-     | Error _ as err -> err
-     | Ok bench ->
-       let arch = bench.B.Benchmark.arch
-       and apps = bench.B.Benchmark.apps in
-       Ok (arch, apps, B.Sampler.balanced_plan ~seed arch apps))
+    Result.map
+      (fun (b : B.Benchmark.t) ->
+        with_plan b.B.Benchmark.arch b.B.Benchmark.apps None)
+      (find_benchmark bench_name)
   | Some path ->
-    let gate =
-      if no_lint then Ok ()
-      else lint_gate ~system:path ?plan:plan_file () in
-    (match gate with
-     | Error _ as err -> err
-     | Ok () ->
-       match Spec.load_system path with
-       | Error e -> Error (path ^ ": " ^ e)
-       | Ok system ->
-         let arch = system.Spec.arch and apps = system.Spec.apps in
-         (match plan_file with
-          | None -> Ok (arch, apps, B.Sampler.balanced_plan ~seed arch apps)
-          | Some plan_path ->
-            (match Spec.load_plan system plan_path with
-             | Error e -> Error (plan_path ^ ": " ^ e)
-             | Ok plan -> Ok (arch, apps, plan))))
+    let ( let* ) = Result.bind in
+    let* system_text = Spec.read_file path in
+    let* plan_text =
+      match plan_file with
+      | None -> Ok None
+      | Some plan_path -> Result.map Option.some (Spec.read_file plan_path) in
+    (match
+       L.Lint.ingest ~system_file:path ?plan_file ~no_lint system_text
+         plan_text
+     with
+     | _, Some (system, plan) ->
+       Ok (with_plan system.Spec.arch system.Spec.apps plan)
+     | ds, None -> Error (refusal ~no_lint ds))
 
 let list_cmd =
   let run () =
@@ -292,58 +288,47 @@ let explore_run bench_name population offspring generations seed domains
   | Ok bench ->
     (* Benchmarks have no file to lint; round-trip through the spec
        writer so the same gate covers them. *)
-    let lint_ok =
-      no_lint
-      ||
-      let text =
-        Spec.write_system
-          { Spec.arch = bench.B.Benchmark.arch;
-            apps = bench.B.Benchmark.apps } in
-      let ds, _ = L.Lint.lint_system ~file:bench_name text in
-      let errors = L.Diagnostic.error_count ds in
-      if errors > 0 then prerr_string (L.Diagnostic.render_human ds);
-      errors = 0 in
-    if not lint_ok then begin
-      prerr_endline
-        "benchmark failed the lint gate (pass --no-lint to bypass)";
-      1
-    end
-    else begin
-    let config =
-      ga_config ~domains ~eval_cache ~engine population offspring
-        generations seed in
-    let on_generation (p : D.Explore.progress) =
-      if not quiet then
-        Printf.printf
-          "generation %3d/%d: archive %d/%d feasible, best power %s, \
-           hypervolume %.4f\n%!"
-          p.D.Explore.generation config.D.Ga.generations
-          p.D.Explore.archive_feasible p.D.Explore.archive_size
-          (match p.D.Explore.best_power with
-           | Some power -> Printf.sprintf "%.3f" power
-           | None -> "-")
-          p.D.Explore.hypervolume in
-    let summary =
-      D.Explore.run ~config ~on_generation bench.B.Benchmark.arch
-        bench.B.Benchmark.apps in
-    let stats = summary.D.Explore.stats in
-    Format.printf
-      "%d evaluations, %d feasible, rescue ratio %.2f%%, re-execution \
-       share %.2f%%@."
-      stats.D.Ga.evaluations stats.D.Ga.feasible_evaluations
-      summary.D.Explore.rescue_ratio_pct summary.D.Explore.reexec_share_pct;
-    (match summary.D.Explore.best_power with
-     | Some p -> Format.printf "best feasible power: %.3f@." p
-     | None -> Format.printf "no feasible solution found@.");
-    List.iter
-      (fun (plan, power, service) ->
-        Format.printf "pareto: power=%.3f service=%.1f dropped=[%s]@."
-          power service
-          (String.concat ","
-             (List.map string_of_int (H.Plan.dropped_graphs plan))))
-      summary.D.Explore.pareto;
-    0
-    end
+    let text =
+      Spec.write_system
+        { Spec.arch = bench.B.Benchmark.arch; apps = bench.B.Benchmark.apps }
+    in
+    match L.Lint.ingest ~system_file:bench_name ~no_lint text None with
+    | ds, None -> prerr_endline (refusal ~no_lint ds); 1
+    | _, Some _ ->
+      let config =
+        ga_config ~domains ~eval_cache ~engine population offspring
+          generations seed in
+      let on_generation (p : D.Explore.progress) =
+        if not quiet then
+          Printf.printf
+            "generation %3d/%d: archive %d/%d feasible, best power %s, \
+             hypervolume %.4f\n%!"
+            p.D.Explore.generation config.D.Ga.generations
+            p.D.Explore.archive_feasible p.D.Explore.archive_size
+            (match p.D.Explore.best_power with
+             | Some power -> Printf.sprintf "%.3f" power
+             | None -> "-")
+            p.D.Explore.hypervolume in
+      let summary =
+        D.Explore.run ~config ~on_generation bench.B.Benchmark.arch
+          bench.B.Benchmark.apps in
+      let stats = summary.D.Explore.stats in
+      Format.printf
+        "%d evaluations, %d feasible, rescue ratio %.2f%%, re-execution \
+         share %.2f%%@."
+        stats.D.Ga.evaluations stats.D.Ga.feasible_evaluations
+        summary.D.Explore.rescue_ratio_pct summary.D.Explore.reexec_share_pct;
+      (match summary.D.Explore.best_power with
+       | Some p -> Format.printf "best feasible power: %.3f@." p
+       | None -> Format.printf "no feasible solution found@.");
+      List.iter
+        (fun (plan, power, service) ->
+          Format.printf "pareto: power=%.3f service=%.1f dropped=[%s]@."
+            power service
+            (String.concat ","
+               (List.map string_of_int (H.Plan.dropped_graphs plan))))
+        summary.D.Explore.pareto;
+      0
 
 let explore_cmd =
   Cmd.v

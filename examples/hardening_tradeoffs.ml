@@ -16,7 +16,8 @@ open Mcmap
 
 let () =
   let arch =
-    Model.Arch.make ~bus_bandwidth:2 ~bus_latency:1
+    Model.Arch.make
+      ~interconnect:(Model.Interconnect.Bus { bandwidth = 2; latency = 1 })
       (Array.init 4 (fun id ->
            Model.Proc.make ~id
              ~name:(Format.asprintf "cpu%d" id)

@@ -27,7 +27,6 @@ module Util = struct
   module Prng = Mcmap_util.Prng
   module Mathx = Mcmap_util.Mathx
   module Heap = Mcmap_util.Heap
-  module Interval = Mcmap_util.Interval
   module Stats = Mcmap_util.Stats
   module Pareto = Mcmap_util.Pareto
   module Parallel = Mcmap_util.Parallel
@@ -51,6 +50,7 @@ end
 module Model = struct
   module Proc = Mcmap_model.Proc
   module Arch = Mcmap_model.Arch
+  module Interconnect = Mcmap_model.Interconnect
   module Criticality = Mcmap_model.Criticality
   module Task = Mcmap_model.Task
   module Channel = Mcmap_model.Channel

@@ -35,7 +35,6 @@ module Util : sig
   module Prng = Mcmap_util.Prng
   module Mathx = Mcmap_util.Mathx
   module Heap = Mcmap_util.Heap
-  module Interval = Mcmap_util.Interval
   module Stats = Mcmap_util.Stats
   module Pareto = Mcmap_util.Pareto
   module Parallel = Mcmap_util.Parallel
@@ -59,6 +58,7 @@ end
 module Model : sig
   module Proc = Mcmap_model.Proc
   module Arch = Mcmap_model.Arch
+  module Interconnect = Mcmap_model.Interconnect
   module Criticality = Mcmap_model.Criticality
   module Task = Mcmap_model.Task
   module Channel = Mcmap_model.Channel

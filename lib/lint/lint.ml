@@ -308,69 +308,12 @@ let check_hyperperiod ctx (apps : Ast.app list) =
       end in
   go 1 apps
 
-(* Every analysis and simulation expands one hyperperiod into jobs, and
-   the engines' contexts grow with the square of the job count, so an
-   innocent-looking pair of periods (10 and 10^8) can demand gigabytes.
-   The budget leaves ample room above the shipped specs (at most ~180
-   jobs) while keeping a fixed-point context in the tens of megabytes. *)
-let job_budget = 5_000
-
-(* Saturating: [max_int] stands for any count an int cannot hold. *)
-let sat_mul a b = if b <> 0 && a > max_int / b then max_int else a * b
-
-(* Per application, its jobs over one hyperperiod, [(H / period) * tasks]
-   in declaration order. Applications with a non-positive period (MC010)
-   expand to no jobs. *)
-let jobs_per_app (apps : (int * int) list) =
-  let h =
-    List.fold_left
-      (fun h (p, _) -> if p <= 0 then h else sat_mul h (p / Mathx.gcd h p))
-      1 apps in
-  List.map
-    (fun (p, tasks) ->
-      if p <= 0 || tasks = 0 then 0
-      else if h = max_int then max_int
-      else sat_mul (h / p) tasks)
-    apps
-
-let total_jobs counts =
-  List.fold_left
-    (fun acc c -> if acc > max_int - c then max_int else acc + c)
-    0 counts
-
-let pp_jobs ppf n =
-  if n = max_int then Format.pp_print_string ppf "more than 2^62"
-  else Format.pp_print_int ppf n
-
-let job_budget_error (apps : Appset.t) =
-  let n =
-    total_jobs
-      (jobs_per_app
-         (List.init (Appset.n_graphs apps) (fun g ->
-              let graph = Appset.graph apps g in
-              (graph.Graph.period, Graph.n_tasks graph)))) in
-  if n <= job_budget then None
-  else
-    Some
-      (Format.asprintf
-         "[MC022] one hyperperiod expands to %a jobs, over the budget of %d"
-         pp_jobs n job_budget)
-
+(* MC022: the job budget of [Spec.build_system], reported on the AST with
+   a fix-it so it is found alongside every other problem of the file. *)
 let check_job_budget ctx (apps : Ast.app list) =
-  let counts =
-    jobs_per_app
-      (List.map
-         (fun (g : Ast.app) -> (g.Ast.g_period.Ast.v, List.length g.Ast.g_tasks))
-         apps) in
-  let total = total_jobs counts in
-  if total > job_budget then begin
-    (* Point at the application contributing the most jobs. *)
-    let g, count =
-      List.fold_left
-        (fun ((_, best) as acc) ((_, c) as cand) ->
-          if c > best then cand else acc)
-        (List.hd apps, -1)
-        (List.combine apps counts) in
+  match Spec.over_job_budget apps with
+  | None -> ()
+  | Some (total, g, count) ->
     emit ctx ~pos:g.Ast.g_period.Ast.pos ~code:"MC022"
       ~fixit:
         (Format.asprintf
@@ -379,8 +322,8 @@ let check_job_budget ctx (apps : Ast.app list) =
            (loc_value g.Ast.g_name))
       "one hyperperiod expands to %a jobs, over the budget of %d \
        (application %s alone contributes %a)"
-      pp_jobs total job_budget (loc_value g.Ast.g_name) pp_jobs count
-  end
+      Spec.pp_jobs total Spec.job_budget (loc_value g.Ast.g_name)
+      Spec.pp_jobs count
 
 let check_system_ast ctx (s : Ast.system) =
   check_arch ctx s.Ast.sys_arch;
@@ -774,7 +717,19 @@ let check_plan_model ctx ~pos (sys : Spec.system) (plan : Plan.t) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Drivers *)
+(* Drivers: [ingest] is the one pass from texts to a built model; the
+   [lint_*] entry points are projections of it. *)
+
+(* A build error as a diagnostic. [Spec] prefixes the errors that have a
+   lint code of their own ("[MC022] ..."); any other falls under [code]. *)
+let diag_of_error ?file ~code (e : Spec.error) =
+  let msg = e.Ast.msg and pos = e.Ast.epos in
+  if String.length msg > 8 && msg.[0] = '[' && msg.[6] = ']'
+     && D.info (String.sub msg 1 5) <> None
+  then
+    D.make ?file ?pos ~code:(String.sub msg 1 5)
+      (String.sub msg 8 (String.length msg - 8))
+  else D.make ?file ?pos ~code msg
 
 let lint_system ?file input =
   let ctx = { file; acc = [] } in
@@ -793,35 +748,75 @@ let lint_system ?file input =
          (* every build rejection should have a dedicated check above;
             report anything that slips through rather than hide it *)
          if not (has_errors ctx) then
-           emit ctx ?pos:e.Ast.epos ~code:"MC000" "%s" e.Ast.msg;
+           ctx.acc <- diag_of_error ?file ~code:"MC000" e :: ctx.acc;
          None) in
   (D.sort ctx.acc, sys)
 
-let lint_plan ?file (sys : Spec.system) input =
+(* The plan half: its diagnostics, and the plan when it was built. *)
+let check_plan ?file (sys : Spec.system) input =
   let ctx = { file; acc = [] } in
-  (match Spec.parse_plan input with
-   | Error e -> emit ctx ?pos:e.Ast.epos ~code:"MC100" "%s" e.Ast.msg
-   | Ok ast ->
-     check_plan_ast ctx sys ast;
-     if not (has_errors ctx) then (
-       match Spec.build_plan sys ast with
-       | Ok plan -> check_plan_model ctx ~pos:ast.Ast.pl_pos sys plan
-       | Error e -> emit ctx ?pos:e.Ast.epos ~code:"MC100" "%s" e.Ast.msg));
-  D.sort ctx.acc
+  let plan =
+    match Spec.parse_plan input with
+    | Error e ->
+      emit ctx ?pos:e.Ast.epos ~code:"MC100" "%s" e.Ast.msg;
+      None
+    | Ok ast ->
+      check_plan_ast ctx sys ast;
+      if has_errors ctx then None
+      else (
+        match Spec.build_plan sys ast with
+        | Ok plan ->
+          check_plan_model ctx ~pos:ast.Ast.pl_pos sys plan;
+          Some plan
+        | Error e ->
+          ctx.acc <- diag_of_error ?file ~code:"MC100" e :: ctx.acc;
+          None) in
+  (D.sort ctx.acc, plan)
+
+let lint_plan ?file sys input = fst (check_plan ?file sys input)
+
+(* Without the gate: parse and build only, the first failure becoming
+   the one diagnostic. *)
+let build_only ?system_file ?plan_file system_text plan_text =
+  match Result.bind (Spec.parse_system system_text) Spec.build_system with
+  | Error e -> ([ diag_of_error ?file:system_file ~code:"MC000" e ], None)
+  | Ok sys -> (
+    match plan_text with
+    | None -> ([], Some (sys, None))
+    | Some text -> (
+      match Result.bind (Spec.parse_plan text) (Spec.build_plan sys) with
+      | Error e -> ([ diag_of_error ?file:plan_file ~code:"MC100" e ], None)
+      | Ok plan -> ([], Some (sys, Some plan))))
+
+let ingest ?system_file ?plan_file ~no_lint system_text plan_text =
+  if no_lint then build_only ?system_file ?plan_file system_text plan_text
+  else
+    let sys_ds, sys = lint_system ?file:system_file system_text in
+    let plan_ds, plan =
+      match sys, plan_text with
+      | _, None -> ([], Some None)
+      | Some sys, Some text ->
+        let ds, plan = check_plan ?file:plan_file sys text in
+        (ds, Option.map Option.some plan)
+      | None, Some _ -> ([], None) in
+    let ds = sys_ds @ plan_ds in
+    match sys, plan with
+    | Some sys, Some plan when D.error_count ds = 0 -> (ds, Some (sys, plan))
+    | _ -> (ds, None)
 
 let lint_pair ?system_file ?plan_file system_text plan_text =
-  let sys_ds, sys = lint_system ?file:system_file system_text in
-  match sys with
-  | None -> sys_ds
-  | Some sys -> sys_ds @ lint_plan ?file:plan_file sys plan_text
+  fst
+    (ingest ?system_file ?plan_file ~no_lint:false system_text
+       (Some plan_text))
 
 let lint_files ~system ?plan () =
   let ( let* ) = Result.bind in
   let* system_text = Spec.read_file system in
-  match plan with
-  | None -> Ok (fst (lint_system ~file:system system_text))
-  | Some plan_path ->
-    let* plan_text = Spec.read_file plan_path in
-    Ok
-      (lint_pair ~system_file:system ~plan_file:plan_path system_text
-         plan_text)
+  let* plan_text =
+    match plan with
+    | None -> Ok None
+    | Some path -> Result.map Option.some (Spec.read_file path) in
+  Ok
+    (fst
+       (ingest ~system_file:system ?plan_file:plan ~no_lint:false system_text
+          plan_text))

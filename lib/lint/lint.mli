@@ -22,15 +22,41 @@
     error-severity structural diagnostics — a broken file cannot be
     built into a model. *)
 
+val ingest :
+  ?system_file:string ->
+  ?plan_file:string ->
+  no_lint:bool ->
+  string ->
+  string option ->
+  Diagnostic.t list
+  * (Mcmap_spec.Spec.system * Mcmap_hardening.Plan.t option) option
+(** The one front end from a system text, and optionally a plan text,
+    to a built model: every path that analyses a spec (the CLI's
+    [--system]/[--plan], [mcmap explore]'s benchmark round trip,
+    [mcmap serve]'s ingest) goes through it.
+
+    Each text is parsed and built once. With [~no_lint:false] the lint
+    gate runs over both (the plan half is skipped when the system does
+    not build) and the diagnostics are every finding, as {!lint_files}
+    reports them. With [~no_lint:true] the texts are only parsed and
+    built, and the diagnostics are the first build error, if any.
+
+    The built system and plan come back exactly when no diagnostic has
+    error severity. A system over [Spec.job_budget] never builds, so
+    no choice of [no_lint] gets one past [MC022]. [system_file] and
+    [plan_file] name the texts in the diagnostics. *)
+
 val lint_system :
   ?file:string -> string -> Diagnostic.t list * Mcmap_spec.Spec.system option
-(** Lint a system description. Also returns the built system when
-    construction succeeded, so callers can go on to lint a plan or run
-    an analysis. Diagnostics are sorted by position. *)
+(** The system half of {!ingest}'s gate. Also returns the built system
+    when construction succeeded, even with error diagnostics, so
+    callers can go on to lint a plan against it. Diagnostics are sorted
+    by position. *)
 
 val lint_plan :
   ?file:string -> Mcmap_spec.Spec.system -> string -> Diagnostic.t list
-(** Lint a plan against a built system. *)
+(** The plan half of {!ingest}'s gate: lint a plan against a built
+    system. *)
 
 val lint_pair :
   ?system_file:string ->
@@ -38,22 +64,9 @@ val lint_pair :
   string ->
   string ->
   Diagnostic.t list
-(** Lint a system and a plan; the plan half is skipped when the system
-    cannot be built. *)
+(** {!ingest}'s diagnostics for a system and a plan. *)
 
 val lint_files :
   system:string -> ?plan:string -> unit -> (Diagnostic.t list, string) result
-(** Read and lint files. [Error] only for I/O failures — unreadable
-    content is a diagnostic, not an error. *)
-
-val job_budget : int
-(** The most jobs one hyperperiod may expand to: above it the
-    analysis contexts, which grow with the square of the job count, and
-    the simulator's job tables would demand unbounded memory. A system
-    over budget fails lint with [MC022]. *)
-
-val job_budget_error : Mcmap_model.Appset.t -> string option
-(** [MC022] on a built application set: [Some message] when one
-    hyperperiod expands to more than {!job_budget} jobs
-    ([sum over graphs of (H / period) * tasks]). For ingest paths that
-    skip the full lint gate, such as [mcmap serve] with [(no-lint)]. *)
+(** Read files and return {!ingest}'s diagnostics. [Error] only for I/O
+    failures — unreadable content is a diagnostic, not an error. *)

@@ -17,22 +17,13 @@ type t = private {
   bandwidth : int;  (** serialisation bandwidth of the backend *)
 }
 
-val make :
-  ?bus_bandwidth:int ->
-  ?bus_latency:int ->
-  ?interconnect:Interconnect.t ->
-  Proc.t array ->
-  t
+val make : ?interconnect:Interconnect.t -> Proc.t array -> t
 (** Builds an architecture over [~interconnect] (default
     [Interconnect.default], a bandwidth-1 latency-0 bus). Processor
     ids must equal their array index, and a mesh must have at least as
     many nodes as there are processors.
-
-    [?bus_bandwidth]/[?bus_latency] are deprecated spellings of
-    [~interconnect:(Bus {bandwidth; latency})], kept so existing
-    callers compile; they cannot be combined with [~interconnect].
     @raise Invalid_argument on inconsistent ids, an invalid
-    interconnect, an overfull mesh, or mixing both parameter styles. *)
+    interconnect, or an overfull mesh. *)
 
 val n_procs : t -> int
 

@@ -90,64 +90,31 @@ let reject t conn r_id why reason =
 let system_text forms =
   String.concat "\n" (List.map Sexp.to_string forms)
 
-let lint_error_message diags =
-  let errors =
-    List.filter
-      (fun d -> Diagnostic.effective_severity d = Diagnostic.Error)
-      diags
-  in
-  let first =
-    match errors with
-    | d :: _ -> Printf.sprintf " — first: [%s] %s" d.Diagnostic.code
-                  d.Diagnostic.message
-    | [] -> ""
-  in
-  Printf.sprintf "%d lint error%s%s (pass (no-lint) to bypass)"
-    (List.length errors)
-    (if List.length errors = 1 then "" else "s")
-    first
+(* The CLI's ingest gate, one [Lint.ingest] call per request: linted
+   unless the request opted out, built in the same pass. *)
+let ingest ~no_lint system plan =
+  Lint.ingest ~system_file:"system" ~plan_file:"plan" ~no_lint
+    (system_text system)
+    (Option.map Sexp.to_string plan)
 
-(* Build the system, running the lint gate unless the request opted
-   out — the same refusal [resolve_problem] applies in the CLI. *)
-let build_system ~no_lint forms =
-  let text = system_text forms in
-  if no_lint then
-    match Spec.read_system text with
-    | Error e -> Error ("system: " ^ e)
-    | Ok s -> (
-      (* The job budget (MC022) holds even without the gate: one system
-         over it would exhaust the daemon's memory. *)
-      match Lint.job_budget_error s.Spec.apps with
-      | Some e -> Error ("system: " ^ e)
-      | None -> Ok s)
-  else
-    let diags, sys = Lint.lint_system text in
-    if Diagnostic.error_count diags > 0 then
-      Error (lint_error_message diags)
-    else
-      match sys with
-      | Some s -> Ok s
-      | None -> (
-        match Spec.read_system text with
-        | Ok s -> Ok s
-        | Error e -> Error ("system: " ^ e))
-
-let build_plan ~no_lint system form =
-  let text = Sexp.to_string form in
-  let gate =
-    if no_lint then Ok ()
-    else
-      let diags = Lint.lint_plan system text in
-      if Diagnostic.error_count diags > 0 then
-        Error (lint_error_message diags)
-      else Ok ()
-  in
-  match gate with
-  | Error _ as e -> e
-  | Ok () -> (
-    match Spec.read_plan system text with
-    | Ok p -> Ok p
-    | Error e -> Error ("plan: " ^ e))
+(* The built system and plan, or why the request was refused. *)
+let build ~no_lint system plan =
+  match ingest ~no_lint system plan with
+  | _, Some built -> Ok built
+  | diags, None ->
+    (* a refusal always carries an error *)
+    let errors =
+      List.filter
+        (fun d -> Diagnostic.effective_severity d = Diagnostic.Error)
+        diags in
+    let first = List.hd errors and n = List.length errors in
+    Error
+      (if no_lint then Format.asprintf "%a" Diagnostic.pp_human first
+       else
+         Printf.sprintf
+           "%d lint error%s — first: [%s] %s (pass (no-lint) to bypass)" n
+           (if n = 1 then "" else "s")
+           first.Diagnostic.code first.Diagnostic.message)
 
 let diag_of d =
   { Protocol.d_code = d.Diagnostic.code;
@@ -157,46 +124,37 @@ let diag_of d =
 let work t ~no_lint body : Protocol.response_body =
   match body with
   | Protocol.Analyze { system; plan } -> (
-    match build_system ~no_lint system with
+    match build ~no_lint system plan with
     | Error e -> Protocol.Error_response e
-    | Ok sys -> (
-      let plan_result =
+    | Ok (sys, plan) ->
+      let plan =
         match plan with
-        | Some form -> build_plan ~no_lint sys form
-        | None ->
-          Ok (Sampler.balanced_plan ~seed:42 sys.Spec.arch sys.Spec.apps)
+        | Some plan -> plan
+        | None -> Sampler.balanced_plan ~seed:42 sys.Spec.arch sys.Spec.apps
       in
-      match plan_result with
-      | Error e -> Protocol.Error_response e
-      | Ok plan ->
-        let session = Pool.session t.pool sys in
-        Protocol.Analysis
-          (Protocol.analysis_of_eval (Evaluator.eval session plan))))
+      let session = Pool.session t.pool sys in
+      Protocol.Analysis
+        (Protocol.analysis_of_eval (Evaluator.eval session plan)))
   | Protocol.Lint_request { system; plan } ->
-    let sys_diags, sys = Lint.lint_system (system_text system) in
-    let plan_diags =
-      match (sys, plan) with
-      | Some sys, Some form -> Lint.lint_plan sys (Sexp.to_string form)
-      | _ -> []
-    in
-    let diags = sys_diags @ plan_diags in
+    let diags, _ = ingest ~no_lint:false system plan in
     Protocol.Lint_report
       { errors = Diagnostic.error_count diags;
         diags = List.map diag_of diags }
   | Protocol.Eval_population { system; plans } -> (
-    match build_system ~no_lint system with
+    match build ~no_lint system None with
     | Error e -> Protocol.Error_response e
-    | Ok sys -> (
+    | Ok (sys, _) -> (
+      (* population plans are built without the lint gate *)
       let parsed =
         List.fold_left
           (fun acc form ->
             match acc with
             | Error _ -> acc
             | Ok (i, rev) -> (
-              match build_plan ~no_lint:true sys form with
+              match Spec.read_plan sys (Sexp.to_string form) with
               | Ok p -> Ok (i + 1, p :: rev)
               | Error e ->
-                Error (Printf.sprintf "plans[%d]: %s" i e)))
+                Error (Printf.sprintf "plans[%d]: plan: %s" i e)))
           (Ok (0, [])) plans
       in
       match parsed with

@@ -274,21 +274,21 @@ let read_arch pos items =
   let ctx = "architecture" in
   let* fields = fields_of ~ctx items in
   let* () =
-    check_shape ~ctx ~allowed:[ "bus"; "interconnect"; "processor" ]
+    match find "bus" fields with
+    | Some (bpos, _) ->
+      errf ~pos:bpos
+        "%s: a top-level (bus ...) field is no longer read; write it as \
+         (interconnect (bus ...))"
+        ctx
+    | None -> Ok () in
+  let* () =
+    check_shape ~ctx ~allowed:[ "interconnect"; "processor" ]
       ~multi:[ "processor" ] fields in
   let* a_interconnect =
-    match find "bus" fields, find "interconnect" fields with
-    | Some _, Some (ipos, _) ->
-      errf ~pos:ipos
-        "%s: both (bus ...) and (interconnect ...); keep only the \
-         (interconnect ...) form"
-        ctx
-    | Some (bpos, payload), None ->
-      (* legacy spelling of (interconnect (bus ...)) *)
-      Result.map (fun b -> Some (I_bus b)) (read_bus bpos payload)
-    | None, Some (ipos, payload) ->
+    match find "interconnect" fields with
+    | Some (ipos, payload) ->
       Result.map Option.some (read_interconnect ipos payload)
-    | None, None -> Ok None in
+    | None -> Ok None in
   let* a_procs =
     collect
       (fun (key, fpos, payload) ->

@@ -45,9 +45,8 @@ type noc = {
 }
 
 type interconnect = I_bus of bus | I_noc of noc
-(** The interconnect backend of an architecture block, either from the
-    new [(interconnect (bus ...) | (noc ...))] form or from the legacy
-    top-level [(bus ...)] spelling (shaped as [I_bus]). *)
+(** The [(interconnect (bus ...) | (noc ...))] backend of an
+    architecture block. *)
 
 type arch = {
   a_pos : pos;

@@ -1,4 +1,5 @@
 module Sexp = Mcmap_util.Sexp
+module Mathx = Mcmap_util.Mathx
 module Proc = Mcmap_model.Proc
 module Arch = Mcmap_model.Arch
 module Interconnect = Mcmap_model.Interconnect
@@ -161,6 +162,59 @@ let build_app (g : Ast.app) =
         ~channels:(Array.of_list channels)
         ~period:g.Ast.g_period.Ast.v ~criticality ())
 
+(* ------------------------------------------------------------------ *)
+(* Job budget *)
+
+(* Every analysis and simulation expands one hyperperiod into jobs, and
+   the engines' contexts grow with the square of the job count, so an
+   innocent-looking pair of periods (10 and 10^8) can demand gigabytes.
+   The budget leaves ample room above the shipped specs (at most ~180
+   jobs) while keeping a fixed-point context in the tens of megabytes. *)
+let job_budget = 5_000
+
+(* Saturating: [max_int] stands for any count an int cannot hold. *)
+let sat_mul a b = if b <> 0 && a > max_int / b then max_int else a * b
+
+(* Per application, its jobs over one hyperperiod, [(H / period) * tasks]
+   in declaration order. Applications with a non-positive period expand
+   to no jobs. *)
+let jobs_per_app (apps : Ast.app list) =
+  let period (g : Ast.app) = g.Ast.g_period.Ast.v in
+  let h =
+    List.fold_left
+      (fun h g ->
+        let p = period g in
+        if p <= 0 then h else sat_mul h (p / Mathx.gcd h p))
+      1 apps in
+  List.map
+    (fun (g : Ast.app) ->
+      let p = period g and tasks = List.length g.Ast.g_tasks in
+      if p <= 0 || tasks = 0 then 0
+      else if h = max_int then max_int
+      else sat_mul (h / p) tasks)
+    apps
+
+let over_job_budget apps =
+  let counts = jobs_per_app apps in
+  let total =
+    List.fold_left
+      (fun acc c -> if acc > max_int - c then max_int else acc + c)
+      0 counts in
+  if total <= job_budget then None
+  else
+    (* the budget is positive, so some application contributes *)
+    let largest, jobs =
+      List.fold_left
+        (fun ((_, best) as acc) ((_, c) as cand) ->
+          if c > best then cand else acc)
+        (List.hd apps, -1)
+        (List.combine apps counts) in
+    Some (total, largest, jobs)
+
+let pp_jobs ppf n =
+  if n = max_int then Format.pp_print_string ppf "more than 2^62"
+  else Format.pp_print_int ppf n
+
 let build_system (raw : Ast.system) =
   let* arch = build_arch raw.Ast.sys_arch in
   let* () =
@@ -173,7 +227,12 @@ let build_system (raw : Ast.system) =
     | g :: _ ->
       protect_at g.Ast.g_pos (fun () -> Appset.make (Array.of_list graphs))
   in
-  Ok { arch; apps }
+  match over_job_budget raw.Ast.sys_apps with
+  | None -> Ok { arch; apps }
+  | Some (total, largest, _) ->
+    errf ~pos:largest.Ast.g_period.Ast.pos
+      "[MC022] one hyperperiod expands to %a jobs, over the budget of %d"
+      pp_jobs total job_budget
 
 let parse_system = Ast.system_of_string
 

@@ -7,7 +7,7 @@
 
     {v
     (architecture
-      (bus (bandwidth 2) (latency 1))
+      (interconnect (bus (bandwidth 2) (latency 1)))
       (processor (name cpu0) (fault-rate 1e-5))
       (processor (name cpu1) (policy non-preemptive) (speed 1.25)))
 
@@ -54,7 +54,27 @@ val parse_system : string -> (Ast.system, error) result
 val build_system : Ast.system -> (system, error) result
 (** Stage two: resolve names and build the validated model. Duplicate
     processor/application/task names and dangling channel endpoints are
-    rejected with the position of the offending name. *)
+    rejected with the position of the offending name; a system over the
+    {!job_budget} with ["[MC022] one hyperperiod expands to N jobs, over
+    the budget of 5000"] at the period of its largest contributor. Every
+    system that builds is within the budget, whatever path read it. *)
+
+val job_budget : int
+(** The most jobs one hyperperiod may expand to: above it the analysis
+    contexts, which grow with the square of the job count, and the
+    simulator's job tables would demand unbounded memory. *)
+
+val over_job_budget : Ast.app list -> (int * Ast.app * int) option
+(** [Some (total, app, jobs)] when one hyperperiod expands to more than
+    {!job_budget} jobs, counted as the sum over applications of
+    [(H / period) * tasks] with saturating arithmetic ([max_int] stands
+    for any larger count; non-positive periods count no jobs): the
+    total, and the application contributing the most jobs with its
+    count. *)
+
+val pp_jobs : Format.formatter -> int -> unit
+(** A job count from {!over_job_budget}, printing [max_int] as "more
+    than 2^62". *)
 
 val read_system : string -> (system, string) result
 (** [parse_system] then [build_system], with errors rendered as

@@ -15,7 +15,8 @@ module Happ = Mcmap_hardening.Happ
 let check = Alcotest.check
 
 let arch ?(n = 4) () =
-  Arch.make ~bus_bandwidth:2 ~bus_latency:1
+  Arch.make
+    ~interconnect:(Mcmap_model.Interconnect.Bus { bandwidth = 2; latency = 1 })
     (Array.init n (fun id ->
          Proc.make ~id ~name:(Format.asprintf "p%d" id) ()))
 

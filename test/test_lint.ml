@@ -54,17 +54,35 @@ let system_for_plan files stem =
   let companion = stem ^ ".mcmap" in
   if List.mem companion files then companion else "base.mcmap"
 
+(* The ingest gate reports exactly what [lint_files] reports. *)
+let check_gate_matches_lint_files ~system ?plan () =
+  let path name = Filename.concat corpus_dir name in
+  let gate, _ =
+    Lint.ingest ~system_file:(path system) ?plan_file:(Option.map path plan)
+      ~no_lint:false (read_corpus system)
+      (Option.map read_corpus plan) in
+  match Lint.lint_files ~system:(path system) ?plan:(Option.map path plan) ()
+  with
+  | Error e -> Alcotest.fail e
+  | Ok ds ->
+    check Alcotest.bool
+      (Option.value plan ~default:system ^ ": gate = lint_files")
+      true (gate = ds)
+
 let corpus_results () =
   let files = corpus_files () in
   List.filter_map
     (fun name ->
       let text = read_corpus name in
       let expected = expected_codes text in
-      if Filename.check_suffix name ".mcmap" then
+      if Filename.check_suffix name ".mcmap" then begin
+        check_gate_matches_lint_files ~system:name ();
         Some (name, expected, fst (Lint.lint_system text))
+      end
       else if Filename.check_suffix name ".plan" then begin
         let stem = Filename.remove_extension name in
         let sys_name = system_for_plan files stem in
+        check_gate_matches_lint_files ~system:sys_name ~plan:name ();
         match Lint.lint_system (read_corpus sys_name) with
         | ds, _ when D.error_count ds > 0 ->
           Alcotest.failf "%s: companion system %s has lint errors:\n%s"
@@ -154,39 +172,105 @@ let test_examples_clean () =
         (D.error_count ~deny:D.Warning ds)
   end
 
-(* The MC022 job budget on built systems (the serve ingest check): every
-   registry benchmark is well inside it, the memory bomb of the corpus
-   is over it, and an overflowing hyperperiod is over it too. *)
+(* The MC022 job budget is a build-time invariant: every registry
+   benchmark builds, while the memory bomb of the corpus and an
+   overflowing hyperperiod fail [Spec.read_system] itself with a located
+   MC022 error, lint or no lint. *)
 let test_job_budget () =
   List.iter
     (fun name ->
       let b = Mcmap_benchmarks.Registry.find_exn name in
-      check (Alcotest.option Alcotest.string) (name ^ " within budget") None
-        (Lint.job_budget_error b.Mcmap_benchmarks.Benchmark.apps))
+      let system =
+        { Spec.arch = b.Mcmap_benchmarks.Benchmark.arch;
+          apps = b.Mcmap_benchmarks.Benchmark.apps } in
+      check Alcotest.bool (name ^ " within budget") true
+        (Result.is_ok (Spec.read_system (Spec.write_system system))))
     Mcmap_benchmarks.Registry.names;
-  let over text =
+  let over what text ~at =
     match Spec.read_system text with
-    | Error e -> Alcotest.fail e
-    | Ok sys -> Lint.job_budget_error sys.Spec.apps <> None in
-  check Alcotest.bool "corpus bomb over budget" true
-    (over (read_corpus "MC022.mcmap"));
+    | Ok _ -> Alcotest.failf "%s: built a system over the budget" what
+    | Error e ->
+      check Alcotest.bool (Printf.sprintf "%s: located MC022 in %S" what e)
+        true
+        (contains e (at ^ ": [MC022] one hyperperiod expands to")) in
+  over "corpus bomb" (read_corpus "MC022.mcmap") ~at:"11:11";
   let app name period =
     Printf.sprintf
       "(application (name %s) (period %d) (droppable 1) (task (name t) \
        (wcet 1)))"
       name period in
-  check Alcotest.bool "overflowing hyperperiod over budget" true
-    (over
-       (String.concat "\n"
-          [ "(architecture (processor (name p0) (speed 1)))";
-            app "a" 1_000_000_007; app "b" 1_000_000_009;
-            app "c" 1_000_000_021 ]));
+  let arch = "(architecture (processor (name p0) (speed 1)))" in
+  (* every application contributes one job, so the first is reported *)
+  over "overflowing hyperperiod"
+    (String.concat "\n"
+       [ arch; app "a" 1_000_000_007; app "b" 1_000_000_009;
+         app "c" 1_000_000_021 ])
+    ~at:"2:31";
   (* H = budget - 1: a expands to budget - 1 jobs, b to one *)
-  check Alcotest.bool "exactly the budget is fine" false
-    (over
-       (String.concat "\n"
-          [ "(architecture (processor (name p0) (speed 1)))";
-            app "a" 1; app "b" (Lint.job_budget - 1) ]))
+  check Alcotest.bool "exactly the budget is fine" true
+    (Result.is_ok
+       (Spec.read_system
+          (String.concat "\n"
+             [ arch; app "a" 1; app "b" (Spec.job_budget - 1) ])))
+
+(* [Lint.ingest], with and without the gate, builds every shipped spec
+   (and cruise with its mapping) into the values [Spec.load_*] read. *)
+let test_ingest_shipped_specs () =
+  let root = "../../../examples/specs/" in
+  if Sys.file_exists (root ^ "cruise.mcmap") then begin
+    let read path =
+      match Spec.read_file path with Ok t -> t | Error e -> Alcotest.fail e
+    in
+    let expect ~no_lint ?plan system =
+      let label =
+        Printf.sprintf "%s%s (no_lint %b)" system
+          (match plan with Some p -> " + " ^ p | None -> "")
+          no_lint in
+      let loaded =
+        match Spec.load_system (root ^ system) with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s: %s" label e in
+      let loaded_plan =
+        Option.map
+          (fun p ->
+            match Spec.load_plan loaded (root ^ p) with
+            | Ok plan -> plan
+            | Error e -> Alcotest.failf "%s: %s" label e)
+          plan in
+      match
+        Lint.ingest ~no_lint (read (root ^ system))
+          (Option.map (fun p -> read (root ^ p)) plan)
+      with
+      | _, Some (sys, built_plan) ->
+        check Alcotest.bool (label ^ ": system") true (sys = loaded);
+        check Alcotest.bool (label ^ ": plan") true (built_plan = loaded_plan)
+      | ds, None ->
+        Alcotest.failf "%s: refused:\n%s" label (D.render_human ds) in
+    let specs =
+      Sys.readdir root |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".mcmap")
+      |> List.sort compare in
+    check Alcotest.bool "shipped specs found" true (List.length specs >= 3);
+    List.iter
+      (fun no_lint ->
+        List.iter (expect ~no_lint) specs;
+        expect ~no_lint ~plan:"cruise-mapping1.plan" "cruise.mcmap")
+      [ false; true ]
+  end
+
+(* Under --no-lint the gate is only parse-and-build: the memory bomb is
+   still refused, with the build's located MC022. *)
+let test_ingest_no_lint_budget () =
+  match Lint.ingest ~system_file:"bomb" ~no_lint:true
+          (read_corpus "MC022.mcmap") None
+  with
+  | _, Some _ -> Alcotest.fail "built a system over the budget"
+  | [ d ], None ->
+    check Alcotest.string "code" "MC022" d.D.code;
+    check Alcotest.bool "located" true
+      (d.D.pos = Some { Sexp.line = 11; col = 11 })
+  | ds, None ->
+    Alcotest.failf "expected one diagnostic, got:\n%s" (D.render_human ds)
 
 (* ------------------------------------------------------------------ *)
 (* Registry and diagnostic mechanics *)
@@ -308,6 +392,10 @@ let suite =
     Alcotest.test_case "examples: lint clean" `Quick test_examples_clean;
     Alcotest.test_case "job budget (MC022) on built systems" `Quick
       test_job_budget;
+    Alcotest.test_case "ingest: shipped specs equal Spec.load_*" `Quick
+      test_ingest_shipped_specs;
+    Alcotest.test_case "ingest: no-lint keeps the job budget" `Quick
+      test_ingest_no_lint_budget;
     Alcotest.test_case "registry: well-formed" `Quick
       test_registry_well_formed;
     Alcotest.test_case "registry: lookup" `Quick test_registry_lookup;

@@ -28,7 +28,8 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
 let arch ?(n = 2) ?(policy = Proc.Preemptive_fp) () =
-  Arch.make ~bus_bandwidth:2 ~bus_latency:1
+  Arch.make
+    ~interconnect:(Mcmap_model.Interconnect.Bus { bandwidth = 2; latency = 1 })
     (Array.init n (fun id ->
          Proc.make ~id ~name:(Format.asprintf "p%d" id) ~policy ()))
 

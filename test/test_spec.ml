@@ -79,7 +79,7 @@ let prop_sexp_roundtrip =
 let sample_system_text =
   {|
 (architecture
-  (bus (bandwidth 2) (latency 1))
+  (interconnect (bus (bandwidth 2) (latency 1)))
   (processor (name cpu0) (fault-rate 1e-5))
   (processor (name cpu1) (policy non-preemptive) (speed 1.25)))
 
@@ -244,8 +244,7 @@ let apps_equal (a : Appset.t) (b : Appset.t) =
 
 (* The located (interconnect ...) form: the noc backend parses, drives
    comm delays through the mesh, and round-trips through the writer
-   bit-exactly. The legacy (bus ...) form stays accepted but the writer
-   always emits the interconnect form. *)
+   bit-exactly. The writer always emits the interconnect form. *)
 let noc_system_text =
   {|
 (architecture
@@ -291,14 +290,31 @@ let test_read_noc_system () =
             back.Spec.arch.Arch.interconnect))
 
 let test_interconnect_errors () =
-  expect_error "bus and interconnect together"
-    (Spec.read_system
-       {|(architecture
-           (bus (bandwidth 2))
-           (interconnect (bus (bandwidth 2)))
-           (processor (name p)))
-         (application (name a) (period 10) (droppable 1)
-           (task (name t) (wcet 5)))|});
+  (* the legacy top-level (bus ...) field fails where it stands and names
+     its replacement *)
+  (match
+     Spec.read_system
+       "(architecture\n\
+       \  (bus (bandwidth 2))\n\
+       \  (processor (name p)))\n\
+        (application (name a) (period 10) (droppable 1)\n\
+       \  (task (name t) (wcet 5)))"
+   with
+   | Ok _ -> Alcotest.fail "legacy bus field rejected: expected an error"
+   | Error msg ->
+     let contains needle =
+       let n = String.length needle in
+       let rec go i =
+         i + n <= String.length msg
+         && (String.sub msg i n = needle || go (i + 1)) in
+       go 0 in
+     check Alcotest.bool
+       (Printf.sprintf "legacy bus field rejected at 2:3: %S" msg)
+       true
+       (String.length msg >= 4 && String.sub msg 0 4 = "2:3:");
+     check Alcotest.bool "legacy bus field rejected: names the new form"
+       true
+       (contains "(interconnect (bus ...))"));
   expect_error "noc without cols"
     (Spec.read_system
        {|(architecture

@@ -2,7 +2,6 @@
 
 module Prng = Mcmap_util.Prng
 module Mathx = Mcmap_util.Mathx
-module Interval = Mcmap_util.Interval
 module Stats = Mcmap_util.Stats
 module Pareto = Mcmap_util.Pareto
 module Texttable = Mcmap_util.Texttable
@@ -265,70 +264,6 @@ let prop_heap_model =
                 Some m in
             popped = expected)
         ops)
-
-(* ------------------------------------------------------------------ *)
-(* Interval *)
-
-let test_interval_basics () =
-  let i = Interval.make 2 8 in
-  check Alcotest.int "length" 6 (Interval.length i);
-  check Alcotest.bool "contains" true (Interval.contains i 5);
-  check Alcotest.bool "not contains" false (Interval.contains i 9);
-  check Alcotest.bool "overlaps" true
-    (Interval.overlaps i (Interval.make 8 12));
-  check Alcotest.bool "disjoint" false
-    (Interval.overlaps i (Interval.make 9 12));
-  Alcotest.check_raises "bad bounds"
-    (Invalid_argument "Interval.make: lo > hi") (fun () ->
-      ignore (Interval.make 3 2))
-
-let test_interval_ops () =
-  let a = Interval.make 0 5 and b = Interval.make 3 10 in
-  let h = Interval.hull a b in
-  check Alcotest.int "hull lo" 0 h.Interval.lo;
-  check Alcotest.int "hull hi" 10 h.Interval.hi;
-  (match Interval.inter a b with
-   | Some i ->
-     check Alcotest.int "inter lo" 3 i.Interval.lo;
-     check Alcotest.int "inter hi" 5 i.Interval.hi
-   | None -> Alcotest.fail "expected intersection");
-  check (Alcotest.option Alcotest.unit) "disjoint inter" None
-    (Option.map (fun _ -> ()) (Interval.inter a (Interval.make 6 9)));
-  let s = Interval.shift a 10 in
-  check Alcotest.int "shift" 10 s.Interval.lo
-
-let prop_overlap_symmetric =
-  QCheck.Test.make ~name:"interval overlap is symmetric" ~count:300
-    QCheck.(quad (int_range 0 50) (int_range 0 50) (int_range 0 50)
-              (int_range 0 50))
-    (fun (a, b, c, d) ->
-      let i = Interval.make (min a b) (max a b) in
-      let j = Interval.make (min c d) (max c d) in
-      Interval.overlaps i j = Interval.overlaps j i)
-
-let interval_pair =
-  QCheck.(
-    map
-      (fun (a, b, c, d) ->
-        (Interval.make (min a b) (max a b), Interval.make (min c d) (max c d)))
-      (quad (int_range 0 50) (int_range 0 50) (int_range 0 50)
-         (int_range 0 50)))
-
-(* inter/hull/overlaps must agree: the intersection exists exactly when
-   the intervals overlap, lies inside both, and the hull contains both. *)
-let prop_interval_algebra =
-  QCheck.Test.make ~name:"interval inter/hull/overlaps agree" ~count:300
-    interval_pair
-    (fun (i, j) ->
-      let h = Interval.hull i j in
-      let inside outer inner =
-        outer.Interval.lo <= inner.Interval.lo
-        && inner.Interval.hi <= outer.Interval.hi in
-      inside h i && inside h j
-      &&
-      match Interval.inter i j with
-      | None -> not (Interval.overlaps i j)
-      | Some x -> Interval.overlaps i j && inside i x && inside j x)
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -866,10 +801,6 @@ let suite =
       test_heap_pop_exn_empty;
     qtest prop_heap_sorts;
     qtest prop_heap_model;
-    Alcotest.test_case "interval: basics" `Quick test_interval_basics;
-    Alcotest.test_case "interval: ops" `Quick test_interval_ops;
-    qtest prop_overlap_symmetric;
-    qtest prop_interval_algebra;
     Alcotest.test_case "stats: summary" `Quick test_summary;
     Alcotest.test_case "stats: percentile" `Quick test_percentile;
     Alcotest.test_case "stats: ratio" `Quick test_ratio_pct;
