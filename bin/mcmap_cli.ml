@@ -718,6 +718,28 @@ let render_metrics_snapshot snapshot =
         histograms;
       Texttable.print t
     end;
+    (* Algorithm 1 solves one fixpoint per distinct trigger exec vector:
+       put the fixpoints solved beside the scenarios walked. *)
+    let hsum name =
+      match List.assoc_opt name histograms with
+      | Some h -> Some h.Histogram.sum
+      | None -> None in
+    (match (hsum "wcrt.scenarios", hsum "wcrt.fixpoints",
+            List.assoc_opt "evaluator.scenarios_shared" counters) with
+     | None, None, None -> ()
+     | scenarios, fixpoints, shared ->
+       section "scenario sharing:";
+       (match (scenarios, fixpoints) with
+        | Some walked, Some solved ->
+          Printf.printf
+            "  Algorithm 1: %d fixpoints for %d trigger scenarios\n" solved
+            walked
+        | _ -> ());
+       Option.iter
+         (Printf.printf
+            "  evaluator: %d trigger scenarios reused an equal exec \
+             vector's fixpoint\n")
+         shared);
     List.iter
       (fun (name, points) ->
         section (Printf.sprintf "series %s:" name);

@@ -23,7 +23,8 @@ type report = {
    latest time it can surface ([max_finish]). The evaluator session
    exploits this: a trigger in another processor component is fully
    summarised by that pair, so scenario analyses can be memoised per
-   component and shared between all external triggers with equal pairs. *)
+   component and shared between all external triggers whose pairs give
+   equal [summary_key]s. *)
 let external_exec ~base ~min_start ~max_finish
     (nb : Bounds.job_bounds array) (w : Job.t) =
   if nb.(w.Job.id).Bounds.max_finish < min_start then
@@ -38,6 +39,62 @@ let external_exec ~base ~min_start ~max_finish
   end
   else if w.Job.passive then (0, w.Job.wcet) (* may be invoked *)
   else (w.Job.bcet, w.Job.critical_wcet)
+
+(* [external_exec] reads the summary (min_start, max_finish) only
+   through three job sets: the jobs certainly done before the fault
+   (normal max_finish < min_start), the dropped-set jobs certainly
+   started after it surfaces (normal min_start > max_finish), and the
+   dropped-set jobs released before the earliest restore (the
+   hyperperiod boundary after min_start). Each set only grows or only
+   shrinks as min_start or max_finish rises, so two summaries giving
+   sets of equal size give the same set; the three sizes therefore
+   determine the exec vector. The sizes are at most the job count, so
+   packing them in radix [n + 1] is injective. *)
+type summary_index = {
+  si_base : int;
+  si_finishes : int array;  (* sorted normal max_finish of every job *)
+  si_dropped_starts : int array;  (* sorted normal min_start, dropped set *)
+  si_dropped_releases : int array;  (* sorted releases, dropped set *)
+}
+
+let summary_index (js : Jobset.t) (normal : Bounds.result) =
+  let nb = normal.Bounds.bounds in
+  let sorted f jobs =
+    let a = Array.map f jobs in
+    Array.sort Int.compare a;
+    a in
+  let dropped =
+    Array.of_list
+      (List.filter
+         (fun (w : Job.t) -> w.Job.in_dropped_set)
+         (Array.to_list js.Jobset.jobs)) in
+  { si_base = js.Jobset.base_hyperperiod;
+    si_finishes =
+      sorted (fun (w : Job.t) -> nb.(w.Job.id).Bounds.max_finish)
+        js.Jobset.jobs;
+    si_dropped_starts =
+      sorted (fun (w : Job.t) -> nb.(w.Job.id).Bounds.min_start) dropped;
+    si_dropped_releases = sorted (fun (w : Job.t) -> w.Job.release) dropped }
+
+(* The number of entries of the sorted array [a] below [x]. *)
+let count_below (a : int array) x =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let summary_key index ~min_start ~max_finish =
+  let radix = Array.length index.si_finishes + 1 in
+  let done_before = count_below index.si_finishes min_start in
+  let started_after =
+    Array.length index.si_dropped_starts
+    - count_below index.si_dropped_starts (max_finish + 1) in
+  let released_before =
+    count_below index.si_dropped_releases
+      (((min_start / index.si_base) + 1) * index.si_base) in
+  done_before + (radix * (started_after + (radix * released_before)))
 
 let scenario_exec ~base (nb : Bounds.job_bounds array) (v : Job.t)
     (w : Job.t) =
@@ -71,6 +128,87 @@ let external_scenario (type c) ((module E) : c engine) ?max_iterations ctx
   E.analyze ?max_iterations ctx
     ~exec:(external_exec ~base ~min_start ~max_finish normal.Bounds.bounds)
 
+(* [scenario_exec ~base nb v] for every job, written into [vec] as
+   interleaved [(bcet', wcet')] pairs: the same chronology cases in one
+   direct pass over the jobs, with no closure and no per-job tuple. The
+   first case of [external_exec] is inlined [Bounds.nominal_exec]
+   (passive spares silent). The [flat-agreement] oracle checks the
+   vector path against the closure path through report equality. *)
+let fill_scenario_vector ~base (nb : Bounds.job_bounds array)
+    (jobs : Job.t array) (v : Job.t) vec =
+  let min_start = nb.(v.Job.id).Bounds.min_start
+  and max_finish = nb.(v.Job.id).Bounds.max_finish in
+  let earliest_restore = ((min_start / base) + 1) * base in
+  for i = 0 to Array.length jobs - 1 do
+    let w = Array.unsafe_get jobs i in
+    let bcet, wcet =
+      if w.Job.id = v.Job.id then
+        if w.Job.passive then (0, w.Job.wcet)
+        else (w.Job.bcet, w.Job.critical_wcet)
+      else if nb.(w.Job.id).Bounds.max_finish < min_start then
+        if w.Job.passive then (0, 0) else (w.Job.bcet, w.Job.wcet)
+      else if w.Job.in_dropped_set then
+        if nb.(w.Job.id).Bounds.min_start > max_finish
+           && w.Job.release < earliest_restore then (0, 0)
+        else (0, w.Job.wcet)
+      else if w.Job.passive then (0, w.Job.wcet)
+      else (w.Job.bcet, w.Job.critical_wcet) in
+    vec.(2 * w.Job.id) <- bcet;
+    vec.((2 * w.Job.id) + 1) <- wcet
+  done
+
+(* Exec vectors compared by value: equal vectors are equal fixpoint
+   inputs. The hash reads every entry (the polymorphic one would stop
+   after ten). *)
+module Vector_table = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  let hash (a : t) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 0x100000001b3) lxor a.(i)
+    done;
+    (!h lxor (!h lsr 29)) land max_int
+end)
+
+(* A fixpoint is a pure function of (ctx, exec vector, horizon,
+   iteration cap), and within one context only the vector varies
+   between triggers — so triggers with equal vectors share one solve
+   and one [f] result. The key is built in a scratch array and copied
+   only when it is new. *)
+let trigger_scenarios (type c) ((module E) : c engine) ?max_iterations ctx
+    ~normal f =
+  let js = E.jobset ctx in
+  let base = js.Jobset.base_hyperperiod and jobs = js.Jobset.jobs in
+  let nb = normal.Bounds.bounds in
+  let memo = Vector_table.create 16 in
+  let key = Array.make (2 * Array.length jobs) 0 in
+  let fixpoints = ref 0 in
+  let outcomes =
+    Array.map
+      (fun v ->
+        fill_scenario_vector ~base nb jobs v key;
+        match Vector_table.find_opt memo key with
+        | Some outcome -> outcome
+        | None ->
+          let vec = Array.copy key in
+          incr fixpoints;
+          let outcome =
+            f
+              (E.analyze ?max_iterations ctx ~exec:(fun (w : Job.t) ->
+                   (vec.(2 * w.Job.id), vec.((2 * w.Job.id) + 1)))) in
+          Vector_table.add memo vec outcome;
+          outcome)
+      (Array.of_list (Jobset.triggers js)) in
+  (outcomes, !fixpoints)
+
 let analyze_with (type c) ((module E) as engine : c engine) ?max_iterations
     ctx =
   Obs.with_span "wcrt.analyze" @@ fun () ->
@@ -84,31 +222,37 @@ let analyze_with (type c) ((module E) as engine : c engine) ?max_iterations
   let normal_wcrt = per_graph normal in
   let wcrt = Array.copy normal_wcrt in
   let required_wcrt = Array.copy normal_wcrt in
-  let scenarios = ref 0 in
-  if normal.Bounds.converged then
-    List.iter
-      (fun (v : Job.t) ->
-        incr scenarios;
-        let scenario_wcrt =
-          per_graph (trigger_scenario engine ?max_iterations ctx ~normal v)
-        in
-        for g = 0 to n_graphs - 1 do
-          wcrt.(g) <- Verdict.max wcrt.(g) scenario_wcrt.(g);
-          (* Dropped-set graphs owe their deadline only while alive, i.e.
-             in the normal state; all others owe it in every scenario. *)
-          if not (Happ.graph_in_dropped_set happ g) then
-            required_wcrt.(g) <- Verdict.max required_wcrt.(g)
-                scenario_wcrt.(g)
-        done)
-      (Jobset.triggers js)
-  else begin
-    Array.fill wcrt 0 n_graphs Verdict.Unbounded;
-    Array.fill required_wcrt 0 n_graphs Verdict.Unbounded
-  end;
-  let report = { wcrt; normal_wcrt; required_wcrt; scenarios = !scenarios } in
+  let scenarios, fixpoints =
+    if normal.Bounds.converged then begin
+      let outcomes, fixpoints =
+        trigger_scenarios engine ?max_iterations ctx ~normal per_graph in
+      (* Verdict.max is commutative and idempotent: folding a shared
+         outcome once per trigger, in any order, gives the unshared
+         result. *)
+      Array.iter
+        (fun scenario_wcrt ->
+          for g = 0 to n_graphs - 1 do
+            wcrt.(g) <- Verdict.max wcrt.(g) scenario_wcrt.(g);
+            (* Dropped-set graphs owe their deadline only while alive,
+               i.e. in the normal state; all others owe it in every
+               scenario. *)
+            if not (Happ.graph_in_dropped_set happ g) then
+              required_wcrt.(g) <- Verdict.max required_wcrt.(g)
+                  scenario_wcrt.(g)
+          done)
+        outcomes;
+      (Array.length outcomes, fixpoints)
+    end
+    else begin
+      Array.fill wcrt 0 n_graphs Verdict.Unbounded;
+      Array.fill required_wcrt 0 n_graphs Verdict.Unbounded;
+      (0, 0)
+    end in
+  let report = { wcrt; normal_wcrt; required_wcrt; scenarios } in
   if Obs.enabled () then begin
     Obs.incr "wcrt.analyses";
     Obs.observe "wcrt.scenarios" report.scenarios;
+    Obs.observe "wcrt.fixpoints" fixpoints;
     Array.iter
       (function
         | Verdict.Finite _ -> Obs.incr "wcrt.verdict.finite"

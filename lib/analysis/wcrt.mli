@@ -31,7 +31,10 @@ type report = {
           set [T_d] only owe their deadline in the normal state (once
           dropped they provide no service), all other graphs owe it in
           every scenario *)
-  scenarios : int;  (** number of trigger scenarios analysed *)
+  scenarios : int;
+      (** number of trigger scenarios analysed — one per trigger job,
+          whether or not its fixpoint was shared with an earlier
+          trigger *)
 }
 
 type 'ctx engine = (module Mcmap_sched.Fixpoint.ENGINE with type ctx = 'ctx)
@@ -39,8 +42,12 @@ type 'ctx engine = (module Mcmap_sched.Fixpoint.ENGINE with type ctx = 'ctx)
 
 val analyze_with : 'ctx engine -> ?max_iterations:int -> 'ctx -> report
 (** Algorithm 1 on [engine]: the normal state, then every trigger
-    scenario of the context's jobset. Both engines give equal reports
-    (the [flat-agreement] oracle checks it). [max_iterations] defaults
+    scenario of the context's jobset ({!trigger_scenarios}: triggers
+    with equal exec vectors share one fixpoint). The report equals the
+    unshared per-trigger fold of {!trigger_scenario}, and both engines
+    give equal reports (the [flat-agreement] oracle checks both). With
+    metrics enabled it observes [wcrt.scenarios] (triggers walked) and
+    [wcrt.fixpoints] (trigger fixpoints solved). [max_iterations] defaults
     to {!Mcmap_sched.Bounds.default_max_iterations}, the one shared
     fixed-point cap of the analysis stack — callers forwarding the
     option (evaluator sessions, the GA) must not restate it. *)
@@ -65,6 +72,21 @@ val trigger_scenario :
 (** The scenario of trigger [v] ({!scenario_exec}), given the context's
     normal-state result. *)
 
+val trigger_scenarios :
+  'ctx engine ->
+  ?max_iterations:int ->
+  'ctx ->
+  normal:Mcmap_sched.Bounds.result ->
+  (Mcmap_sched.Bounds.result -> 'a) ->
+  'a array * int
+(** [trigger_scenarios engine ctx ~normal f]: [f] of the scenario of
+    every trigger of the context's jobset, in {!Mcmap_sched.Jobset.triggers}
+    order, and the number of fixpoints solved. A fixpoint depends only
+    on the context, the iteration cap and the per-job
+    [(bcet', wcet')] vector of {!scenario_exec}, so triggers with equal
+    vectors share one fixpoint and one [f] result: each entry equals
+    [f (trigger_scenario engine ctx ~normal v)]. *)
+
 val external_scenario :
   'ctx engine ->
   ?max_iterations:int ->
@@ -77,6 +99,33 @@ val external_scenario :
     non-triggering job sees the trigger only through its normal-state
     [min_start]/[max_finish], so that pair summarises a remote trigger
     exactly. *)
+
+type summary_index
+(** What {!summary_key} needs of one context's normal-state result:
+    sorted normal-state finishes and the dropped-set starts and
+    releases. *)
+
+val summary_index :
+  Mcmap_sched.Jobset.t -> Mcmap_sched.Bounds.result -> summary_index
+
+val summary_key : summary_index -> min_start:int -> max_finish:int -> int
+(** A compact exact key for {!external_scenario}: summaries with equal
+    keys give equal {!external_exec} vectors, hence equal scenarios. It
+    packs the sizes of the three job sets the summary selects (done
+    before [min_start]; dropped-set jobs starting after [max_finish];
+    dropped-set jobs released before the hyperperiod boundary after
+    [min_start]). *)
+
+val external_exec :
+  base:int ->
+  min_start:int ->
+  max_finish:int ->
+  Mcmap_sched.Bounds.job_bounds array ->
+  Mcmap_sched.Job.t ->
+  int * int
+(** [external_exec ~base ~min_start ~max_finish nb w]: the execution
+    bounds of job [w] in the scenario of a trigger that is not [w],
+    known only by its normal-state summary. *)
 
 val scenario_exec :
   base:int ->

@@ -290,4 +290,29 @@ let obs_contract kernels =
               ("sigma_ns", sigma) ] } ) ]
   | _ -> []
 
-let contracts kernels = flat_contract kernels @ obs_contract kernels
+(* Scenario sharing on the [flat_cold] evaluation, counted rather than
+   timed: one cold Flat session evaluates the plan, and its stats give
+   the fixpoints solved and the scenarios walked (every solved fixpoint
+   plus every trigger scenario that reused an equal exec vector's). An
+   evaluator that solves one fixpoint per scenario reads a ratio of 1
+   (68 of 68 on this plan) and fails. Deterministic, so computed once. *)
+let sharing_contract =
+  lazy
+    (let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
+     let session = D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
+     ignore (D.Evaluator.eval session plan);
+     let stats = D.Evaluator.stats session in
+     let fixpoints = stats.D.Evaluator.fixpoints in
+     let scenarios = fixpoints + stats.D.Evaluator.scenarios_shared in
+     let max_ratio = 0.75 in
+     let ratio = float_of_int fixpoints /. float_of_int (max 1 scenarios) in
+     ( "scenario_sharing",
+       { Schema.ok = ratio <= max_ratio;
+         numbers =
+           [ ("fixpoints", float_of_int fixpoints);
+             ("scenarios", float_of_int scenarios); ("ratio", ratio);
+             ("max_ratio", max_ratio) ] } ))
+
+let contracts kernels =
+  flat_contract kernels @ obs_contract kernels
+  @ [ Lazy.force sharing_contract ]

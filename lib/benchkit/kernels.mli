@@ -32,4 +32,9 @@ val contracts : (string * Schema.kernel) list -> (string * Schema.contract) list
       within 3 combined standard deviations also passes (the contract
       must not flake on timer noise).
 
-    Contracts whose kernels are missing are omitted. *)
+    - ["scenario_sharing"]: one cold Flat-session evaluation of the
+      [flat_cold] plan solves at most 0.75 fixpoints per scenario it
+      walks (triggers with equal exec vectors share one fixpoint).
+      Counted, not timed, so it is always derived.
+
+    Timed contracts whose kernels are missing are omitted. *)

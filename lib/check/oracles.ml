@@ -752,7 +752,8 @@ let check_evaluator_agreement (sys : Gen.system) =
    converged flag — for every exec hook, iteration cap and horizon.
    Agreement is checked at several caps (so the engines agree sweep for
    sweep, not only at the fixed point), on every trigger scenario, under
-   horizon truncation, on the Algorithm 1 and Naive reports, and at
+   horizon truncation, on the Algorithm 1 and Naive reports (the
+   shared scenario loop also against the literal unshared fold), and at
    full-evaluation level with one session per engine walking the same
    mutation chain. *)
 
@@ -783,6 +784,42 @@ let flat_disagreement label (r : Bounds.result) (f : Bounds.result) =
       else go (j + 1) in
     go 0
   end
+
+(* Algorithm 1 without scenario sharing, written out literally: one
+   [Wcrt.trigger_scenario] per trigger on the reference engine, each
+   max-folded per graph. [Wcrt.analyze_with] shares one fixpoint between
+   triggers with equal exec vectors; on either engine it must give
+   exactly this report. *)
+let unshared_report (ctx : Bounds.ctx) : Wcrt.report =
+  let js = Bounds.jobset ctx in
+  let happ = js.Jobset.happ in
+  let n_graphs = Happ.n_graphs happ in
+  let per_graph result =
+    Array.init n_graphs (fun graph ->
+        Verdict.of_option (Bounds.graph_wcrt js result ~graph)) in
+  let normal = Wcrt.normal (module Bounds) ctx in
+  let normal_wcrt = per_graph normal in
+  if not normal.Bounds.converged then
+    { Wcrt.wcrt = Array.make n_graphs Verdict.Unbounded; normal_wcrt;
+      required_wcrt = Array.make n_graphs Verdict.Unbounded; scenarios = 0 }
+  else
+    List.fold_left
+      (fun (report : Wcrt.report) v ->
+        let scenario =
+          per_graph (Wcrt.trigger_scenario (module Bounds) ctx ~normal v) in
+        { Wcrt.wcrt = Array.mapi (fun g w -> Verdict.max w scenario.(g))
+              report.Wcrt.wcrt;
+          normal_wcrt;
+          required_wcrt =
+            Array.mapi
+              (fun g w ->
+                if Happ.graph_in_dropped_set happ g then w
+                else Verdict.max w scenario.(g))
+              report.Wcrt.required_wcrt;
+          scenarios = report.Wcrt.scenarios + 1 })
+      { Wcrt.wcrt = normal_wcrt; normal_wcrt; required_wcrt = normal_wcrt;
+        scenarios = 0 }
+      (Jobset.triggers js)
 
 (* Caps below, at and above typical convergence: agreement at every cap
    pins per-sweep behaviour, including the truncated [converged = false]
@@ -823,15 +860,22 @@ let check_flat_agreement (sys : Gen.system) =
             ~max_iterations:Bounds.default_max_iterations rctx fctx ~exec)
         (Ok ()) (Jobset.triggers js) in
   (* Report level: Algorithm 1 and the Naive baseline
-     give equal verdicts on either engine. *)
+     give equal verdicts on either engine, and the shared scenario loop
+     equals the literal unshared fold. *)
   let* () =
     let r = Wcrt.analyze rctx and f = Wcrt.analyze_with (module Flat) fctx in
-    if (r : Wcrt.report) = f then Ok ()
-    else
+    let u = unshared_report rctx in
+    if (r : Wcrt.report) <> f then
       failf
         "flat: Algorithm 1 reports differ between the reference and the \
          flat engine (%d vs %d scenarios)"
-        r.Wcrt.scenarios f.Wcrt.scenarios in
+        r.Wcrt.scenarios f.Wcrt.scenarios
+    else if r <> u then
+      failf
+        "flat: shared Algorithm 1 report differs from the unshared \
+         per-trigger fold (%d vs %d scenarios)"
+        r.Wcrt.scenarios u.Wcrt.scenarios
+    else Ok () in
   let* () =
     if Naive.analyze rctx = Naive.analyze_with (module Flat) fctx then Ok ()
     else failf "flat: Naive verdicts differ between the engines" in
@@ -1033,7 +1077,8 @@ let flat_agreement =
       "the flat structure-of-arrays kernel reproduces the reference \
        fixed point exactly — per-job intervals and convergence — at \
        every iteration cap, on every trigger scenario, under horizon \
-       truncation, in the Algorithm 1 and Naive reports, and at \
+       truncation, in the Algorithm 1 and Naive reports (Algorithm 1 \
+       also against the unshared per-trigger fold), and at \
        evaluation level along mutation chains";
     check = check_flat_agreement }
 

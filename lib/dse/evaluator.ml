@@ -154,10 +154,13 @@ type outcome = {
 }
 
 (* Memoised analysis of one processor-connected component: the restricted
-   jobset's normal-state fixed point, one scenario per internal trigger,
-   and a lazily-grown table of external-trigger scenarios keyed by the
-   trigger's (min_start, max_finish) summary — the only channel through
-   which a remote fault is visible here (see {!Wcrt.external_scenario}). *)
+   jobset's normal-state fixed point, one scenario outcome per internal
+   trigger (triggers with equal exec vectors share one fixpoint, see
+   {!Wcrt.trigger_scenarios}), and a lazily-grown table of external-trigger
+   scenarios. A remote fault is visible here only through the trigger's
+   (min_start, max_finish) summary (see {!Wcrt.external_scenario}); the
+   table is keyed by {!Wcrt.summary_key}, which maps summaries that give
+   the same scenario to one key. *)
 type centry = {
   ce_solve_external : min_start:int -> max_finish:int -> Bounds.result;
       (* [Wcrt.external_scenario] on this component's engine context *)
@@ -170,8 +173,11 @@ type centry = {
   ce_normal_verdicts : Verdict.t array;
   ce_triggers : Job.t array;
   ce_summaries : (int * int) array;  (* per trigger: (min_start, max_finish) *)
-  ce_internal : outcome array;  (* per trigger; empty if normal diverged *)
-  ce_external : (int * int, outcome) Hashtbl.t;
+  ce_internal : outcome array;
+      (* per trigger, physically shared between triggers with equal exec
+         vectors; empty if normal diverged *)
+  ce_index : Wcrt.summary_index;
+  ce_external : (int, outcome) Hashtbl.t;  (* keyed by [Wcrt.summary_key] *)
 }
 
 type stats = {
@@ -182,6 +188,8 @@ type stats = {
   component_hits : int;
   component_misses : int;
   external_scenarios : int;
+  fixpoints : int;
+  scenarios_shared : int;
   evictions : int;
 }
 
@@ -219,6 +227,8 @@ type t = {
   mutable n_component_hits : int;
   mutable n_component_misses : int;
   mutable n_external : int;
+  mutable n_fixpoints : int;
+  mutable n_shared : int;
   mutable last_ok : bool option;
       (* previous eval's schedulable bit, for verdict-flip events *)
 }
@@ -276,7 +286,7 @@ let create ?(cache_capacity = 4096) ?(component_capacity = 64)
     rates = Lru.create ~capacity:(4 * (cache_capacity + 1)) ();
     n_hits = 0; n_misses = 0; n_sched_hits = 0; n_sched_misses = 0;
     n_component_hits = 0; n_component_misses = 0; n_external = 0;
-    last_ok = None }
+    n_fixpoints = 0; n_shared = 0; last_ok = None }
 
 (* Cache-tier attribution: one labelled counter family per tier
    ("evaluator.<tier>~hit|miss|evict|collision"), and — when the flight
@@ -470,10 +480,12 @@ let per_graph_outcome response res =
              end))
         response }
 
-(* A fresh component entry: [Wcrt.normal] and [Wcrt.trigger_scenario]
+(* A fresh component entry: [Wcrt.normal] and [Wcrt.trigger_scenarios]
    on the session's engine, both engines behind one signature
    (they agree field for field — the [flat-agreement] oracle enforces
-   it — so the engine changes wall-clock only, never results). *)
+   it — so the engine changes wall-clock only, never results). Also
+   returns the fixpoints solved and the trigger scenarios that reused
+   one. *)
 let solve_component (type c) (engine : c Wcrt.engine) t rjs graphs =
   let (module E) = engine in
   let max_iterations = t.max_iterations in
@@ -481,28 +493,29 @@ let solve_component (type c) (engine : c Wcrt.engine) t rjs graphs =
   let response = response_jobs_for rjs graphs in
   let normal = Wcrt.normal engine ~max_iterations ctx in
   let triggers = Array.of_list (Jobset.triggers rjs) in
-  { ce_solve_external =
-      (fun ~min_start ~max_finish ->
-        Wcrt.external_scenario engine ~max_iterations ctx ~normal ~min_start
-          ~max_finish);
-    ce_graphs = graphs; ce_response = response; ce_normal = normal;
-    ce_normal_verdicts = (per_graph_outcome response normal).o_verdicts;
-    ce_triggers = triggers;
-    ce_summaries =
-      Array.map
-        (fun (v : Job.t) ->
-          ( normal.Bounds.bounds.(v.Job.id).Bounds.min_start,
-            normal.Bounds.bounds.(v.Job.id).Bounds.max_finish ))
-        triggers;
-    ce_internal =
-      (if normal.Bounds.converged then
-         Array.map
-           (fun v ->
-             per_graph_outcome response
-               (Wcrt.trigger_scenario engine ~max_iterations ctx ~normal v))
-           triggers
-       else [||]);
-    ce_external = Hashtbl.create 16 }
+  let internal, fixpoints =
+    if normal.Bounds.converged then
+      Wcrt.trigger_scenarios engine ~max_iterations ctx ~normal
+        (per_graph_outcome response)
+    else ([||], 0) in
+  let entry =
+    { ce_solve_external =
+        (fun ~min_start ~max_finish ->
+          Wcrt.external_scenario engine ~max_iterations ctx ~normal
+            ~min_start ~max_finish);
+      ce_graphs = graphs; ce_response = response; ce_normal = normal;
+      ce_normal_verdicts = (per_graph_outcome response normal).o_verdicts;
+      ce_triggers = triggers;
+      ce_summaries =
+        Array.map
+          (fun (v : Job.t) ->
+            ( normal.Bounds.bounds.(v.Job.id).Bounds.min_start,
+              normal.Bounds.bounds.(v.Job.id).Bounds.max_finish ))
+          triggers;
+      ce_internal = internal;
+      ce_index = Wcrt.summary_index rjs normal;
+      ce_external = Hashtbl.create 16 } in
+  (entry, 1 + fixpoints, Array.length internal - fixpoints)
 
 let centry_for t js graphs =
   let rjs = Jobset.restrict js ~graphs in
@@ -518,24 +531,26 @@ let centry_for t js graphs =
     entry
   | None ->
     tier_event "evaluator.component" Flight.Cache_miss "resolve";
-    let entry =
+    let entry, fixpoints, shared =
       match t.engine with
       | Reference -> solve_component (module Bounds) t rjs graphs
       | Flat -> solve_component (module Flat) t rjs graphs in
+    if Obs.enabled () then
+      Obs.incr ~by:shared "evaluator.scenarios_shared";
     with_lock t (fun () ->
         t.n_component_misses <- t.n_component_misses + 1;
+        t.n_fixpoints <- t.n_fixpoints + fixpoints;
+        t.n_shared <- t.n_shared + shared;
         tier_add "evaluator.component" t.components key entry);
     entry
 
-(* The scenario of a trigger outside this component, summarised by its
-   (min_start, max_finish) pair; memoised per entry, so all external
-   triggers with equal summaries share one fixed-point run. Racing
-   domains may compute the same outcome twice — results are equal, the
-   first insert wins. *)
+(* The scenario of a trigger outside this component; memoised per entry
+   on [Wcrt.summary_key], so all external triggers with equal keys share
+   one fixed-point run. Racing domains may compute the same outcome
+   twice — results are equal, the first insert wins. *)
 let external_outcome t entry (ms, mf) =
-  match
-    with_lock t (fun () -> Hashtbl.find_opt entry.ce_external (ms, mf))
-  with
+  let key = Wcrt.summary_key entry.ce_index ~min_start:ms ~max_finish:mf in
+  match with_lock t (fun () -> Hashtbl.find_opt entry.ce_external key) with
   | Some o -> o
   | None ->
     let o =
@@ -544,8 +559,9 @@ let external_outcome t entry (ms, mf) =
     if Obs.enabled () then Obs.incr "evaluator.external_scenarios";
     with_lock t (fun () ->
         t.n_external <- t.n_external + 1;
-        if not (Hashtbl.mem entry.ce_external (ms, mf)) then
-          Hashtbl.add entry.ce_external (ms, mf) o);
+        t.n_fixpoints <- t.n_fixpoints + 1;
+        if not (Hashtbl.mem entry.ce_external key) then
+          Hashtbl.add entry.ce_external key o);
     o
 
 (* Reassemble the full Algorithm 1 verdicts from per-component pieces.
@@ -758,6 +774,7 @@ let stats t =
         component_hits = t.n_component_hits;
         component_misses = t.n_component_misses;
         external_scenarios = t.n_external;
+        fixpoints = t.n_fixpoints; scenarios_shared = t.n_shared;
         evictions =
           Lru.evictions t.results + Lru.evictions t.sched
           + Lru.evictions t.components + Lru.evictions t.rows
@@ -767,10 +784,11 @@ let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>evaluator: %d hits / %d misses (%.1f%% hit rate)@,\
      sched: %d hits / %d misses; components: %d hits / %d misses@,\
-     external scenarios: %d; evictions: %d@]"
+     external scenarios: %d; fixpoints: %d (%d scenarios shared); \
+     evictions: %d@]"
     s.hits s.misses
     (100.
      *. float_of_int s.hits
      /. float_of_int (max 1 (s.hits + s.misses)))
     s.sched_hits s.sched_misses s.component_hits s.component_misses
-    s.external_scenarios s.evictions
+    s.external_scenarios s.fixpoints s.scenarios_shared s.evictions

@@ -14,9 +14,11 @@
     - Algorithm 1 analyses decomposed by processor-connected components
       and keyed by the restricted job structure, so a mutation touching
       one component only re-solves the components whose job multisets
-      changed; triggers in other components are summarised by their
-      (min_start, max_finish) pair and the matching scenarios are
-      memoised per component.
+      changed; a component's triggers with equal exec vectors share
+      one fixpoint, and triggers in other components are summarised by
+      their (min_start, max_finish) pair and memoised per component on
+      [Wcrt.summary_key], which maps summaries giving the same scenario
+      to one key.
 
     Every cached path reproduces [Evaluate.evaluate] {e exactly} — field
     for field, bit for bit on floats — which the [evaluator-agreement]
@@ -112,8 +114,16 @@ type stats = {
   component_hits : int;  (** per-component analysis reuses *)
   component_misses : int;
   external_scenarios : int;
-      (** external-trigger scenarios solved (each shared by all equal
-          trigger summaries) *)
+      (** external-trigger scenarios solved (each shared by all
+          trigger summaries with an equal [Wcrt.summary_key]) *)
+  fixpoints : int;
+      (** engine fixpoints solved: one normal state per solved
+          component, one per distinct internal trigger exec vector, one
+          per external scenario *)
+  scenarios_shared : int;
+      (** internal trigger scenarios answered by an equal exec vector's
+          fixpoint instead of a new one; scenarios walked =
+          [fixpoints + scenarios_shared] *)
   evictions : int;  (** total LRU evictions over all session caches *)
 }
 
@@ -122,7 +132,8 @@ val stats : t -> stats
     {!Mcmap_obs.Obs} counters ([evaluator.hits], [evaluator.misses],
     [evaluator.sched_hits], [evaluator.sched_misses],
     [evaluator.component_hits], [evaluator.component_misses],
-    [evaluator.external_scenarios]) and spans ([evaluator.eval],
+    [evaluator.external_scenarios], [evaluator.scenarios_shared]) and
+    spans ([evaluator.eval],
     [evaluator.eval_population]) when the recorder is enabled. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -61,17 +61,18 @@ let check_pair name a b =
   if a.capacity <> b.capacity then
     invalid_arg ("Bitset." ^ name ^ ": capacity mismatch")
 
+(* A top-level loop rather than a local closure over [a] and [b]: the
+   closure would be allocated on every call. *)
+let rec words_equal (a : int array) b i =
+  i < 0
+  || (Array.unsafe_get a i = Array.unsafe_get b i && words_equal a b (i - 1))
+
 let equal a b =
   check_pair "equal" a b;
   (* Word-by-word int comparison: the generic structural equality on the
      arrays costs a polymorphic-compare call, and [equal] sits inside
      the flat kernel's per-job sweep. *)
-  let rec go i =
-    i < 0
-    || (Array.unsafe_get a.words i = Array.unsafe_get b.words i
-       && go (i - 1))
-  in
-  go (Array.length a.words - 1)
+  words_equal a.words b.words (Array.length a.words - 1)
 
 let blit ~src ~dst =
   check_pair "blit" src dst;

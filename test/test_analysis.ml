@@ -239,6 +239,136 @@ let test_analyze_plan_matches_reference () =
       balanced name bench.B.Benchmark.arch bench.B.Benchmark.apps)
     B.Registry.names
 
+(* Triggers with equal exec vectors share one fixpoint. On DT-large the
+   sharing must actually happen (fewer fixpoints than triggers) and must
+   not change a bit: both engines' reports equal the literal unshared
+   per-trigger fold of the check oracle. *)
+let test_shared_scenarios_exact () =
+  let bench = B.Registry.find_exn "dt-large" in
+  let arch = bench.B.Benchmark.arch and apps = bench.B.Benchmark.apps in
+  let plan = B.Sampler.balanced_plan ~seed:42 arch apps in
+  let js = Jobset.build (Happ.build arch apps plan) in
+  let rctx = Bounds.make js and fctx = Mcmap_sched.Flat.make js in
+  let unshared = Mcmap_check.Oracles.unshared_report rctx in
+  let triggers = List.length (Jobset.triggers js) in
+  check Alcotest.int "one scenario per trigger" triggers
+    unshared.Wcrt.scenarios;
+  check Alcotest.bool "reference report equals the unshared fold" true
+    (Wcrt.analyze rctx = unshared);
+  check Alcotest.bool "flat report equals the unshared fold" true
+    (Wcrt.analyze_with (module Mcmap_sched.Flat) fctx = unshared);
+  let normal = Wcrt.normal (module Mcmap_sched.Flat) fctx in
+  let outcomes, fixpoints =
+    Wcrt.trigger_scenarios (module Mcmap_sched.Flat) fctx ~normal Fun.id in
+  check Alcotest.int "an outcome per trigger" triggers
+    (Array.length outcomes);
+  check Alcotest.bool
+    (Printf.sprintf "fewer fixpoints (%d) than triggers (%d)" fixpoints
+       triggers)
+    true (fixpoints < triggers);
+  List.iteri
+    (fun i v ->
+      check Alcotest.bool
+        (Printf.sprintf "trigger %d: shared result is its own scenario" i)
+        true
+        (outcomes.(i)
+         = Wcrt.trigger_scenario (module Bounds) rctx ~normal v))
+    (Jobset.triggers js)
+
+(* [Wcrt.summary_key] is exact: summaries with equal keys give equal
+   external exec vectors. Probes come in pairs one tick apart across
+   each threshold the vector reads — a job's normal finish (against
+   min_start), a dropped-set job's normal start (against max_finish),
+   a hyperperiod boundary (the earliest restore) — so a key that missed
+   one of the three sets would join two probes whose vectors differ.
+   Random systems, as planned and with every droppable graph dropped,
+   over one and two hyperperiods (releases past the first boundary make
+   the restore set matter). *)
+let test_summary_key_exact () =
+  let module Job = Mcmap_sched.Job in
+  let module Prng = Mcmap_util.Prng in
+  let checked = ref 0 and shared = ref 0 in
+  let check_jobset label js =
+    let normal =
+      Bounds.analyze (Bounds.make js) ~exec:Bounds.nominal_exec in
+    if normal.Bounds.converged then begin
+      let nb = normal.Bounds.bounds in
+      let base = js.Jobset.base_hyperperiod in
+      let index = Wcrt.summary_index js normal in
+      let seen = Hashtbl.create 64 in
+      let probe ms mf =
+        let ms = max 0 ms and mf = max 0 mf in
+        let vector =
+          Array.map
+            (Wcrt.external_exec ~base ~min_start:ms ~max_finish:mf nb)
+            js.Jobset.jobs in
+        let key = Wcrt.summary_key index ~min_start:ms ~max_finish:mf in
+        incr checked;
+        match Hashtbl.find_opt seen key with
+        | None -> Hashtbl.add seen key (ms, mf, vector)
+        | Some (ms0, mf0, v0) ->
+          if (ms0, mf0) <> (ms, mf) then incr shared;
+          if v0 <> vector then
+            Alcotest.failf
+              "%s: summaries (%d, %d) and (%d, %d) share key %d but their \
+               exec vectors differ"
+              label ms0 mf0 ms mf key in
+      let jobs = js.Jobset.jobs in
+      let dropped =
+        List.filter (fun (w : Job.t) -> w.Job.in_dropped_set)
+          (Array.to_list jobs) in
+      let rng = Prng.create (Array.length jobs) in
+      let any_job () = jobs.(Prng.int rng (Array.length jobs)) in
+      let any_ms () = nb.((any_job ()).Job.id).Bounds.min_start in
+      let any_mf () = nb.((any_job ()).Job.id).Bounds.max_finish in
+      Array.iter
+        (fun (w : Job.t) ->
+          let b = nb.(w.Job.id) in
+          probe b.Bounds.min_start b.Bounds.max_finish;
+          let mf = any_mf () in
+          probe b.Bounds.max_finish mf;
+          probe (b.Bounds.max_finish + 1) mf)
+        jobs;
+      List.iter
+        (fun (w : Job.t) ->
+          let s = nb.(w.Job.id).Bounds.min_start in
+          List.iter
+            (fun ms ->
+              probe ms (s - 1);
+              probe ms s)
+            [ 0; any_ms () ])
+        dropped;
+      for k = 1 to (js.Jobset.hyperperiod / base) + 1 do
+        let mf = any_mf () in
+        probe ((k * base) - 1) mf;
+        probe (k * base) mf
+      done
+    end in
+  for seed = 0 to 59 do
+    let sys = Test_gen.random_system seed in
+    let arch = sys.Test_gen.arch and apps = sys.Test_gen.apps in
+    let all_dropped =
+      List.fold_left
+        (fun plan g -> Plan.with_dropped plan ~graph:g true)
+        sys.Test_gen.plan
+        (Mcmap_model.Appset.droppable_graphs apps) in
+    List.iter
+      (fun (name, plan) ->
+        let happ = Happ.build arch apps plan in
+        List.iter
+          (fun hyperperiods ->
+            check_jobset
+              (Printf.sprintf "seed %d, %s, %d hyperperiods" seed name
+                 hyperperiods)
+              (Jobset.build ~hyperperiods happ))
+          [ 1; 2 ])
+      [ ("as planned", sys.Test_gen.plan); ("all dropped", all_dropped) ]
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "distinct summaries shared a key (%d of %d probes)"
+       !shared !checked)
+    true (!shared > 0)
+
 let suite =
   [ Alcotest.test_case "verdict: operations" `Quick test_verdict_ops;
     Alcotest.test_case "wcrt: report shape" `Quick test_report_shape;
@@ -251,6 +381,10 @@ let suite =
     Alcotest.test_case "naive: exec shape" `Quick test_naive_exec_shape;
     Alcotest.test_case "analyze_plan: flat equals reference (specs)" `Quick
       test_analyze_plan_matches_reference;
+    Alcotest.test_case "wcrt: shared scenarios equal the unshared fold"
+      `Quick test_shared_scenarios_exact;
+    Alcotest.test_case "wcrt: summary key is exact" `Quick
+      test_summary_key_exact;
     qtest prop_wcrt_at_least_normal;
     qtest prop_naive_is_safe;
     qtest prop_required_below_wcrt ]

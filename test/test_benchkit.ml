@@ -239,6 +239,20 @@ let test_contract_derivation () =
    | Some c ->
      check Alcotest.bool "0.6% overhead passes" true c.Schema.ok
    | None -> Alcotest.fail "obs contract not derived");
+  (* Counted, not timed: the DT-large cold evaluation walks 68 scenarios
+     (one normal state, 67 triggers) and shares some of their
+     fixpoints. *)
+  (match List.assoc_opt "scenario_sharing" contracts with
+   | Some c ->
+     check Alcotest.bool "sharing contract holds" true c.Schema.ok;
+     check
+       Alcotest.(option (float 0.))
+       "scenarios walked" (Some 68.)
+       (List.assoc_opt "scenarios" c.Schema.numbers);
+     (match List.assoc_opt "fixpoints" c.Schema.numbers with
+      | Some f -> check Alcotest.bool "fewer fixpoints" true (f < 68.)
+      | None -> Alcotest.fail "fixpoints not recorded")
+   | None -> Alcotest.fail "sharing contract not derived");
   (* an over-budget, out-of-noise overhead fails *)
   let heavy =
     [ ("evaluator_cold", kernel ~mean:9000. ~stddev:10. ());

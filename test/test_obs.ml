@@ -464,10 +464,61 @@ let test_explore_records_metrics () =
    | Obs.Counter n ->
      check Alcotest.bool "evaluator result misses counted" true (n > 0)
    | _ -> Alcotest.fail "evaluator.result~miss is not a counter");
-  match metric "evaluator.sched~miss" with
+  (match metric "evaluator.sched~miss" with
+   | Obs.Counter n ->
+     check Alcotest.bool "evaluator sched analyses counted" true (n > 0)
+   | _ -> Alcotest.fail "evaluator.sched~miss is not a counter");
+  match metric "evaluator.scenarios_shared" with
   | Obs.Counter n ->
-    check Alcotest.bool "evaluator sched analyses counted" true (n > 0)
-  | _ -> Alcotest.fail "evaluator.sched~miss is not a counter"
+    check Alcotest.bool "shared trigger scenarios counted" true (n >= 0)
+  | _ -> Alcotest.fail "evaluator.scenarios_shared is not a counter"
+
+(* Scenario sharing is visible: Algorithm 1 observes the fixpoints it
+   solved beside the trigger scenarios it walked, and the evaluator
+   counts the internal trigger scenarios that reused a fixpoint — the
+   same numbers its stats report. *)
+let test_scenario_sharing_metrics () =
+  with_recorder @@ fun () ->
+  let bench = B.Registry.find_exn "dt-large" in
+  let arch = bench.B.Benchmark.arch and apps = bench.B.Benchmark.apps in
+  let plan = B.Sampler.balanced_plan ~seed:42 arch apps in
+  let js =
+    Mcmap_sched.Jobset.build (Mcmap_hardening.Happ.build arch apps plan) in
+  let report =
+    Mcmap_analysis.Wcrt.analyze_with (module Mcmap_sched.Flat)
+      (Mcmap_sched.Flat.make js) in
+  let session = D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
+  ignore (D.Evaluator.eval session plan);
+  let stats = D.Evaluator.stats session in
+  let snap = Obs.snapshot () in
+  let histogram_sum name =
+    match List.assoc_opt name snap.Obs.metrics with
+    | Some (Obs.Histogram h) -> h.Histogram.sum
+    | Some _ | None -> Alcotest.failf "histogram %S missing" name in
+  let counter name =
+    match List.assoc_opt name snap.Obs.metrics with
+    | Some (Obs.Counter n) -> n
+    | Some _ | None -> Alcotest.failf "counter %S missing" name in
+  let scenarios = histogram_sum "wcrt.scenarios" in
+  let fixpoints = histogram_sum "wcrt.fixpoints" in
+  check Alcotest.int "wcrt.scenarios counts triggers"
+    report.Mcmap_analysis.Wcrt.scenarios scenarios;
+  check Alcotest.bool "wcrt.fixpoints below wcrt.scenarios" true
+    (fixpoints < scenarios);
+  check Alcotest.int "evaluator.scenarios_shared = stats"
+    stats.D.Evaluator.scenarios_shared
+    (counter "evaluator.scenarios_shared");
+  (* one component: its normal state plus the same distinct trigger
+     vectors Algorithm 1 solved *)
+  check Alcotest.int "session fixpoints" (1 + fixpoints)
+    stats.D.Evaluator.fixpoints;
+  check Alcotest.int "shared + solved = walked" scenarios
+    (stats.D.Evaluator.scenarios_shared + fixpoints);
+  (* every flat.analyses run is a counted fixpoint: Algorithm 1's
+     normal state and trigger fixpoints, then the session's *)
+  check Alcotest.int "flat.analyses"
+    (1 + fixpoints + stats.D.Evaluator.fixpoints)
+    (counter "flat.analyses")
 
 let suite =
   [ Alcotest.test_case "histogram bucket boundaries" `Quick
@@ -500,5 +551,7 @@ let suite =
       test_flight_span_integration;
     Alcotest.test_case "flight dump round trip" `Quick
       test_flight_dump_roundtrip;
+    Alcotest.test_case "scenario sharing metrics" `Quick
+      test_scenario_sharing_metrics;
     Alcotest.test_case "explore records advertised metrics" `Slow
       test_explore_records_metrics ]
