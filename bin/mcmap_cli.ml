@@ -718,16 +718,19 @@ let render_metrics_snapshot snapshot =
         histograms;
       Texttable.print t
     end;
-    (* Algorithm 1 solves one fixpoint per distinct trigger exec vector:
-       put the fixpoints solved beside the scenarios walked. *)
+    (* Algorithm 1 solves one fixpoint per distinct trigger exec vector
+       and stops at the first diverged one: put the fixpoints solved and
+       the triggers absorbed beside the scenarios walked. *)
     let hsum name =
       match List.assoc_opt name histograms with
       | Some h -> Some h.Histogram.sum
       | None -> None in
     (match (hsum "wcrt.scenarios", hsum "wcrt.fixpoints",
-            List.assoc_opt "evaluator.scenarios_shared" counters) with
-     | None, None, None -> ()
-     | scenarios, fixpoints, shared ->
+            hsum "wcrt.scenarios_absorbed",
+            List.assoc_opt "evaluator.scenarios_shared" counters,
+            List.assoc_opt "evaluator.scenarios_absorbed" counters) with
+     | None, None, None, None, None -> ()
+     | scenarios, fixpoints, absorbed, shared, evaluator_absorbed ->
        section "scenario sharing:";
        (match (scenarios, fixpoints) with
         | Some walked, Some solved ->
@@ -737,9 +740,19 @@ let render_metrics_snapshot snapshot =
         | _ -> ());
        Option.iter
          (Printf.printf
+            "  Algorithm 1: %d trigger scenarios absorbed by a diverged \
+             one\n")
+         absorbed;
+       Option.iter
+         (Printf.printf
             "  evaluator: %d trigger scenarios reused an equal exec \
              vector's fixpoint\n")
-         shared);
+         shared;
+       Option.iter
+         (Printf.printf
+            "  evaluator: %d trigger scenarios absorbed by a diverged \
+             one\n")
+         evaluator_absorbed);
     List.iter
       (fun (name, points) ->
         section (Printf.sprintf "series %s:" name);

@@ -122,40 +122,55 @@ let trigger_scenario (type c) ((module E) : c engine) ?max_iterations ctx
   E.analyze ?max_iterations ctx
     ~exec:(scenario_exec ~base normal.Bounds.bounds v)
 
-let external_scenario (type c) ((module E) : c engine) ?max_iterations ctx
-    ~normal ~min_start ~max_finish =
-  let base = (E.jobset ctx).Jobset.base_hyperperiod in
-  E.analyze ?max_iterations ctx
-    ~exec:(external_exec ~base ~min_start ~max_finish normal.Bounds.bounds)
-
-(* [scenario_exec ~base nb v] for every job, written into [vec] as
-   interleaved [(bcet', wcet')] pairs: the same chronology cases in one
-   direct pass over the jobs, with no closure and no per-job tuple. The
-   first case of [external_exec] is inlined [Bounds.nominal_exec]
+(* [external_exec ~base ~min_start ~max_finish nb] for every job,
+   written into [vec] as interleaved [(bcet', wcet')] pairs: the same
+   chronology cases in one direct pass over the jobs, with no closure and
+   no per-job tuple. The first case is inlined [Bounds.nominal_exec]
    (passive spares silent). The [flat-agreement] oracle checks the
    vector path against the closure path through report equality. *)
-let fill_scenario_vector ~base (nb : Bounds.job_bounds array)
-    (jobs : Job.t array) (v : Job.t) vec =
-  let min_start = nb.(v.Job.id).Bounds.min_start
-  and max_finish = nb.(v.Job.id).Bounds.max_finish in
+let fill_external_vector ~base (nb : Bounds.job_bounds array)
+    (jobs : Job.t array) ~min_start ~max_finish vec =
   let earliest_restore = ((min_start / base) + 1) * base in
   for i = 0 to Array.length jobs - 1 do
     let w = Array.unsafe_get jobs i in
+    let id = w.Job.id in
     let bcet, wcet =
-      if w.Job.id = v.Job.id then
-        if w.Job.passive then (0, w.Job.wcet)
-        else (w.Job.bcet, w.Job.critical_wcet)
-      else if nb.(w.Job.id).Bounds.max_finish < min_start then
+      if nb.(id).Bounds.max_finish < min_start then
         if w.Job.passive then (0, 0) else (w.Job.bcet, w.Job.wcet)
       else if w.Job.in_dropped_set then
-        if nb.(w.Job.id).Bounds.min_start > max_finish
+        if nb.(id).Bounds.min_start > max_finish
            && w.Job.release < earliest_restore then (0, 0)
         else (0, w.Job.wcet)
       else if w.Job.passive then (0, w.Job.wcet)
       else (w.Job.bcet, w.Job.critical_wcet) in
-    vec.(2 * w.Job.id) <- bcet;
-    vec.((2 * w.Job.id) + 1) <- wcet
+    vec.(2 * id) <- bcet;
+    vec.((2 * id) + 1) <- wcet
   done
+
+(* [scenario_exec ~base nb v] for every job: the external vector of
+   [v]'s summary, with [v]'s own entry overwritten by the fault case. *)
+let fill_scenario_vector ~base (nb : Bounds.job_bounds array)
+    (jobs : Job.t array) (v : Job.t) vec =
+  fill_external_vector ~base nb jobs
+    ~min_start:nb.(v.Job.id).Bounds.min_start
+    ~max_finish:nb.(v.Job.id).Bounds.max_finish vec;
+  let id = v.Job.id in
+  if v.Job.passive then begin
+    vec.(2 * id) <- 0;
+    vec.((2 * id) + 1) <- v.Job.wcet
+  end
+  else begin
+    vec.(2 * id) <- v.Job.bcet;
+    vec.((2 * id) + 1) <- v.Job.critical_wcet
+  end
+
+let external_scenario_into (type c) ((module E) : c engine) ?max_iterations
+    ctx ~normal ~min_start ~max_finish finishes =
+  let js = E.jobset ctx in
+  let vec = Array.make (2 * Jobset.n_jobs js) 0 in
+  fill_external_vector ~base:js.Jobset.base_hyperperiod normal.Bounds.bounds
+    js.Jobset.jobs ~min_start ~max_finish vec;
+  E.analyze_into ?max_iterations ctx ~exec:vec ~max_finish:finishes
 
 (* Exec vectors compared by value: equal vectors are equal fixpoint
    inputs. The hash reads every entry (the polymorphic one would stop
@@ -178,11 +193,19 @@ module Vector_table = Hashtbl.Make (struct
     (!h lxor (!h lsr 29)) land max_int
 end)
 
+type 'a scenarios =
+  | Solved of 'a array
+  | Diverged of int
+
 (* A fixpoint is a pure function of (ctx, exec vector, horizon,
    iteration cap), and within one context only the vector varies
    between triggers — so triggers with equal vectors share one solve
    and one [f] result. The key is built in a scratch array and copied
-   only when it is new. *)
+   only when it is new. Each fixpoint goes through the reducing entry
+   into one [finishes] array per context, which [f] reads and must not
+   keep. The first diverged fixpoint ends the walk: a diverged scenario
+   makes every graph unbounded, and [Verdict.max] with [Unbounded]
+   absorbs, so no later trigger can change a verdict (DESIGN.md §11). *)
 let trigger_scenarios (type c) ((module E) : c engine) ?max_iterations ctx
     ~normal f =
   let js = E.jobset ctx in
@@ -190,24 +213,50 @@ let trigger_scenarios (type c) ((module E) : c engine) ?max_iterations ctx
   let nb = normal.Bounds.bounds in
   let memo = Vector_table.create 16 in
   let key = Array.make (2 * Array.length jobs) 0 in
+  let finishes = Array.make (Array.length jobs) 0 in
+  let triggers = Array.of_list (Jobset.triggers js) in
+  let outcomes = Array.make (Array.length triggers) None in
   let fixpoints = ref 0 in
-  let outcomes =
-    Array.map
-      (fun v ->
-        fill_scenario_vector ~base nb jobs v key;
-        match Vector_table.find_opt memo key with
-        | Some outcome -> outcome
-        | None ->
-          let vec = Array.copy key in
-          incr fixpoints;
-          let outcome =
-            f
-              (E.analyze ?max_iterations ctx ~exec:(fun (w : Job.t) ->
-                   (vec.(2 * w.Job.id), vec.((2 * w.Job.id) + 1)))) in
-          Vector_table.add memo vec outcome;
-          outcome)
-      (Array.of_list (Jobset.triggers js)) in
-  (outcomes, !fixpoints)
+  let rec walk i =
+    if i >= Array.length triggers then
+      Solved (Array.map Option.get outcomes)
+    else begin
+      fill_scenario_vector ~base nb jobs triggers.(i) key;
+      match Vector_table.find_opt memo key with
+      | Some outcome ->
+        outcomes.(i) <- Some outcome;
+        walk (i + 1)
+      | None ->
+        incr fixpoints;
+        if E.analyze_into ?max_iterations ctx ~exec:key ~max_finish:finishes
+        then begin
+          let outcome = f finishes in
+          Vector_table.add memo (Array.copy key) outcome;
+          outcomes.(i) <- Some outcome;
+          walk (i + 1)
+        end
+        else Diverged i
+    end in
+  let scenarios = walk 0 in
+  (scenarios, !fixpoints)
+
+(* The worst response over each graph's response jobs, from per-job
+   finishes — [Bounds.graph_wcrt] on a converged result, with the
+   response jobs looked up once per analysis. *)
+let response_jobs js =
+  Array.init (Happ.n_graphs js.Jobset.happ) (fun graph ->
+      Array.of_list (Jobset.response_jobs js ~graph))
+
+let graph_verdicts response (finishes : int array) =
+  Array.map
+    (fun jobs ->
+      let worst = ref 0 in
+      Array.iter
+        (fun (j : Job.t) ->
+          worst := max !worst (Job.response j ~finish:finishes.(j.Job.id)))
+        jobs;
+      Verdict.Finite !worst)
+    response
 
 let analyze_with (type c) ((module E) as engine : c engine) ?max_iterations
     ctx =
@@ -216,43 +265,57 @@ let analyze_with (type c) ((module E) as engine : c engine) ?max_iterations
   let happ = js.Jobset.happ in
   let n_graphs = Happ.n_graphs happ in
   let normal = normal engine ?max_iterations ctx in
-  let per_graph result =
+  let normal_wcrt =
     Array.init n_graphs (fun graph ->
-        Verdict.of_option (Bounds.graph_wcrt js result ~graph)) in
-  let normal_wcrt = per_graph normal in
+        Verdict.of_option (Bounds.graph_wcrt js normal ~graph)) in
   let wcrt = Array.copy normal_wcrt in
   let required_wcrt = Array.copy normal_wcrt in
-  let scenarios, fixpoints =
+  let n_triggers = List.length (Jobset.triggers js) in
+  let scenarios, fixpoints, absorbed =
     if normal.Bounds.converged then begin
-      let outcomes, fixpoints =
-        trigger_scenarios engine ?max_iterations ctx ~normal per_graph in
-      (* Verdict.max is commutative and idempotent: folding a shared
-         outcome once per trigger, in any order, gives the unshared
-         result. *)
-      Array.iter
-        (fun scenario_wcrt ->
-          for g = 0 to n_graphs - 1 do
-            wcrt.(g) <- Verdict.max wcrt.(g) scenario_wcrt.(g);
-            (* Dropped-set graphs owe their deadline only while alive,
-               i.e. in the normal state; all others owe it in every
-               scenario. *)
-            if not (Happ.graph_in_dropped_set happ g) then
-              required_wcrt.(g) <- Verdict.max required_wcrt.(g)
-                  scenario_wcrt.(g)
-          done)
-        outcomes;
-      (Array.length outcomes, fixpoints)
+      let response = response_jobs js in
+      match
+        trigger_scenarios engine ?max_iterations ctx ~normal
+          (graph_verdicts response)
+      with
+      | Solved outcomes, fixpoints ->
+        (* Verdict.max is commutative and idempotent: folding a shared
+           outcome once per trigger, in any order, gives the unshared
+           result. *)
+        Array.iter
+          (fun scenario_wcrt ->
+            for g = 0 to n_graphs - 1 do
+              wcrt.(g) <- Verdict.max wcrt.(g) scenario_wcrt.(g);
+              (* Dropped-set graphs owe their deadline only while alive,
+                 i.e. in the normal state; all others owe it in every
+                 scenario. *)
+              if not (Happ.graph_in_dropped_set happ g) then
+                required_wcrt.(g) <- Verdict.max required_wcrt.(g)
+                    scenario_wcrt.(g)
+            done)
+          outcomes;
+        (n_triggers, fixpoints, 0)
+      | Diverged i, fixpoints ->
+        (* The diverged scenario is unbounded for every graph, and
+           [Unbounded] absorbs every later scenario's verdict. *)
+        for g = 0 to n_graphs - 1 do
+          wcrt.(g) <- Verdict.Unbounded;
+          if not (Happ.graph_in_dropped_set happ g) then
+            required_wcrt.(g) <- Verdict.Unbounded
+        done;
+        (n_triggers, fixpoints, n_triggers - i - 1)
     end
     else begin
       Array.fill wcrt 0 n_graphs Verdict.Unbounded;
       Array.fill required_wcrt 0 n_graphs Verdict.Unbounded;
-      (0, 0)
+      (0, 0, 0)
     end in
   let report = { wcrt; normal_wcrt; required_wcrt; scenarios } in
   if Obs.enabled () then begin
     Obs.incr "wcrt.analyses";
     Obs.observe "wcrt.scenarios" report.scenarios;
     Obs.observe "wcrt.fixpoints" fixpoints;
+    Obs.observe "wcrt.scenarios_absorbed" absorbed;
     Array.iter
       (function
         | Verdict.Finite _ -> Obs.incr "wcrt.verdict.finite"

@@ -18,7 +18,9 @@
       spares.
 
     The per-graph result is the maximum over the normal state and all
-    trigger scenarios. *)
+    trigger scenarios. The trigger scenarios run on the engine's
+    reducing entry and stop at the first one that diverges, which
+    already decides the report (see {!scenarios}). *)
 
 type report = {
   wcrt : Verdict.t array;
@@ -45,9 +47,12 @@ val analyze_with : 'ctx engine -> ?max_iterations:int -> 'ctx -> report
     scenario of the context's jobset ({!trigger_scenarios}: triggers
     with equal exec vectors share one fixpoint). The report equals the
     unshared per-trigger fold of {!trigger_scenario}, and both engines
-    give equal reports (the [flat-agreement] oracle checks both). With
-    metrics enabled it observes [wcrt.scenarios] (triggers walked) and
-    [wcrt.fixpoints] (trigger fixpoints solved). [max_iterations] defaults
+    give equal reports (the [flat-agreement] oracle checks both);
+    [scenarios] counts every trigger, also those a divergence absorbed.
+    With metrics enabled it observes [wcrt.scenarios] (triggers),
+    [wcrt.fixpoints] (trigger fixpoints solved) and
+    [wcrt.scenarios_absorbed] (triggers left unsolved after a diverged
+    one). [max_iterations] defaults
     to {!Mcmap_sched.Bounds.default_max_iterations}, the one shared
     fixed-point cap of the analysis stack — callers forwarding the
     option (evaluator sessions, the GA) must not restate it. *)
@@ -72,33 +77,69 @@ val trigger_scenario :
 (** The scenario of trigger [v] ({!scenario_exec}), given the context's
     normal-state result. *)
 
+type 'a scenarios =
+  | Solved of 'a array
+      (** one outcome per trigger, in {!Mcmap_sched.Jobset.triggers}
+          order *)
+  | Diverged of int
+      (** the fixpoint of the trigger at this index diverged; the
+          triggers after it were not solved *)
+(** The trigger scenarios of one context. A diverged scenario makes
+    every graph [Unbounded], and {!Verdict.max} with [Unbounded] is
+    absorbing, so once one scenario diverges the report is decided:
+    every [wcrt] is [Unbounded], and every [required_wcrt] too except
+    those of dropped-set graphs, which equal their normal-state
+    verdicts. The walk therefore stops there. *)
+
 val trigger_scenarios :
   'ctx engine ->
   ?max_iterations:int ->
   'ctx ->
   normal:Mcmap_sched.Bounds.result ->
-  (Mcmap_sched.Bounds.result -> 'a) ->
-  'a array * int
-(** [trigger_scenarios engine ctx ~normal f]: [f] of the scenario of
-    every trigger of the context's jobset, in {!Mcmap_sched.Jobset.triggers}
-    order, and the number of fixpoints solved. A fixpoint depends only
-    on the context, the iteration cap and the per-job
-    [(bcet', wcet')] vector of {!scenario_exec}, so triggers with equal
-    vectors share one fixpoint and one [f] result: each entry equals
-    [f (trigger_scenario engine ctx ~normal v)]. *)
+  (int array -> 'a) ->
+  'a scenarios * int
+(** [trigger_scenarios engine ctx ~normal f] walks the triggers of the
+    context's jobset in {!Mcmap_sched.Jobset.triggers} order and solves
+    each through the engine's reducing entry
+    ([Fixpoint.ENGINE.analyze_into]). It returns the outcomes and the
+    number of fixpoints solved.
 
-val external_scenario :
+    A fixpoint depends only on the context, the iteration cap and the
+    per-job [(bcet', wcet')] vector of {!scenario_exec}. So triggers
+    with equal vectors share one fixpoint and one [f] result.
+
+    For a converged fixpoint, [f] gets the per-job worst finishes: the
+    [max_finish] projection of [trigger_scenario engine ctx ~normal v].
+    The array is scratch, reused for the next fixpoint, so [f] must not
+    keep it. [Solved outcomes] has [f]'s result for every trigger.
+
+    The first fixpoint that does not converge ends the walk with
+    [Diverged i], where [i] is that trigger's index. It does not stand
+    in for the later triggers' own outcomes: those were never solved,
+    and the [i + 1] triggers walked cost the fixpoints counted. *)
+
+val graph_verdicts :
+  Mcmap_sched.Job.t array array -> int array -> Verdict.t array
+(** [graph_verdicts response finishes]: per entry of [response] (one
+    graph's response jobs), the worst response time over those jobs
+    under the per-job [finishes] — {!Mcmap_sched.Bounds.graph_wcrt} of
+    a converged result, with the response jobs looked up once. *)
+
+val external_scenario_into :
   'ctx engine ->
   ?max_iterations:int ->
   'ctx ->
   normal:Mcmap_sched.Bounds.result ->
   min_start:int ->
   max_finish:int ->
-  Mcmap_sched.Bounds.result
-(** The scenario of a trigger outside the context's jobset. A
+  int array ->
+  bool
+(** The scenario of a trigger outside the context's jobset, through the
+    engine's reducing entry: writes each job's worst finish into the
+    array (at least one entry per job) and returns [converged]. A
     non-triggering job sees the trigger only through its normal-state
-    [min_start]/[max_finish], so that pair summarises a remote trigger
-    exactly. *)
+    [min_start]/[max_finish] ({!external_exec}), so that pair summarises
+    a remote trigger exactly. *)
 
 type summary_index
 (** What {!summary_key} needs of one context's normal-state result:
@@ -109,7 +150,7 @@ val summary_index :
   Mcmap_sched.Jobset.t -> Mcmap_sched.Bounds.result -> summary_index
 
 val summary_key : summary_index -> min_start:int -> max_finish:int -> int
-(** A compact exact key for {!external_scenario}: summaries with equal
+(** A compact exact key for {!external_scenario_into}: summaries with equal
     keys give equal {!external_exec} vectors, hence equal scenarios. It
     packs the sizes of the three job sets the summary selects (done
     before [min_start]; dropped-set jobs starting after [max_finish];

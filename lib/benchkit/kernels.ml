@@ -313,6 +313,32 @@ let sharing_contract =
              ("scenarios", float_of_int scenarios); ("ratio", ratio);
              ("max_ratio", max_ratio) ] } ))
 
+(* Minor allocation of one cold Flat-session evaluation of the
+   [flat_cold] plan (session creation included), after one warm-up
+   evaluation on this domain so the flat arena has already grown to the
+   jobset. Counted in minor-heap words, so it is deterministic for a
+   given build and recorder state: the recorder is off here, as it is
+   for the kernels. MB are 10^6 bytes. Trigger scenarios that
+   materialised a per-job result read 1.82 MB; the reducing entry brings
+   it to about 1.31 MB. *)
+let cold_alloc_contract =
+  lazy
+    (let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
+     let eval () =
+       let session = D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
+       ignore (D.Evaluator.eval session plan) in
+     eval ();
+     let before = Gc.minor_words () in
+     eval ();
+     let words = Gc.minor_words () -. before in
+     let minor_mb = words *. float_of_int (Sys.word_size / 8) /. 1e6 in
+     let max_mb = 1.4 in
+     ( "cold_eval_alloc",
+       { Schema.ok = minor_mb <= max_mb;
+         numbers =
+           [ ("minor_words", words); ("minor_mb", minor_mb);
+             ("max_mb", max_mb) ] } ))
+
 let contracts kernels =
   flat_contract kernels @ obs_contract kernels
-  @ [ Lazy.force sharing_contract ]
+  @ [ Lazy.force sharing_contract; Lazy.force cold_alloc_contract ]

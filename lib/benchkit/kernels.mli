@@ -36,5 +36,9 @@ val contracts : (string * Schema.kernel) list -> (string * Schema.contract) list
       [flat_cold] plan solves at most 0.75 fixpoints per scenario it
       walks (triggers with equal exec vectors share one fixpoint).
       Counted, not timed, so it is always derived.
+    - ["cold_eval_alloc"]: one cold Flat-session evaluation of the
+      [flat_cold] plan, after a warm-up evaluation that grows the flat
+      arena, allocates at most 1.4 MB (10^6 bytes) on the minor heap.
+      Counted in words, so it is always derived.
 
     Timed contracts whose kernels are missing are omitted. *)

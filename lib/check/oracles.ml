@@ -755,7 +755,8 @@ let check_evaluator_agreement (sys : Gen.system) =
    horizon truncation, on the Algorithm 1 and Naive reports (the
    shared scenario loop also against the literal unshared fold), and at
    full-evaluation level with one session per engine walking the same
-   mutation chain. *)
+   mutation chain. Each engine's reducing entry is held to its own
+   materialising one on the system and on every plan of the chain. *)
 
 let ( let* ) = Result.bind
 
@@ -826,6 +827,71 @@ let unshared_report (ctx : Bounds.ctx) : Wcrt.report =
    prefixes. *)
 let flat_caps = [ 1; 3; Bounds.default_max_iterations ]
 
+(* The reducing entry ([analyze_into], fed the interleaved exec vector)
+   against the materialising one on the same engine: per-job
+   [max_finish] and [converged], for the normal state and every trigger
+   scenario, at every cap in [flat_caps] (so truncated, unconverged
+   prefixes are compared too). *)
+let check_reducing_entry (type c)
+    ((module E) : (module Mcmap_sched.Fixpoint.ENGINE with type ctx = c))
+    engine_name (ctx : c) =
+  let js = E.jobset ctx in
+  let n = Jobset.n_jobs js in
+  let base = js.Jobset.base_hyperperiod in
+  let vector exec =
+    let vec = Array.make (2 * n) 0 in
+    Array.iter
+      (fun (j : Job.t) ->
+        let b, w = exec j in
+        vec.(2 * j.Job.id) <- b;
+        vec.((2 * j.Job.id) + 1) <- w)
+      js.Jobset.jobs;
+    vec in
+  let normal = E.analyze ctx ~exec:Bounds.nominal_exec in
+  let scenarios =
+    ("normal state", Bounds.nominal_exec)
+    :: (if not normal.Bounds.converged then []
+        else
+          List.map
+            (fun (v : Job.t) ->
+              ( Printf.sprintf "trigger scenario of job %d" v.Job.id,
+                Wcrt.scenario_exec ~base normal.Bounds.bounds v ))
+            (Jobset.triggers js)) in
+  let finishes = Array.make n 0 in
+  List.fold_left
+    (fun acc (label, exec) ->
+      let vec = vector exec in
+      List.fold_left
+        (fun acc max_iterations ->
+          let* () = acc in
+          let r = E.analyze ~max_iterations ctx ~exec in
+          Array.fill finishes 0 n (-1);
+          let converged =
+            E.analyze_into ~max_iterations ctx ~exec:vec ~max_finish:finishes
+          in
+          let rec go j =
+            if j >= n then Ok ()
+            else if finishes.(j) <> r.Bounds.bounds.(j).Bounds.max_finish
+            then
+              failf
+                "flat: %s engine, %s, cap %d: reducing entry gives job %d \
+                 max_finish %d, analyze %d"
+                engine_name label max_iterations j finishes.(j)
+                r.Bounds.bounds.(j).Bounds.max_finish
+            else go (j + 1) in
+          if converged <> r.Bounds.converged then
+            failf
+              "flat: %s engine, %s, cap %d: reducing entry converged %b, \
+               analyze %b"
+              engine_name label max_iterations converged r.Bounds.converged
+          else go 0)
+        acc flat_caps)
+    (Ok ()) scenarios
+
+let check_reducing_entries js =
+  let* () = check_reducing_entry (module Bounds) "reference" (Bounds.make js) in
+  check_reducing_entry (module Flat) "flat" (Flat.make js)
+
 let check_flat_agreement (sys : Gen.system) =
   let arch = sys.Gen.arch and apps = sys.Gen.apps in
   let happ = Happ.build arch apps sys.Gen.plan in
@@ -845,6 +911,7 @@ let check_flat_agreement (sys : Gen.system) =
           ~max_iterations:cap rctx fctx ~exec)
       (Ok ()) flat_caps in
   let* () = compare_caps "normal state" rctx fctx ~exec:Bounds.nominal_exec in
+  let* () = check_reducing_entries js in
   (* Every trigger scenario of Algorithm 1, through the same exec hook
      the evaluator feeds both engines. *)
   let normal = Bounds.analyze rctx ~exec:Bounds.nominal_exec in
@@ -901,6 +968,10 @@ let check_flat_agreement (sys : Gen.system) =
   let rec chain step plan =
     if step >= 6 then Ok ()
     else begin
+      let* () =
+        if step = 0 then Ok ()
+        else check_reducing_entries (Jobset.build (Happ.build arch apps plan))
+      in
       let r = Evaluator.eval ref_session plan in
       let f = Evaluator.eval flat_session plan in
       if not (evaluations_equal r f) then
@@ -915,6 +986,111 @@ let check_flat_agreement (sys : Gen.system) =
       else chain (step + 1) (mutate_plan rng arch apps plan)
     end in
   chain 0 sys.Gen.plan
+
+(* ------------------------------------------------------------------ *)
+(* (l) Summary key: [Wcrt.summary_key] is exact, i.e. summaries with
+   equal keys give equal external exec vectors. The evaluation oracles
+   cannot see a key that merges too much: a dropped-set job's (0, 0)
+   versus (0, wcet) choice in a remote trigger's scenario rarely reaches
+   a verdict of a random system. So this oracle compares the vectors
+   themselves. Probes come in pairs one tick apart across each threshold
+   the vector reads — a job's normal finish (against min_start), a
+   dropped-set job's normal start (against max_finish), a hyperperiod
+   boundary (the earliest restore) — so a key that missed one of the
+   three job sets would join two probes whose vectors differ. Each
+   system is probed as planned and with every droppable graph dropped,
+   over one and two hyperperiods (releases past the first boundary make
+   the restore set matter). *)
+
+let summary_key_jobset label js =
+  let normal = Bounds.analyze (Bounds.make js) ~exec:Bounds.nominal_exec in
+  if not normal.Bounds.converged then Ok (0, 0)
+  else begin
+    let nb = normal.Bounds.bounds in
+    let base = js.Jobset.base_hyperperiod in
+    let index = Wcrt.summary_index js normal in
+    let seen = Hashtbl.create 64 in
+    let checked = ref 0 and shared = ref 0 in
+    let exception Mismatch of string in
+    let probe ms mf =
+      let ms = max 0 ms and mf = max 0 mf in
+      let vector =
+        Array.map
+          (Wcrt.external_exec ~base ~min_start:ms ~max_finish:mf nb)
+          js.Jobset.jobs in
+      let key = Wcrt.summary_key index ~min_start:ms ~max_finish:mf in
+      incr checked;
+      match Hashtbl.find_opt seen key with
+      | None -> Hashtbl.add seen key (ms, mf, vector)
+      | Some (ms0, mf0, v0) ->
+        if (ms0, mf0) <> (ms, mf) then incr shared;
+        if v0 <> vector then
+          raise
+            (Mismatch
+               (Printf.sprintf
+                  "summary key: %s: summaries (%d, %d) and (%d, %d) share \
+                   key %d but their exec vectors differ"
+                  label ms0 mf0 ms mf key)) in
+    let jobs = js.Jobset.jobs in
+    let dropped =
+      List.filter (fun (w : Job.t) -> w.Job.in_dropped_set)
+        (Array.to_list jobs) in
+    let rng = Prng.create (Array.length jobs) in
+    let any_job () = jobs.(Prng.int rng (Array.length jobs)) in
+    let any_ms () = nb.((any_job ()).Job.id).Bounds.min_start in
+    let any_mf () = nb.((any_job ()).Job.id).Bounds.max_finish in
+    match
+      Array.iter
+        (fun (w : Job.t) ->
+          let b = nb.(w.Job.id) in
+          probe b.Bounds.min_start b.Bounds.max_finish;
+          let mf = any_mf () in
+          probe b.Bounds.max_finish mf;
+          probe (b.Bounds.max_finish + 1) mf)
+        jobs;
+      List.iter
+        (fun (w : Job.t) ->
+          let s = nb.(w.Job.id).Bounds.min_start in
+          List.iter
+            (fun ms ->
+              probe ms (s - 1);
+              probe ms s)
+            [ 0; any_ms () ])
+        dropped;
+      for k = 1 to (js.Jobset.hyperperiod / base) + 1 do
+        let mf = any_mf () in
+        probe ((k * base) - 1) mf;
+        probe (k * base) mf
+      done
+    with
+    | () -> Ok (!checked, !shared)
+    | exception Mismatch msg -> Error msg
+  end
+
+(* The probes of one system, summed: (probes made, probes whose key an
+   earlier, different summary already had). *)
+let summary_key_probes (sys : Gen.system) =
+  let arch = sys.Gen.arch and apps = sys.Gen.apps in
+  let all_dropped =
+    List.fold_left
+      (fun plan g -> Plan.with_dropped plan ~graph:g true)
+      sys.Gen.plan (Appset.droppable_graphs apps) in
+  List.fold_left
+    (fun acc (name, plan) ->
+      let happ = Happ.build arch apps plan in
+      List.fold_left
+        (fun acc hyperperiods ->
+          let* checked, shared = acc in
+          let* c, s =
+            summary_key_jobset
+              (Printf.sprintf "%s, %d hyperperiods" name hyperperiods)
+              (Jobset.build ~hyperperiods happ) in
+          Ok (checked + c, shared + s))
+        acc [ 1; 2 ])
+    (Ok (0, 0))
+    [ ("as planned", sys.Gen.plan); ("all dropped", all_dropped) ]
+
+let check_summary_key sys = Result.map ignore (summary_key_probes sys)
 
 (* ------------------------------------------------------------------ *)
 (* (k) Interconnect backends: a bus and its degenerate mesh are the
@@ -1079,7 +1255,9 @@ let flat_agreement =
        every iteration cap, on every trigger scenario, under horizon \
        truncation, in the Algorithm 1 and Naive reports (Algorithm 1 \
        also against the unshared per-trigger fold), and at \
-       evaluation level along mutation chains";
+       evaluation level along mutation chains; on both engines the \
+       reducing entry equals analyze's max_finish and convergence at \
+       every cap, on the system and along the chain";
     check = check_flat_agreement }
 
 let bus_noc_equivalence =
@@ -1091,10 +1269,19 @@ let bus_noc_equivalence =
        and the flat engine";
     check = check_bus_noc_equivalence }
 
+let summary_key =
+  { name = "summary-key";
+    doc =
+      "external-trigger summaries with equal Wcrt.summary_key give equal \
+       exec vectors, probed one tick either side of every threshold the \
+       vector reads, as planned and with every droppable graph dropped, \
+       over one and two hyperperiods";
+    check = check_summary_key }
+
 let all =
   [ soundness; reliability_agreement; campaign_agreement;
     hardening_monotonic; wcet_monotonic; dropping_improves; pareto_front;
     lint_soundness; evaluator_agreement; flat_agreement;
-    bus_noc_equivalence ]
+    bus_noc_equivalence; summary_key ]
 
 let find name = List.find_opt (fun o -> o.name = name) all

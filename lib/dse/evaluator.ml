@@ -147,37 +147,34 @@ type sched_info = {
   ok : bool;  (* every required verdict meets its deadline *)
 }
 
-(* One trigger scenario's result over a component's graphs. *)
-type outcome = {
-  o_diverged : bool;
-  o_verdicts : Verdict.t array;  (* aligned with [ce_graphs] *)
-}
-
 (* Memoised analysis of one processor-connected component: the restricted
-   jobset's normal-state fixed point, one scenario outcome per internal
-   trigger (triggers with equal exec vectors share one fixpoint, see
+   jobset's normal-state fixed point, the verdicts of every internal
+   trigger's scenario (triggers with equal exec vectors share one
+   fixpoint, and a diverged one ends the walk, see
    {!Wcrt.trigger_scenarios}), and a lazily-grown table of external-trigger
    scenarios. A remote fault is visible here only through the trigger's
-   (min_start, max_finish) summary (see {!Wcrt.external_scenario}); the
+   (min_start, max_finish) summary (see {!Wcrt.external_scenario_into}); the
    table is keyed by {!Wcrt.summary_key}, which maps summaries that give
-   the same scenario to one key. *)
+   the same scenario to one key. A scenario's verdicts are aligned with
+   [ce_graphs]; [None] marks a diverged external scenario. *)
 type centry = {
-  ce_solve_external : min_start:int -> max_finish:int -> Bounds.result;
-      (* [Wcrt.external_scenario] on this component's engine context *)
+  ce_solve_external :
+    min_start:int -> max_finish:int -> Verdict.t array option;
+      (* [Wcrt.external_scenario_into] on this component's engine
+         context, reduced to verdicts over the graphs' response jobs
+         (looked up once per entry, so each outcome is a max-fold) *)
   ce_graphs : int array;  (* ascending source graph indices *)
-  ce_response : Job.t array array;
-      (* per graph: its sink-task response jobs — static per restricted
-         jobset, cached so each scenario outcome is a max-fold rather
-         than a sink recomputation and jobset scan per graph *)
   ce_normal : Bounds.result;
   ce_normal_verdicts : Verdict.t array;
-  ce_triggers : Job.t array;
   ce_summaries : (int * int) array;  (* per trigger: (min_start, max_finish) *)
-  ce_internal : outcome array;
+  ce_internal : Verdict.t array Wcrt.scenarios;
       (* per trigger, physically shared between triggers with equal exec
-         vectors; empty if normal diverged *)
+         vectors; [Solved [||]] if normal diverged. [Diverged] poisons
+         every plan the component is part of: that trigger's full
+         scenario diverges. *)
   ce_index : Wcrt.summary_index;
-  ce_external : (int, outcome) Hashtbl.t;  (* keyed by [Wcrt.summary_key] *)
+  ce_external : (int, Verdict.t array option) Hashtbl.t;
+      (* keyed by [Wcrt.summary_key] *)
 }
 
 type stats = {
@@ -190,6 +187,7 @@ type stats = {
   external_scenarios : int;
   fixpoints : int;
   scenarios_shared : int;
+  scenarios_absorbed : int;
   evictions : int;
 }
 
@@ -229,6 +227,7 @@ type t = {
   mutable n_external : int;
   mutable n_fixpoints : int;
   mutable n_shared : int;
+  mutable n_absorbed : int;
   mutable last_ok : bool option;
       (* previous eval's schedulable bit, for verdict-flip events *)
 }
@@ -286,7 +285,7 @@ let create ?(cache_capacity = 4096) ?(component_capacity = 64)
     rates = Lru.create ~capacity:(4 * (cache_capacity + 1)) ();
     n_hits = 0; n_misses = 0; n_sched_hits = 0; n_sched_misses = 0;
     n_component_hits = 0; n_component_misses = 0; n_external = 0;
-    n_fixpoints = 0; n_shared = 0; last_ok = None }
+    n_fixpoints = 0; n_shared = 0; n_absorbed = 0; last_ok = None }
 
 (* Cache-tier attribution: one labelled counter family per tier
    ("evaluator.<tier>~hit|miss|evict|collision"), and — when the flight
@@ -459,33 +458,12 @@ let response_jobs_for rjs graphs =
     (fun g -> Array.of_list (Jobset.response_jobs rjs ~graph:g))
     graphs
 
-(* [Bounds.graph_wcrt] over the precomputed response jobs: the same
-   max-fold on the same jobs, minus the per-call sink lookup. *)
-let per_graph_outcome response res =
-  { o_diverged = not res.Bounds.converged;
-    o_verdicts =
-      Array.map
-        (fun jobs ->
-          Verdict.of_option
-            (if not res.Bounds.converged then None
-             else begin
-               let worst = ref 0 in
-               Array.iter
-                 (fun (j : Job.t) ->
-                   let finish =
-                     res.Bounds.bounds.(j.Job.id).Bounds.max_finish in
-                   worst := max !worst (Job.response j ~finish))
-                 jobs;
-               Some !worst
-             end))
-        response }
-
 (* A fresh component entry: [Wcrt.normal] and [Wcrt.trigger_scenarios]
    on the session's engine, both engines behind one signature
    (they agree field for field — the [flat-agreement] oracle enforces
    it — so the engine changes wall-clock only, never results). Also
-   returns the fixpoints solved and the trigger scenarios that reused
-   one. *)
+   returns the fixpoints solved, the trigger scenarios that reused one,
+   and the triggers left unsolved after a diverged one. *)
 let solve_component (type c) (engine : c Wcrt.engine) t rjs graphs =
   let (module E) = engine in
   let max_iterations = t.max_iterations in
@@ -496,16 +474,29 @@ let solve_component (type c) (engine : c Wcrt.engine) t rjs graphs =
   let internal, fixpoints =
     if normal.Bounds.converged then
       Wcrt.trigger_scenarios engine ~max_iterations ctx ~normal
-        (per_graph_outcome response)
-    else ([||], 0) in
+        (Wcrt.graph_verdicts response)
+    else (Wcrt.Solved [||], 0) in
+  let walked, absorbed =
+    match internal with
+    | Wcrt.Solved outcomes -> (Array.length outcomes, 0)
+    | Wcrt.Diverged i -> (i + 1, Array.length triggers - i - 1) in
+  let n = Jobset.n_jobs rjs in
   let entry =
     { ce_solve_external =
         (fun ~min_start ~max_finish ->
-          Wcrt.external_scenario engine ~max_iterations ctx ~normal
-            ~min_start ~max_finish);
-      ce_graphs = graphs; ce_response = response; ce_normal = normal;
-      ce_normal_verdicts = (per_graph_outcome response normal).o_verdicts;
-      ce_triggers = triggers;
+          let finishes = Array.make n 0 in
+          if
+            Wcrt.external_scenario_into engine ~max_iterations ctx ~normal
+              ~min_start ~max_finish finishes
+          then Some (Wcrt.graph_verdicts response finishes)
+          else None);
+      ce_graphs = graphs; ce_normal = normal;
+      (* read only when every component's normal state converged *)
+      ce_normal_verdicts =
+        Wcrt.graph_verdicts response
+          (Array.map
+             (fun (b : Bounds.job_bounds) -> b.Bounds.max_finish)
+             normal.Bounds.bounds);
       ce_summaries =
         Array.map
           (fun (v : Job.t) ->
@@ -515,7 +506,7 @@ let solve_component (type c) (engine : c Wcrt.engine) t rjs graphs =
       ce_internal = internal;
       ce_index = Wcrt.summary_index rjs normal;
       ce_external = Hashtbl.create 16 } in
-  (entry, 1 + fixpoints, Array.length internal - fixpoints)
+  (entry, 1 + fixpoints, walked - fixpoints, absorbed)
 
 let centry_for t js graphs =
   let rjs = Jobset.restrict js ~graphs in
@@ -531,16 +522,19 @@ let centry_for t js graphs =
     entry
   | None ->
     tier_event "evaluator.component" Flight.Cache_miss "resolve";
-    let entry, fixpoints, shared =
+    let entry, fixpoints, shared, absorbed =
       match t.engine with
       | Reference -> solve_component (module Bounds) t rjs graphs
       | Flat -> solve_component (module Flat) t rjs graphs in
-    if Obs.enabled () then
+    if Obs.enabled () then begin
       Obs.incr ~by:shared "evaluator.scenarios_shared";
+      Obs.incr ~by:absorbed "evaluator.scenarios_absorbed"
+    end;
     with_lock t (fun () ->
         t.n_component_misses <- t.n_component_misses + 1;
         t.n_fixpoints <- t.n_fixpoints + fixpoints;
         t.n_shared <- t.n_shared + shared;
+        t.n_absorbed <- t.n_absorbed + absorbed;
         tier_add "evaluator.component" t.components key entry);
     entry
 
@@ -553,9 +547,7 @@ let external_outcome t entry (ms, mf) =
   match with_lock t (fun () -> Hashtbl.find_opt entry.ce_external key) with
   | Some o -> o
   | None ->
-    let o =
-      per_graph_outcome entry.ce_response
-        (entry.ce_solve_external ~min_start:ms ~max_finish:mf) in
+    let o = entry.ce_solve_external ~min_start:ms ~max_finish:mf in
     if Obs.enabled () then Obs.incr "evaluator.external_scenarios";
     with_lock t (fun () ->
         t.n_external <- t.n_external + 1;
@@ -570,7 +562,11 @@ let external_outcome t entry (ms, mf) =
    job order, same horizon, same iteration cap), a remote trigger acts
    on a component only through its (min_start, max_finish) summary, and
    divergence anywhere must poison the whole scenario exactly as the
-   full analysis's [converged = false] does. *)
+   full analysis's [converged = false] does. A poisoned scenario decides
+   every verdict ([Unbounded] absorbs under [Verdict.max]; dropped-set
+   graphs keep their normal verdicts), so the first one ends the walk:
+   a component entry whose internal walk diverged, or the first diverged
+   external scenario. *)
 let compute_sched t (happ : Happ.t) =
   let js = Jobset.build happ in
   let comps = components_of t happ in
@@ -585,43 +581,65 @@ let compute_sched t (happ : Happ.t) =
        unbounded and no trigger scenario is examined. *)
     { required; ok = false }
   else begin
-    let position = Array.make t.n_graphs (-1, -1) in
-    Array.iteri
-      (fun ci entry ->
+    Array.iter
+      (fun entry ->
         Array.iteri
-          (fun k g ->
-            position.(g) <- (ci, k);
-            required.(g) <- entry.ce_normal_verdicts.(k))
+          (fun k g -> required.(g) <- entry.ce_normal_verdicts.(k))
           entry.ce_graphs)
       entries;
-    Array.iteri
-      (fun ci entry ->
+    let fold verdicts entry =
+      Array.iteri
+        (fun k g ->
+          (* Dropped-set graphs owe their deadline only in the normal
+             state (cf. [Wcrt.analyze]). *)
+          if not (Happ.graph_in_dropped_set happ g) then
+            required.(g) <- Verdict.max required.(g) verdicts.(k))
+        entry.ce_graphs in
+    let triggers =
+      Array.fold_left (fun n e -> n + Array.length e.ce_summaries) 0 entries
+    in
+    (* [Some walked] when a diverged scenario decided the verdicts after
+       [walked] triggers (the deciding one included), [None] when every
+       trigger was folded. *)
+    let decided =
+      let exception Decided of int in
+      try
+        let internals =
+          Array.map
+            (fun e ->
+              match e.ce_internal with
+              | Wcrt.Solved outcomes -> outcomes
+              | Wcrt.Diverged _ -> raise_notrace (Decided 0))
+            entries in
+        let walked = ref 0 in
         Array.iteri
-          (fun ti _v ->
-            let summary = entry.ce_summaries.(ti) in
-            let outcomes =
-              Array.mapi
-                (fun cj other ->
-                  if cj = ci then entry.ce_internal.(ti)
-                  else external_outcome t other summary)
-                entries in
-            let diverged =
-              Array.exists (fun o -> o.o_diverged) outcomes in
-            for g = 0 to t.n_graphs - 1 do
-              (* Dropped-set graphs owe their deadline only in the
-                 normal state (cf. [Wcrt.analyze]). *)
-              if not (Happ.graph_in_dropped_set happ g) then begin
-                let contribution =
-                  if diverged then Verdict.Unbounded
-                  else begin
-                    let cj, k = position.(g) in
-                    outcomes.(cj).o_verdicts.(k)
-                  end in
-                required.(g) <- Verdict.max required.(g) contribution
-              end
-            done)
-          entry.ce_triggers)
-      entries;
+          (fun ci entry ->
+            Array.iteri
+              (fun ti summary ->
+                incr walked;
+                Array.iteri
+                  (fun cj other ->
+                    if cj = ci then fold internals.(ci).(ti) entry
+                    else
+                      match external_outcome t other summary with
+                      | Some verdicts -> fold verdicts other
+                      | None -> raise_notrace (Decided !walked))
+                  entries)
+              entry.ce_summaries)
+          entries;
+        None
+      with Decided walked -> Some walked in
+    (match decided with
+     | None -> ()
+     | Some walked ->
+       for g = 0 to t.n_graphs - 1 do
+         if not (Happ.graph_in_dropped_set happ g) then
+           required.(g) <- Verdict.Unbounded
+       done;
+       let absorbed = triggers - walked in
+       if Obs.enabled () then
+         Obs.incr ~by:absorbed "evaluator.scenarios_absorbed";
+       with_lock t (fun () -> t.n_absorbed <- t.n_absorbed + absorbed));
     let ok = ref true in
     Array.iteri
       (fun g verdict ->
@@ -775,6 +793,7 @@ let stats t =
         component_misses = t.n_component_misses;
         external_scenarios = t.n_external;
         fixpoints = t.n_fixpoints; scenarios_shared = t.n_shared;
+        scenarios_absorbed = t.n_absorbed;
         evictions =
           Lru.evictions t.results + Lru.evictions t.sched
           + Lru.evictions t.components + Lru.evictions t.rows
@@ -784,11 +803,12 @@ let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>evaluator: %d hits / %d misses (%.1f%% hit rate)@,\
      sched: %d hits / %d misses; components: %d hits / %d misses@,\
-     external scenarios: %d; fixpoints: %d (%d scenarios shared); \
-     evictions: %d@]"
+     external scenarios: %d; fixpoints: %d (%d scenarios shared, %d \
+     absorbed by a divergence); evictions: %d@]"
     s.hits s.misses
     (100.
      *. float_of_int s.hits
      /. float_of_int (max 1 (s.hits + s.misses)))
     s.sched_hits s.sched_misses s.component_hits s.component_misses
-    s.external_scenarios s.fixpoints s.scenarios_shared s.evictions
+    s.external_scenarios s.fixpoints s.scenarios_shared s.scenarios_absorbed
+    s.evictions

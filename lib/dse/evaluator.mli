@@ -18,7 +18,10 @@
       one fixpoint, and triggers in other components are summarised by
       their (min_start, max_finish) pair and memoised per component on
       [Wcrt.summary_key], which maps summaries giving the same scenario
-      to one key.
+      to one key;
+    - a diverged trigger scenario decides every verdict, so the first
+      one (inside a component, or among a plan's external scenarios)
+      ends the scenario walk.
 
     Every cached path reproduces [Evaluate.evaluate] {e exactly} — field
     for field, bit for bit on floats — which the [evaluator-agreement]
@@ -124,6 +127,12 @@ type stats = {
       (** internal trigger scenarios answered by an equal exec vector's
           fixpoint instead of a new one; scenarios walked =
           [fixpoints + scenarios_shared] *)
+  scenarios_absorbed : int;
+      (** trigger scenarios left unsolved because a diverged scenario
+          had already decided every verdict: internal triggers after a
+          component's first diverged one, and, per plan reassembled,
+          the triggers not walked after a component poisoned by such a
+          divergence or after the first diverged external scenario *)
   evictions : int;  (** total LRU evictions over all session caches *)
 }
 
@@ -132,7 +141,8 @@ val stats : t -> stats
     {!Mcmap_obs.Obs} counters ([evaluator.hits], [evaluator.misses],
     [evaluator.sched_hits], [evaluator.sched_misses],
     [evaluator.component_hits], [evaluator.component_misses],
-    [evaluator.external_scenarios], [evaluator.scenarios_shared]) and
+    [evaluator.external_scenarios], [evaluator.scenarios_shared],
+    [evaluator.scenarios_absorbed]) and
     spans ([evaluator.eval],
     [evaluator.eval_population]) when the recorder is enabled. *)
 

@@ -248,6 +248,18 @@ let analyze ?(max_iterations = default_max_iterations) ctx ~exec =
           max_start = max_ready.(j); max_finish = max_finish.(j) }) in
   { bounds; converged = !converged && not !overflow }
 
+let analyze_into ?max_iterations ctx ~exec ~max_finish =
+  let n = Jobset.n_jobs ctx.js in
+  if Array.length exec < 2 * n then
+    invalid_arg "Bounds.analyze_into: exec vector shorter than 2 * jobs";
+  if Array.length max_finish < n then
+    invalid_arg "Bounds.analyze_into: max_finish shorter than the jobset";
+  let result =
+    analyze ?max_iterations ctx ~exec:(fun (j : Job.t) ->
+        (exec.(2 * j.Job.id), exec.((2 * j.Job.id) + 1))) in
+  Array.iteri (fun j b -> max_finish.(j) <- b.max_finish) result.bounds;
+  result.converged
+
 let graph_wcrt js result ~graph =
   if not result.converged then None
   else begin

@@ -65,6 +65,21 @@ val analyze :
     @raise Invalid_argument if some [bcet' > wcet'] or a bound is
     negative. *)
 
+val analyze_into :
+  ?max_iterations:int ->
+  ctx ->
+  exec:int array ->
+  max_finish:int array ->
+  bool
+(** The reducing entry of [Fixpoint.ENGINE], served through {!analyze}:
+    the fixed point under the interleaved [(bcet', wcet')] vector
+    [exec], its per-job [max_finish] copied into [max_finish] and its
+    [converged] flag returned. It stays a projection of the
+    materialising path so that the reference remains independent of
+    the flat kernel.
+    @raise Invalid_argument as {!analyze}, or if [exec] has fewer than
+    [2 * n] entries or [max_finish] fewer than [n]. *)
+
 val nominal_exec : Job.t -> int * int
 (** The normal-state bounds of §3: passive spares are silent ([0, 0]);
     every other job keeps its nominal [(bcet, wcet)]. *)

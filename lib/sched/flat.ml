@@ -27,6 +27,7 @@ type ctx = {
      overlap) — and it does so over [cand ∧ ¬paid] word-wise, so jobs
      whose burst is already paid cost nothing to skip. *)
   cand_mask : Bitset.t array;
+  words : int;  (* words per [cand_mask] row, and per arena charged row *)
   (* Blocking candidates: same-processor, non-related jobs of strictly
      lower priority on non-preemptive processors (always empty on
      preemptive ones). *)
@@ -60,8 +61,15 @@ type arena = {
   mutable a_min_finish : int array;
   mutable a_max_ready : int array;
   mutable a_max_finish : int array;
-  mutable charged : Bitset.t array;
-  mutable paid : Bitset.t;
+  (* Charged-interferer sets as raw bitset words ({!Bitset}'s layout):
+     row [j] of an analysis of [n] jobs is [charged.(j * w) ..
+     charged.(j * w + w - 1)] with [w] the context's [words], and [paid]
+     is the working row. The sweep handles them with inline word loops
+     rather than {!Bitset} calls: each row is a handful of words, and a
+     cross-module call with a capacity check (a C call for [blit] and
+     [clear]) per row operation dominated the per-job cost. *)
+  mutable charged : int array;
+  mutable paid : int array;
   (* Dirty flags for the delta sweeps (see [analyze]). *)
   mutable dirty : Bytes.t;
   (* Per-processor job slices sorted by [min_start], rebuilt each
@@ -73,7 +81,7 @@ let arena_key =
   Domain.DLS.new_key (fun () ->
       { cap = 0; bc = [||]; wc = [||]; a_min_start = [||];
         a_min_finish = [||]; a_max_ready = [||]; a_max_finish = [||];
-        charged = [||]; paid = Bitset.create 0; dirty = Bytes.empty;
+        charged = [||]; paid = [||]; dirty = Bytes.empty;
         sorted = [||] })
 
 let arena_for n =
@@ -93,8 +101,11 @@ let arena_for n =
     a.a_min_finish <- Array.make n 0;
     a.a_max_ready <- Array.make n 0;
     a.a_max_finish <- Array.make n 0;
-    a.charged <- Array.init n (fun _ -> Bitset.create n);
-    a.paid <- Bitset.create n;
+    (* Words per row grow with the job count, so [n] rows of [n]-job
+       words bound the rows of any smaller analysis too. *)
+    let words = Array.length (Bitset.words (Bitset.create n)) in
+    a.charged <- Array.make (n * words) 0;
+    a.paid <- Array.make words 0;
     a.dirty <- Bytes.make n '\000';
     a.sorted <- Array.make n 0
   end;
@@ -219,25 +230,22 @@ let make ?horizon js =
       (fun i k -> proc_jobs.(proc_off.(p) + i) <- k)
       js.Jobset.by_proc.(p)
   done;
+  let words = Array.length (Bitset.words (Bitset.create n)) in
   { js; n; horizon; release; topo = js.Jobset.topo;
-    pred_off; pred_job; pred_delay; cand_mask; block_off;
+    pred_off; pred_job; pred_delay; cand_mask; words; block_off;
     block_job; succ_off; succ_job; proc_of; proc_off; proc_jobs }
 
 let jobset ctx = ctx.js
 
 (* ------------------------------------------------------------------ *)
-(* The fixed point. Mirrors [Bounds.analyze] sweep for sweep; scalar
-   accumulators are hoisted refs and all indices are in-bounds by
-   construction, so the loop body performs no allocation and no
-   redundant checks. *)
+(* The fixed point, in two steps: a fill step writes the scenario's
+   execution bounds into the arena ([fill_hook] from a per-job hook,
+   [fill_vector] from an interleaved vector), then [sweep] — shared by
+   both entries, so they cannot drift apart — runs the fixed point on
+   the arena and leaves every per-job bound there. *)
 
-let analyze ?(max_iterations = Bounds.default_max_iterations) ctx ~exec =
-  let n = ctx.n in
-  let a = arena_for n in
+let fill_hook ctx a exec =
   let bc = a.bc and wc = a.wc in
-  let min_start = a.a_min_start and min_finish = a.a_min_finish in
-  let max_ready = a.a_max_ready and max_finish = a.a_max_finish in
-  let charged = a.charged and paid = a.paid in
   Array.iter
     (fun (j : Job.t) ->
       let b, w = exec j in
@@ -245,14 +253,38 @@ let analyze ?(max_iterations = Bounds.default_max_iterations) ctx ~exec =
         invalid_arg "Flat.analyze: invalid execution bounds";
       bc.(j.Job.id) <- b;
       wc.(j.Job.id) <- w)
-    ctx.js.Jobset.jobs;
+    ctx.js.Jobset.jobs
+
+let fill_vector ctx a (exec : int array) =
+  if Array.length exec < 2 * ctx.n then
+    invalid_arg "Flat.analyze_into: exec vector shorter than 2 * jobs";
+  let bc = a.bc and wc = a.wc in
+  for j = 0 to ctx.n - 1 do
+    let b = Array.unsafe_get exec (2 * j)
+    and w = Array.unsafe_get exec ((2 * j) + 1) in
+    if b < 0 || b > w then
+      invalid_arg "Flat.analyze_into: invalid execution bounds";
+    Array.unsafe_set bc j b;
+    Array.unsafe_set wc j w
+  done
+
+(* Mirrors [Bounds.analyze] sweep for sweep; scalar accumulators are
+   hoisted refs and all indices are in-bounds by construction, so the
+   body performs no allocation and no redundant checks. Returns the
+   [converged] flag. *)
+let sweep ~max_iterations ctx a =
+  let n = ctx.n in
+  let bc = a.bc and wc = a.wc in
+  let min_start = a.a_min_start and min_finish = a.a_min_finish in
+  let max_ready = a.a_max_ready and max_finish = a.a_max_finish in
+  let charged = a.charged and paid = a.paid in
+  let nw = ctx.words in
   let topo = ctx.topo in
   let release = ctx.release in
   let pred_off = ctx.pred_off
   and pred_job = ctx.pred_job
   and pred_delay = ctx.pred_delay in
   let cand_mask = ctx.cand_mask in
-  let paid_words = Bitset.words paid in
   let block_off = ctx.block_off and block_job = ctx.block_job in
   (* Best case: interference-free forward pass; silent predecessors
      (wcet' = 0) contribute no data (cf. the reference). *)
@@ -287,9 +319,7 @@ let analyze ?(max_iterations = Bounds.default_max_iterations) ctx ~exec =
      row is rewritten before any successor reads it, in topological
      order), but a cleared arena keeps the engine's state independent of
      analysis history — cheap insurance for exactness. *)
-  for j = 0 to n - 1 do
-    Bitset.clear charged.(j)
-  done;
+  Array.fill charged 0 (n * nw) 0;
   (* Sort each processor's job slice by [min_start] (fixed for the rest
      of this analysis) so finish-growth wake-ups can binary-search the
      affected peers. Insertion sort: the [by_proc] rows arrive roughly
@@ -392,11 +422,23 @@ let analyze ?(max_iterations = Bounds.default_max_iterations) ctx ~exec =
         end
       done;
       let ready = if rel_j > !data_ready then rel_j else !data_ready in
-      if !guaranteed < rel_j || e0 = e1 then Bitset.clear paid
+      (* [paid] <- the intersection of the predecessors' charged rows
+         (or the empty set on a busy-chain restart), word by word. *)
+      if !guaranteed < rel_j || e0 = e1 then
+        for w = 0 to nw - 1 do
+          Array.unsafe_set paid w 0
+        done
       else begin
-        Bitset.blit ~src:charged.(Array.unsafe_get pred_job e0) ~dst:paid;
+        let row = Array.unsafe_get pred_job e0 * nw in
+        for w = 0 to nw - 1 do
+          Array.unsafe_set paid w (Array.unsafe_get charged (row + w))
+        done;
         for e = e0 + 1 to e1 - 1 do
-          Bitset.inter_into ~dst:paid charged.(Array.unsafe_get pred_job e)
+          let row = Array.unsafe_get pred_job e * nw in
+          for w = 0 to nw - 1 do
+            Array.unsafe_set paid w
+              (Array.unsafe_get paid w land Array.unsafe_get charged (row + w))
+          done
         done
       end;
       interference := 0;
@@ -405,18 +447,16 @@ let analyze ?(max_iterations = Bounds.default_max_iterations) ctx ~exec =
       let ms_j = Array.unsafe_get min_start j in
       (* Unpaid candidates only: walk the set bits of [cand ∧ ¬paid]
          word by word. Each word is snapshotted before its bits are
-         visited, so the [Bitset.unsafe_add] below (which touches the
-         word already snapshotted, never a later one in this walk of
-         distinct indices) cannot disturb the iteration. As the fixed
-         point progresses, [paid] rows fill up and this walk shrinks,
-         whereas the reference rescans its full candidate list every
-         sweep. *)
+         visited, so setting a bit of [paid] below (in the word already
+         snapshotted, never a later one) cannot disturb the iteration.
+         As the fixed point progresses, [paid] rows fill up and this
+         walk shrinks, whereas the reference rescans its full candidate
+         list every sweep. *)
       let cm = Bitset.words (Array.unsafe_get cand_mask j) in
       if rec_on then n_cand_words := !n_cand_words + Array.length cm;
       for wi = 0 to Array.length cm - 1 do
         let x =
-          ref (Array.unsafe_get cm wi
-               land lnot (Array.unsafe_get paid_words wi)) in
+          ref (Array.unsafe_get cm wi land lnot (Array.unsafe_get paid wi)) in
         if !x <> 0 then begin
           let base = wi * 63 in
           let bit = ref 0 in
@@ -436,7 +476,8 @@ let analyze ?(max_iterations = Bounds.default_max_iterations) ctx ~exec =
                && Array.unsafe_get min_start k < mf_j
                && ms_j < Array.unsafe_get max_finish k then begin
               interference := !interference + w;
-              Bitset.unsafe_add paid k
+              Array.unsafe_set paid wi
+                (Array.unsafe_get paid wi lor (1 lsl !bit))
             end;
             x := !x lsr 1;
             incr bit
@@ -452,8 +493,18 @@ let analyze ?(max_iterations = Bounds.default_max_iterations) ctx ~exec =
            && ms_j < Array.unsafe_get max_finish k then
           blocking := w
       done;
-      let charged_changed = not (Bitset.equal paid charged.(j)) in
-      if charged_changed then Bitset.blit ~src:paid ~dst:charged.(j);
+      (* [paid] now holds this job's charged set: compare it with the
+         stored row and copy it over in one pass. *)
+      let charged_changed = ref false in
+      let row = j * nw in
+      for w = 0 to nw - 1 do
+        let v = Array.unsafe_get paid w in
+        if Array.unsafe_get charged (row + w) <> v then begin
+          Array.unsafe_set charged (row + w) v;
+          charged_changed := true
+        end
+      done;
+      let charged_changed = !charged_changed in
       let start = ready + !interference + !blocking in
       let finish = start + Array.unsafe_get wc j in
       let finish_changed = finish > mf_j in
@@ -517,8 +568,27 @@ let analyze ?(max_iterations = Bounds.default_max_iterations) ctx ~exec =
     Obs.incr ~by:!n_cand_words "flat.cand_words_scanned";
     if not (!converged && not !overflow) then Obs.incr "flat.diverged"
   end;
+  !converged && not !overflow
+
+let analyze ?(max_iterations = Bounds.default_max_iterations) ctx ~exec =
+  let n = ctx.n in
+  let a = arena_for n in
+  fill_hook ctx a exec;
+  let converged = sweep ~max_iterations ctx a in
   let bounds =
     Array.init n (fun j ->
-        { Bounds.min_start = min_start.(j); min_finish = min_finish.(j);
-          max_start = max_ready.(j); max_finish = max_finish.(j) }) in
-  { Bounds.bounds; converged = !converged && not !overflow }
+        { Bounds.min_start = a.a_min_start.(j);
+          min_finish = a.a_min_finish.(j); max_start = a.a_max_ready.(j);
+          max_finish = a.a_max_finish.(j) }) in
+  { Bounds.bounds; converged }
+
+let analyze_into ?(max_iterations = Bounds.default_max_iterations) ctx
+    ~exec ~max_finish =
+  let n = ctx.n in
+  if Array.length max_finish < n then
+    invalid_arg "Flat.analyze_into: max_finish shorter than the jobset";
+  let a = arena_for n in
+  fill_vector ctx a exec;
+  let converged = sweep ~max_iterations ctx a in
+  Array.blit a.a_max_finish 0 max_finish 0 n;
+  converged

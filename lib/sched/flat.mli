@@ -15,9 +15,9 @@
       processors, the lower-priority blocking candidates) are
       precomputed, so the sweep never re-tests precedence relatedness
       or priorities;
-    - charged-interferer sets are {!Mcmap_util.Bitset} values held in a
-      per-domain scratch arena that is reused across evaluations — the
-      fixed-point iteration allocates nothing.
+    - charged-interferer sets are rows of bitset words in a per-domain
+      scratch arena that is reused across evaluations, handled with
+      inline word loops — the fixed-point iteration allocates nothing.
 
     The contract is exact agreement: for every jobset, [exec] hook,
     [?horizon] and [?max_iterations], {!analyze} returns a
@@ -47,6 +47,18 @@ val analyze :
     Default iteration cap: {!Bounds.default_max_iterations}.
     @raise Invalid_argument if some [bcet' > wcet'] or a bound is
     negative. *)
+
+val analyze_into :
+  ?max_iterations:int ->
+  ctx ->
+  exec:int array ->
+  max_finish:int array ->
+  bool
+(** The reducing entry of {!Fixpoint.ENGINE}: the fixed point of
+    {!analyze} on the interleaved [(bcet', wcet')] vector [exec], with
+    each job's worst finish copied from the arena into [max_finish] and
+    [converged] returned. Shares its sweep with {!analyze}, and
+    allocates nothing once the arena has grown to the jobset. *)
 
 val scratch_capacity : unit -> int
 (** Capacity (in jobs) of the calling domain's scratch arena — 0 before

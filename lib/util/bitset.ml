@@ -26,16 +26,6 @@ let add t i =
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
 
-let unsafe_mem t i =
-  Array.unsafe_get t.words (i / bits_per_word)
-  land (1 lsl (i mod bits_per_word))
-  <> 0
-
-let unsafe_add t i =
-  let w = i / bits_per_word in
-  Array.unsafe_set t.words w
-    (Array.unsafe_get t.words w lor (1 lsl (i mod bits_per_word)))
-
 let remove t i =
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))

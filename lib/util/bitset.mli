@@ -1,10 +1,11 @@
 (** Dense fixed-capacity bitsets over [0 .. capacity - 1], backed by an
     [int array] (63 usable bits per word on 64-bit systems).
 
-    The flat scheduling kernel stores one interferer set per job and
-    mutates them inside its fixed-point loop, so every operation here is
-    allocation-free: sets are created once (in a scratch arena) and
-    cleared / blitted / intersected in place afterwards. Operations that
+    The flat scheduling kernel builds its per-job relatedness and
+    interference-candidate rows with these sets and reads their words
+    ({!words}) in its fixed-point sweep. Every operation here is
+    allocation-free: sets are created once and cleared / blitted /
+    intersected in place afterwards. Operations that
     combine two sets require equal capacities and raise
     [Invalid_argument] otherwise — a capacity mismatch is always a
     caller bug, never data. *)
@@ -29,15 +30,6 @@ val mem : t -> int -> bool
     member candidates [0 <= i < capacity] by construction. *)
 
 val add : t -> int -> unit
-
-val unsafe_mem : t -> int -> bool
-(** {!mem} without the array bounds check. The caller must guarantee
-    [0 <= i < capacity]; reserved for loops whose indices are in range
-    by construction (the flat kernel's candidate sweep). *)
-
-val unsafe_add : t -> int -> unit
-(** {!add} without the array bounds check; same caller obligation as
-    {!unsafe_mem}. *)
 
 val remove : t -> int -> unit
 

@@ -258,8 +258,13 @@ let test_shared_scenarios_exact () =
   check Alcotest.bool "flat report equals the unshared fold" true
     (Wcrt.analyze_with (module Mcmap_sched.Flat) fctx = unshared);
   let normal = Wcrt.normal (module Mcmap_sched.Flat) fctx in
-  let outcomes, fixpoints =
-    Wcrt.trigger_scenarios (module Mcmap_sched.Flat) fctx ~normal Fun.id in
+  let scenarios, fixpoints =
+    Wcrt.trigger_scenarios (module Mcmap_sched.Flat) fctx ~normal
+      Array.copy in
+  let outcomes =
+    match scenarios with
+    | Wcrt.Solved outcomes -> outcomes
+    | Wcrt.Diverged i -> Alcotest.failf "trigger %d diverged" i in
   check Alcotest.int "an outcome per trigger" triggers
     (Array.length outcomes);
   check Alcotest.bool
@@ -268,101 +273,93 @@ let test_shared_scenarios_exact () =
     true (fixpoints < triggers);
   List.iteri
     (fun i v ->
+      let own = Wcrt.trigger_scenario (module Bounds) rctx ~normal v in
       check Alcotest.bool
-        (Printf.sprintf "trigger %d: shared result is its own scenario" i)
+        (Printf.sprintf "trigger %d: its own scenario converged" i)
+        true own.Bounds.converged;
+      check Alcotest.bool
+        (Printf.sprintf "trigger %d: shared finishes are its own scenario's"
+           i)
         true
         (outcomes.(i)
-         = Wcrt.trigger_scenario (module Bounds) rctx ~normal v))
+         = Array.map (fun (b : Bounds.job_bounds) -> b.Bounds.max_finish)
+             own.Bounds.bounds))
     (Jobset.triggers js)
 
+(* A diverged trigger scenario decides the report: [Unbounded] absorbs
+   every later scenario under [Verdict.max]. DT-large's sampler plan of
+   seed 15 diverges at its 14th trigger of 57; the walk must stop there
+   (fewer fixpoints than distinct exec vectors) and still give the
+   literal unshared fold on both engines. *)
+let test_diverged_scenario_absorbs () =
+  let bench = B.Registry.find_exn "dt-large" in
+  let arch = bench.B.Benchmark.arch and apps = bench.B.Benchmark.apps in
+  let plan = B.Sampler.plan ~seed:15 arch apps in
+  let happ = Happ.build arch apps plan in
+  let js = Jobset.build happ in
+  let rctx = Bounds.make js and fctx = Mcmap_sched.Flat.make js in
+  let unshared = Mcmap_check.Oracles.unshared_report rctx in
+  check Alcotest.bool "reference report equals the unshared fold" true
+    (Wcrt.analyze rctx = unshared);
+  check Alcotest.bool "flat report equals the unshared fold" true
+    (Wcrt.analyze_with (module Mcmap_sched.Flat) fctx = unshared);
+  check Alcotest.int "every trigger counts as a scenario"
+    (List.length (Jobset.triggers js)) unshared.Wcrt.scenarios;
+  Array.iteri
+    (fun g required ->
+      let want =
+        if Happ.graph_in_dropped_set happ g then unshared.Wcrt.normal_wcrt.(g)
+        else Verdict.Unbounded in
+      check Alcotest.bool
+        (Printf.sprintf "graph %d: absorbed verdicts" g)
+        true
+        (required = want && unshared.Wcrt.wcrt.(g) = Verdict.Unbounded))
+    unshared.Wcrt.required_wcrt;
+  let normal = Wcrt.normal (module Bounds) rctx in
+  let base = js.Jobset.base_hyperperiod in
+  let distinct = Hashtbl.create 64 in
+  List.iter
+    (fun v ->
+      Hashtbl.replace distinct
+        (Array.map (Wcrt.scenario_exec ~base normal.Bounds.bounds v)
+           js.Jobset.jobs)
+        ())
+    (Jobset.triggers js);
+  let walk engine ctx = Wcrt.trigger_scenarios engine ctx ~normal Array.copy in
+  let diverged label = function
+    | Wcrt.Solved _, _ -> Alcotest.failf "%s: no trigger diverged" label
+    | Wcrt.Diverged i, fixpoints ->
+      let own =
+        Wcrt.trigger_scenario (module Bounds) rctx ~normal
+          (List.nth (Jobset.triggers js) i) in
+      check Alcotest.bool (label ^ ": the stopping trigger diverges") false
+        own.Bounds.converged;
+      check Alcotest.bool
+        (Printf.sprintf "%s: fewer fixpoints (%d) than distinct vectors (%d)"
+           label fixpoints (Hashtbl.length distinct))
+        true
+        (fixpoints < Hashtbl.length distinct);
+      (i, fixpoints) in
+  check
+    Alcotest.(pair int int)
+    "both engines stop at the same trigger after the same fixpoints"
+    (diverged "reference" (walk (module Bounds) rctx))
+    (diverged "flat" (walk (module Mcmap_sched.Flat) fctx))
+
 (* [Wcrt.summary_key] is exact: summaries with equal keys give equal
-   external exec vectors. Probes come in pairs one tick apart across
-   each threshold the vector reads — a job's normal finish (against
-   min_start), a dropped-set job's normal start (against max_finish),
-   a hyperperiod boundary (the earliest restore) — so a key that missed
-   one of the three sets would join two probes whose vectors differ.
-   Random systems, as planned and with every droppable graph dropped,
-   over one and two hyperperiods (releases past the first boundary make
-   the restore set matter). *)
+   external exec vectors. The probes are the [summary-key] check
+   oracle's (one tick either side of every threshold the vector reads);
+   over these systems some distinct summaries must actually share a
+   key, or the probes would test nothing. *)
 let test_summary_key_exact () =
-  let module Job = Mcmap_sched.Job in
-  let module Prng = Mcmap_util.Prng in
   let checked = ref 0 and shared = ref 0 in
-  let check_jobset label js =
-    let normal =
-      Bounds.analyze (Bounds.make js) ~exec:Bounds.nominal_exec in
-    if normal.Bounds.converged then begin
-      let nb = normal.Bounds.bounds in
-      let base = js.Jobset.base_hyperperiod in
-      let index = Wcrt.summary_index js normal in
-      let seen = Hashtbl.create 64 in
-      let probe ms mf =
-        let ms = max 0 ms and mf = max 0 mf in
-        let vector =
-          Array.map
-            (Wcrt.external_exec ~base ~min_start:ms ~max_finish:mf nb)
-            js.Jobset.jobs in
-        let key = Wcrt.summary_key index ~min_start:ms ~max_finish:mf in
-        incr checked;
-        match Hashtbl.find_opt seen key with
-        | None -> Hashtbl.add seen key (ms, mf, vector)
-        | Some (ms0, mf0, v0) ->
-          if (ms0, mf0) <> (ms, mf) then incr shared;
-          if v0 <> vector then
-            Alcotest.failf
-              "%s: summaries (%d, %d) and (%d, %d) share key %d but their \
-               exec vectors differ"
-              label ms0 mf0 ms mf key in
-      let jobs = js.Jobset.jobs in
-      let dropped =
-        List.filter (fun (w : Job.t) -> w.Job.in_dropped_set)
-          (Array.to_list jobs) in
-      let rng = Prng.create (Array.length jobs) in
-      let any_job () = jobs.(Prng.int rng (Array.length jobs)) in
-      let any_ms () = nb.((any_job ()).Job.id).Bounds.min_start in
-      let any_mf () = nb.((any_job ()).Job.id).Bounds.max_finish in
-      Array.iter
-        (fun (w : Job.t) ->
-          let b = nb.(w.Job.id) in
-          probe b.Bounds.min_start b.Bounds.max_finish;
-          let mf = any_mf () in
-          probe b.Bounds.max_finish mf;
-          probe (b.Bounds.max_finish + 1) mf)
-        jobs;
-      List.iter
-        (fun (w : Job.t) ->
-          let s = nb.(w.Job.id).Bounds.min_start in
-          List.iter
-            (fun ms ->
-              probe ms (s - 1);
-              probe ms s)
-            [ 0; any_ms () ])
-        dropped;
-      for k = 1 to (js.Jobset.hyperperiod / base) + 1 do
-        let mf = any_mf () in
-        probe ((k * base) - 1) mf;
-        probe (k * base) mf
-      done
-    end in
   for seed = 0 to 59 do
-    let sys = Test_gen.random_system seed in
-    let arch = sys.Test_gen.arch and apps = sys.Test_gen.apps in
-    let all_dropped =
-      List.fold_left
-        (fun plan g -> Plan.with_dropped plan ~graph:g true)
-        sys.Test_gen.plan
-        (Mcmap_model.Appset.droppable_graphs apps) in
-    List.iter
-      (fun (name, plan) ->
-        let happ = Happ.build arch apps plan in
-        List.iter
-          (fun hyperperiods ->
-            check_jobset
-              (Printf.sprintf "seed %d, %s, %d hyperperiods" seed name
-                 hyperperiods)
-              (Jobset.build ~hyperperiods happ))
-          [ 1; 2 ])
-      [ ("as planned", sys.Test_gen.plan); ("all dropped", all_dropped) ]
+    match Mcmap_check.Oracles.summary_key_probes (Test_gen.random_system seed)
+    with
+    | Ok (c, s) ->
+      checked := !checked + c;
+      shared := !shared + s
+    | Error msg -> Alcotest.failf "seed %d: %s" seed msg
   done;
   check Alcotest.bool
     (Printf.sprintf "distinct summaries shared a key (%d of %d probes)"
@@ -383,6 +380,8 @@ let suite =
       test_analyze_plan_matches_reference;
     Alcotest.test_case "wcrt: shared scenarios equal the unshared fold"
       `Quick test_shared_scenarios_exact;
+    Alcotest.test_case "wcrt: a diverged scenario absorbs the rest" `Quick
+      test_diverged_scenario_absorbs;
     Alcotest.test_case "wcrt: summary key is exact" `Quick
       test_summary_key_exact;
     qtest prop_wcrt_at_least_normal;

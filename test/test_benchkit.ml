@@ -253,6 +253,15 @@ let test_contract_derivation () =
       | Some f -> check Alcotest.bool "fewer fixpoints" true (f < 68.)
       | None -> Alcotest.fail "fixpoints not recorded")
    | None -> Alcotest.fail "sharing contract not derived");
+  (* Counted in minor words: a cold evaluation whose trigger scenarios
+     go through the reducing entry stays under 1.4 MB. *)
+  (match List.assoc_opt "cold_eval_alloc" contracts with
+   | Some c ->
+     check Alcotest.bool "allocation contract holds" true c.Schema.ok;
+     (match List.assoc_opt "minor_mb" c.Schema.numbers with
+      | Some mb -> check Alcotest.bool "some allocation measured" true (mb > 0.)
+      | None -> Alcotest.fail "minor_mb not recorded")
+   | None -> Alcotest.fail "allocation contract not derived");
   (* an over-budget, out-of-noise overhead fails *)
   let heavy =
     [ ("evaluator_cold", kernel ~mean:9000. ~stddev:10. ());

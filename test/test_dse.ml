@@ -455,6 +455,30 @@ let test_evaluator_matches_fresh () =
   check Alcotest.bool "tiny cache evicts" true
     (stats.Evaluator.evictions >= 1)
 
+(* DT-large's sampler plan of seed 15 has a diverged trigger scenario:
+   the session stops its scenario walk there, counts the rest as
+   absorbed, and still equals the fresh reference on both engines. *)
+let test_evaluator_diverged_scenario () =
+  let bench = Mcmap_benchmarks.Registry.find_exn "dt-large" in
+  let arch = bench.Mcmap_benchmarks.Benchmark.arch
+  and apps = bench.Mcmap_benchmarks.Benchmark.apps in
+  let plan = Mcmap_benchmarks.Sampler.plan ~seed:15 arch apps in
+  let fresh = Evaluate.evaluate arch apps plan in
+  check Alcotest.bool "the plan is unschedulable" false
+    fresh.Evaluate.schedulable;
+  List.iter
+    (fun (engine, label) ->
+      let session = Evaluator.create ~engine arch apps in
+      check_evaluation_equal (label ^ ": session = fresh")
+        (Evaluator.eval session plan) fresh;
+      let stats = Evaluator.stats session in
+      check Alcotest.bool
+        (Printf.sprintf "%s: scenarios absorbed (%d)" label
+           stats.Evaluator.scenarios_absorbed)
+        true
+        (stats.Evaluator.scenarios_absorbed > 0))
+    [ (Evaluator.Flat, "flat"); (Evaluator.Reference, "reference") ]
+
 let test_evaluator_power_matches () =
   let sys = Test_gen.random_system 33 in
   let arch = sys.Test_gen.arch and apps = sys.Test_gen.apps in
@@ -534,6 +558,8 @@ let suite =
       test_evaluator_fingerprint_canonical;
     Alcotest.test_case "evaluator: matches fresh evaluation" `Quick
       test_evaluator_matches_fresh;
+    Alcotest.test_case "evaluator: a diverged scenario absorbs" `Quick
+      test_evaluator_diverged_scenario;
     Alcotest.test_case "evaluator: power shim" `Quick
       test_evaluator_power_matches;
     Alcotest.test_case "evaluator: population determinism" `Quick

@@ -520,6 +520,47 @@ let test_scenario_sharing_metrics () =
     (1 + fixpoints + stats.D.Evaluator.fixpoints)
     (counter "flat.analyses")
 
+(* Triggers left unsolved after a divergence are visible: DT-large's
+   sampler plan of seed 15 diverges at one trigger scenario, Algorithm 1
+   observes the triggers after it as absorbed, and the evaluator's
+   counter matches its stats. Absorbed triggers are not shared ones. *)
+let test_scenarios_absorbed_metrics () =
+  with_recorder @@ fun () ->
+  let bench = B.Registry.find_exn "dt-large" in
+  let arch = bench.B.Benchmark.arch and apps = bench.B.Benchmark.apps in
+  let plan = B.Sampler.plan ~seed:15 arch apps in
+  let js =
+    Mcmap_sched.Jobset.build (Mcmap_hardening.Happ.build arch apps plan) in
+  let ctx = Mcmap_sched.Flat.make js in
+  let normal = Mcmap_analysis.Wcrt.normal (module Mcmap_sched.Flat) ctx in
+  let stopped =
+    match
+      Mcmap_analysis.Wcrt.trigger_scenarios (module Mcmap_sched.Flat) ctx
+        ~normal ignore
+    with
+    | Mcmap_analysis.Wcrt.Diverged i, _ -> i
+    | Mcmap_analysis.Wcrt.Solved _, _ -> Alcotest.fail "no trigger diverged"
+  in
+  Obs.reset ();
+  ignore (Mcmap_analysis.Wcrt.analyze_with (module Mcmap_sched.Flat) ctx);
+  let session = D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
+  ignore (D.Evaluator.eval session plan);
+  let stats = D.Evaluator.stats session in
+  let snap = Obs.snapshot () in
+  let triggers = List.length (Mcmap_sched.Jobset.triggers js) in
+  (match List.assoc_opt "wcrt.scenarios_absorbed" snap.Obs.metrics with
+   | Some (Obs.Histogram h) ->
+     check Alcotest.int "wcrt.scenarios_absorbed: triggers after the stop"
+       (triggers - stopped - 1) h.Histogram.sum
+   | Some _ | None -> Alcotest.fail "histogram wcrt.scenarios_absorbed missing");
+  (match List.assoc_opt "evaluator.scenarios_absorbed" snap.Obs.metrics with
+   | Some (Obs.Counter n) ->
+     check Alcotest.int "evaluator.scenarios_absorbed = stats"
+       stats.D.Evaluator.scenarios_absorbed n;
+     check Alcotest.bool "some absorbed" true (n > 0)
+   | Some _ | None ->
+     Alcotest.fail "counter evaluator.scenarios_absorbed missing")
+
 let suite =
   [ Alcotest.test_case "histogram bucket boundaries" `Quick
       test_bucket_boundaries;
@@ -553,5 +594,7 @@ let suite =
       test_flight_dump_roundtrip;
     Alcotest.test_case "scenario sharing metrics" `Quick
       test_scenario_sharing_metrics;
+    Alcotest.test_case "scenarios absorbed by a divergence are counted"
+      `Quick test_scenarios_absorbed_metrics;
     Alcotest.test_case "explore records advertised metrics" `Slow
       test_explore_records_metrics ]
