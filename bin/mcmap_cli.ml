@@ -379,16 +379,6 @@ let gantt_cmd =
                  & info [ "bias" ] ~doc:"Fault bias of the random profile.")
           $ trace_arg $ metrics_arg $ flight_arg)
 
-let experiment_names =
-  [ "fig1"; "table2"; "dropping"; "rescue"; "fig5"; "table1";
-    "sensitivity"; "optimizers" ]
-
-let only_arg =
-  let doc =
-    "Run only the given experiment: "
-    ^ String.concat ", " experiment_names ^ "." in
-  Arg.(value & opt (some string) None & info [ "only" ] ~doc)
-
 (* Announce a section and flush: the computation behind it can run for
    minutes, and a block-buffered stdout (pipes, CI logs) would
    otherwise show nothing until the whole run ends. *)
@@ -396,63 +386,67 @@ let section title =
   print_endline title;
   flush stdout
 
+(* Every experiment as (--only name, section header, printer), in run
+   order. *)
+let experiments =
+  [ ("fig1", "== E5: Figure 1 (motivational example) ==",
+     fun ~profiles:_ ~config:_ ~seed:_ ->
+       print_string (E.Fig1.render (E.Fig1.run ())));
+    ("table2", "== E1: Table 2 (WCRT of the critical Cruise apps) ==",
+     fun ~profiles ~config:_ ~seed ->
+       print_string (E.Table2.render (E.Table2.run ~profiles ~seed ())));
+    ("dropping", "== E2: power with vs without task dropping ==",
+     fun ~profiles:_ ~config ~seed:_ ->
+       print_string (E.Dropping.render (E.Dropping.run ~config ())));
+    ("rescue", "== E3: solutions rescued by task dropping ==",
+     fun ~profiles:_ ~config ~seed:_ ->
+       print_string (E.Rescue.render (E.Rescue.run ~config ())));
+    ("fig5", "== E4: Figure 5 (power/service Pareto front) ==",
+     fun ~profiles:_ ~config ~seed:_ ->
+       print_string (E.Fig5.render (E.Fig5.run ~config ())));
+    ("table1", "== E6 (extension): static scheduling baseline (Table 1) ==",
+     fun ~profiles:_ ~config:_ ~seed ->
+       print_string (E.Table1.render (E.Table1.run ~seed ())));
+    ("optimizers",
+     "== E8 (extension): optimizers on an equal evaluation budget ==",
+     fun ~profiles:_ ~config:_ ~seed ->
+       print_string (E.Optimizers.render (E.Optimizers.run ~seed ())));
+    ("sensitivity", "== E7 (extension): sensitivity & ablations ==",
+     fun ~profiles:_ ~config:_ ~seed ->
+       section "-- re-execution budget sweep (cruise) --";
+       print_string
+         (E.Sensitivity.render_k_sweep (E.Sensitivity.k_sweep ~seed ()));
+       section "-- priority-order ablation (cruise) --";
+       print_string
+         (E.Sensitivity.render_priority
+            (E.Sensitivity.priority_ablation ~seed ()))) ]
+
+let experiment_names =
+  String.concat ", " (List.map (fun (name, _, _) -> name) experiments)
+
+let only_arg =
+  let doc = "Run only the given experiment: " ^ experiment_names ^ "." in
+  Arg.(value & opt (some string) None & info [ "only" ] ~doc)
+
 let experiments_run only profiles population offspring generations seed
     trace metrics flight =
   with_obs trace metrics flight @@ fun () ->
   let config = ga_config population offspring generations seed in
-  let wanted name =
-    match only with None -> true | Some o -> o = name in
-  let bad_only =
-    match only with
-    | Some o when not (List.mem o experiment_names) -> true
-    | Some _ | None -> false in
-  if bad_only then begin
+  match only with
+  | Some o when not (List.exists (fun (name, _, _) -> name = o) experiments)
+    ->
     prerr_endline
-      ("unknown experiment (expected one of: "
-       ^ String.concat ", " experiment_names ^ ")");
+      ("unknown experiment (expected one of: " ^ experiment_names ^ ")");
     1
-  end
-  else begin
-    if wanted "fig1" then begin
-      section "== E5: Figure 1 (motivational example) ==";
-      print_string (E.Fig1.render (E.Fig1.run ()))
-    end;
-    if wanted "table2" then begin
-      section "== E1: Table 2 (WCRT of the critical Cruise apps) ==";
-      print_string (E.Table2.render (E.Table2.run ~profiles ~seed ()))
-    end;
-    if wanted "dropping" then begin
-      section "== E2: power with vs without task dropping ==";
-      print_string (E.Dropping.render (E.Dropping.run ~config ()))
-    end;
-    if wanted "rescue" then begin
-      section "== E3: solutions rescued by task dropping ==";
-      print_string (E.Rescue.render (E.Rescue.run ~config ()))
-    end;
-    if wanted "fig5" then begin
-      section "== E4: Figure 5 (power/service Pareto front) ==";
-      print_string (E.Fig5.render (E.Fig5.run ~config ()))
-    end;
-    if wanted "table1" then begin
-      section
-        "== E6 (extension): static scheduling baseline (Table 1) ==";
-      print_string (E.Table1.render (E.Table1.run ~seed ()))
-    end;
-    if wanted "optimizers" then begin
-      section
-        "== E8 (extension): optimizers on an equal evaluation budget ==";
-      print_string (E.Optimizers.render (E.Optimizers.run ~seed ()))
-    end;
-    if wanted "sensitivity" then begin
-      section "== E7 (extension): sensitivity & ablations ==";
-      section "-- re-execution budget sweep (cruise) --";
-      print_string (E.Sensitivity.render_k_sweep (E.Sensitivity.k_sweep ~seed ()));
-      section "-- priority-order ablation (cruise) --";
-      print_string
-        (E.Sensitivity.render_priority (E.Sensitivity.priority_ablation ~seed ()))
-    end;
+  | Some _ | None ->
+    List.iter
+      (fun (name, header, print) ->
+        if only = None || only = Some name then begin
+          section header;
+          print ~profiles ~config ~seed
+        end)
+      experiments;
     0
-  end
 
 let experiments_cmd =
   Cmd.v
@@ -1133,7 +1127,7 @@ let bench_fast_arg =
   Arg.(value & flag
        & info [ "fast" ]
            ~doc:"Shrink the per-kernel measurement quota (CI smoke \
-                 runs; also implied by MCMAP_BENCH_FAST=1).")
+                 runs).")
 
 let bench_out_arg =
   Arg.(value & opt string "BENCH.json"
@@ -1141,10 +1135,9 @@ let bench_out_arg =
 
 let bench_run_cmd =
   let run fast out =
-    let fast = fast || K.fast_requested () in
     let kernels = K.run_all ~fast ~progress:print_endline () in
     Bschema.write out
-      { Bschema.fast; env = Bschema.env_now (); kernels; metrics = [];
+      { Bschema.fast; env = Bschema.env_now (); kernels;
         contracts = K.contracts kernels };
     Printf.printf "benchmark summary written to %s\n%!" out;
     0 in
@@ -1273,8 +1266,7 @@ let bench_serve_cmd =
         match Bschema.read out with
         | Ok b -> b
         | Error _ ->
-          { Bschema.fast = K.fast_requested ();
-            env = Bschema.env_now (); kernels = []; metrics = [];
+          { Bschema.fast = false; env = Bschema.env_now (); kernels = [];
             contracts = [] } in
       let kernels =
         List.sort

@@ -8,8 +8,6 @@ module E = Mcmap_experiments
 module C = Mcmap_campaign
 module Obs = Mcmap_obs.Obs
 
-let fast_requested () = Sys.getenv_opt "MCMAP_BENCH_FAST" = Some "1"
-
 (* ------------------------------------------------------------------ *)
 (* Shared kernel contexts (forced on first use, shared across kernels) *)
 
@@ -146,8 +144,8 @@ let suite =
         ignore (D.Evaluator.eval session plan));
     { (plain "evaluator_cold_obs" evaluator_cold_run) with
       k_setup = (fun () -> Obs.enable ());
-      (* Drop the garbage the benchmark recorded; the harness snapshots
-         its metrics before the micro-benchmarks run. *)
+      (* Drop what the benchmark recorded: the kernels after it time the
+         disabled recorder, and nothing reads these metrics. *)
       k_teardown = (fun () -> Obs.disable (); Obs.reset ()) };
     plain "evaluator_warm" (fun () ->
         let _, _, plan, _, warm, _ = Lazy.force evaluator_ctx in
@@ -216,8 +214,7 @@ let measure ~fast spec =
       { Schema.ns_per_run = estimate; min_ns; mean_ns; stddev_ns;
         samples })
 
-let run_all ?fast ?(progress = fun _ -> ()) () =
-  let fast = Option.value fast ~default:(fast_requested ()) in
+let run_all ~fast ?(progress = fun _ -> ()) () =
   List.map
     (fun spec ->
       let k = measure ~fast spec in

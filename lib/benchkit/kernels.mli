@@ -1,24 +1,20 @@
-(** The Bechamel kernel suite behind [mcmap bench] and the bench
-    harness: one micro-benchmark per table/figure kernel plus the
-    evaluator-session and campaign kernels, measured with per-kernel
+(** The Bechamel kernel suite behind [mcmap bench run]: one
+    micro-benchmark per table/figure kernel plus the evaluator-session
+    and campaign kernels, measured with per-kernel
     dispersion (min/mean/stddev across the raw samples, OLS estimate
     for the central value).
 
     Running the suite is expensive (roughly [n_kernels] seconds at full
     quota); [fast] shrinks the per-kernel quota for CI smoke runs. *)
 
-val fast_requested : unit -> bool
-(** [MCMAP_BENCH_FAST=1] in the environment. *)
-
 val names : string list
 (** Kernel names in suite order (the BENCH.json [kernels] keys). *)
 
 val run_all :
-  ?fast:bool -> ?progress:(string -> unit) -> unit ->
+  fast:bool -> ?progress:(string -> unit) -> unit ->
   (string * Schema.kernel) list
 (** Measure every kernel, calling [progress] with a human-readable line
-    as each kernel finishes. [fast] defaults to {!fast_requested}.
-    Returns measurements in suite order. *)
+    as each kernel finishes. Returns measurements in suite order. *)
 
 val contracts : (string * Schema.kernel) list -> (string * Schema.contract) list
 (** The performance contracts derivable from a set of measurements:

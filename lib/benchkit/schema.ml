@@ -20,7 +20,6 @@ type t = {
   fast : bool;
   env : (string * string) list;
   kernels : (string * kernel) list;
-  metrics : (string * Json.t) list;
   contracts : (string * contract) list;
 }
 
@@ -70,8 +69,7 @@ let to_json t =
         Json.Obj
           (List.map
              (fun (name, c) -> (name, json_of_contract c))
-             (List.sort compare t.contracts)) );
-      ("metrics", Json.Obj t.metrics) ]
+             (List.sort compare t.contracts)) ) ]
 
 let write path t =
   let oc = open_out path in
@@ -169,8 +167,7 @@ let of_json json =
   let* kernels = map_fields kernel_of_json kernel_fields in
   let* contract_fields = assoc_obj "BENCH" "contracts" json in
   let* contracts = map_fields contract_of_json contract_fields in
-  let* metrics = assoc_obj "BENCH" "metrics" json in
-  Ok { fast; env; kernels; metrics; contracts }
+  Ok { fast; env; kernels; contracts }
 
 let read path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -1,5 +1,5 @@
-(** The BENCH.json schema: the machine-readable contract between the
-    bench harness, [mcmap bench diff]/[gate] and CI.
+(** The BENCH.json schema: the machine-readable contract between
+    [mcmap bench run]/[serve], [mcmap bench diff]/[gate] and CI.
 
     Version 2 restructures the flat v1 layout (bare
     [kernels_ns_per_run] numbers) into per-kernel dispersion records —
@@ -26,11 +26,9 @@ type contract = {
 }
 
 type t = {
-  fast : bool;  (** produced under MCMAP_BENCH_FAST=1 *)
+  fast : bool;  (** measured at the reduced [--fast] quota *)
   env : (string * string) list;  (** sorted by key *)
   kernels : (string * kernel) list;  (** sorted by name *)
-  metrics : (string * Mcmap_util.Json.t) list;
-      (** observability snapshot summaries, as written *)
   contracts : (string * contract) list;  (** sorted by name *)
 }
 
@@ -46,7 +44,9 @@ val find_kernel : t -> string -> kernel option
 val to_json : t -> Mcmap_util.Json.t
 
 val of_json : Mcmap_util.Json.t -> (t, string) result
-(** Rejects documents whose [schema_version] is not {!version}. *)
+(** Rejects documents whose [schema_version] is not {!version}.
+    Ignores keys it does not know, such as the [metrics] block older
+    writers added. *)
 
 val write : string -> t -> unit
 

@@ -77,4 +77,7 @@ let render points =
       (Format.asprintf "        %.3f%*s%.3f (power)\n" pmin (width - 10)
          "" pmax)
   end;
+  Buffer.add_string buf
+    (Printf.sprintf "(paper finds %d Pareto-optimal points)\n"
+       Paper.fig5_pareto_points);
   Buffer.contents buf

@@ -15,4 +15,5 @@ val run :
 (** Points sorted by ascending power. Default benchmark: dt-med. *)
 
 val render : point list -> string
-(** Text rendering including an ASCII sketch of the front. *)
+(** Text rendering including an ASCII sketch of the front and the
+    paper's point count ({!Paper.fig5_pareto_points}). *)

@@ -127,3 +127,6 @@ let render_priority rows =
           Format.asprintf "%a" Verdict.pp r.droppable_wcrt ])
     rows;
   Mcmap_util.Texttable.render table
+  ^ "(under criticality-segregated priorities droppables never delay\n\
+    \ criticals on preemptive processors and dropping loses its purpose\n\
+    \ — which is why the paper's scheduler does not segregate)\n"

@@ -41,3 +41,5 @@ val priority_ablation :
   ?benchmark:string -> ?seed:int -> unit -> priority_row list
 
 val render_priority : priority_row list -> string
+(** The table, followed by a note on why the paper's scheduler keeps
+    priorities criticality-agnostic. *)

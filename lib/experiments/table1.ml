@@ -60,3 +60,6 @@ let render entries =
           string_of_int e.static_nominal_makespan ])
     entries;
   Mcmap_util.Texttable.render table
+  ^ "(static approaches must precompute one schedule per fault scenario;\n\
+    \ the rigid all-worst-case schedule is exact for one configuration\n\
+    \ but offers no run-time reaction — the paper's Table 1 argument)\n"

@@ -28,3 +28,4 @@ val run : ?seed:int -> ?benchmarks:string list -> unit -> entry list
 (** Default: all five benchmarks, on their balanced seeded mapping. *)
 
 val render : entry list -> string
+(** The table, followed by the paper's Table 1 argument it quantifies. *)

@@ -67,3 +67,12 @@ let render rows =
           (if safe row then "yes" else "NO") ])
     rows;
   Mcmap_util.Texttable.render table
+  ^ Printf.sprintf "(paper, for shape comparison: %s)\n"
+      (String.concat "; "
+         (List.map
+            (fun (m, (a1, a2), (w1, w2), (p1, p2), (n1, n2)) ->
+              Printf.sprintf
+                "mapping %d: adhoc %d/%d, wc-sim %d/%d, proposed %d/%d, \
+                 naive %d/%d"
+                m a1 a2 w1 w2 p1 p2 n1 n2)
+            Paper.table2))

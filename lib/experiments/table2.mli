@@ -29,4 +29,5 @@ val safe : row -> bool
     Proposed. *)
 
 val render : row list -> string
-(** Plain-text table in the layout of the paper's Table 2. *)
+(** Plain-text table in the layout of the paper's Table 2, followed by
+    the paper's values ({!Paper.table2}) for comparison. *)

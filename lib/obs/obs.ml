@@ -91,13 +91,7 @@ let now_ns () = Monotonic_clock.now ()
    export. Each domain keeps at most [series_capacity] points per
    series (tail-keep: newest survive), and [snapshot] applies the same
    cap again to the merged, x-sorted result. *)
-let series_capacity_ref = Atomic.make 4096
-
-let series_capacity () = Atomic.get series_capacity_ref
-
-let set_series_capacity n =
-  if n < 1 then invalid_arg "Obs.set_series_capacity: capacity < 1";
-  Atomic.set series_capacity_ref n
+let series_capacity = 4096
 
 let enable () =
   if not (Atomic.get enabled_flag) then begin
@@ -164,10 +158,9 @@ let observe ?label name v =
 let series_append c x v =
   c.pts <- (x, v) :: c.pts;
   c.len <- c.len + 1;
-  let cap = series_capacity () in
-  if c.len >= 2 * cap then begin
-    c.pts <- List.filteri (fun i _ -> i < cap) c.pts;
-    c.len <- cap
+  if c.len >= 2 * series_capacity then begin
+    c.pts <- List.filteri (fun i _ -> i < series_capacity) c.pts;
+    c.len <- series_capacity
   end
 
 let series ?label name ~x v =
@@ -262,11 +255,12 @@ let snapshot () =
              (* Re-apply the retention cap to the merged series: keep
                 the last [series_capacity] points by x, so the merged
                 view obeys the same bound as any single domain. *)
-             let cap = series_capacity () in
              let n = List.length points in
              let points =
-               if n <= cap then points
-               else List.filteri (fun i _ -> i >= n - cap) points in
+               if n <= series_capacity then points
+               else
+                 List.filteri (fun i _ -> i >= n - series_capacity) points
+             in
              (name, Series points)
            | Counter _ | Gauge _ | Histogram _ -> (name, m))
     |> List.sort (fun (a, _) (b, _) -> String.compare a b) in

@@ -74,14 +74,6 @@ val reset : unit -> unit
 val now_ns : unit -> int64
 (** The raw monotonic clock (for callers timing their own series). *)
 
-val series_capacity : unit -> int
-
-val set_series_capacity : int -> unit
-(** Bound per-series retention (default 4096 points): each domain
-    tail-keeps at most that many points per series, and {!snapshot}
-    re-applies the cap to the merged, x-sorted result. Takes effect for
-    subsequent appends. @raise Invalid_argument on capacity < 1. *)
-
 (** {1 Recording} *)
 
 val incr : ?by:int -> ?label:string -> string -> unit
@@ -94,8 +86,10 @@ val observe : ?label:string -> string -> int -> unit
 (** Add one observation to a histogram. *)
 
 val series : ?label:string -> string -> x:int -> float -> unit
-(** Append an [(x, value)] point to a series. Series keep at most
-    {!series_capacity} points (newest survive). *)
+(** Append an [(x, value)] point to a series. Series keep at most 4096
+    points: each domain tail-keeps that many per series (newest
+    survive), and {!snapshot} re-applies the cap to the merged, x-sorted
+    result. *)
 
 val with_span : string -> (unit -> 'a) -> 'a
 (** Time [f] as a span (recorded when [f] returns or raises). When the

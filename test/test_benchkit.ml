@@ -26,7 +26,6 @@ let run_of kernels contracts =
   { Schema.fast = true;
     env = Schema.env_now ();
     kernels;
-    metrics = [ ("m.count", Json.Int 3) ];
     contracts }
 
 (* ------------------------------------------------------------------ *)
@@ -40,6 +39,11 @@ let test_schema_roundtrip () =
       [ ( "flat_vs_reference",
           { Schema.ok = true;
             numbers = [ ("speedup", 4.0); ("min_speedup", 3.0) ] } ) ] in
+  (match Schema.to_json t with
+   | Json.Obj fields ->
+     check Alcotest.bool "no metrics block written" false
+       (List.mem_assoc "metrics" fields)
+   | _ -> Alcotest.fail "to_json is not an object");
   match Schema.of_json (Schema.to_json t) with
   | Error e -> Alcotest.fail ("round trip failed: " ^ e)
   | Ok back ->
@@ -96,6 +100,41 @@ let test_schema_version_rejected () =
   match Schema.of_json (Json.Obj [ ("kernels", Json.Obj []) ]) with
   | Ok _ -> Alcotest.fail "versionless document accepted"
   | Error _ -> ()
+
+(* Files written before the schema dropped its [metrics] block must
+   still read: CI artifacts of older commits are diffed against new
+   runs. *)
+let test_schema_read_with_and_without_metrics () =
+  let t =
+    run_of
+      [ ("a", kernel ~ns_per_run:1000. ~mean:1010. ~stddev:25. ()) ]
+      [] in
+  let with_metrics =
+    match Schema.to_json t with
+    | Json.Obj fields ->
+      Json.Obj
+        (fields
+         @ [ ("metrics",
+              Json.Obj
+                [ ("m.count", Json.Int 3);
+                  ("m.hist", Json.Obj [ ("count", Json.Int 0) ]) ]) ])
+    | _ -> Alcotest.fail "to_json is not an object" in
+  let path = Filename.temp_file "mcmap_bench" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let read_back label =
+    match Schema.read path with
+    | Ok back ->
+      check
+        Alcotest.(option (float 1e-9))
+        (label ^ ": kernel survives") (Some 1000.)
+        (Option.bind (Schema.find_kernel back "a") (fun k ->
+             k.Schema.ns_per_run))
+    | Error e -> Alcotest.fail (label ^ ": " ^ e) in
+  Schema.write path t;
+  read_back "without metrics";
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string with_metrics));
+  read_back "with metrics"
 
 (* ------------------------------------------------------------------ *)
 (* Diff verdicts *)
@@ -280,6 +319,8 @@ let test_contract_derivation () =
 let suite =
   [ Alcotest.test_case "BENCH.json v2 round trip" `Quick
       test_schema_roundtrip;
+    Alcotest.test_case "v2 read with and without a metrics block" `Quick
+      test_schema_read_with_and_without_metrics;
     Alcotest.test_case "foreign schema versions rejected" `Quick
       test_schema_version_rejected;
     Alcotest.test_case "diff verdict classification" `Quick

@@ -1,6 +1,6 @@
 (* Tests for the experiment harness (tables and figures of the paper's
-   evaluation). GA-based experiments run with micro budgets here — the
-   bench harness runs them at full scale. *)
+   evaluation). GA-based experiments run with micro budgets here —
+   [mcmap experiments] runs them at full scale. *)
 
 module E = Mcmap_experiments
 module Ga = Mcmap_dse.Ga
@@ -60,6 +60,32 @@ let test_paper_reference_values () =
     (List.assoc_opt "cruise" E.Paper.rescue_ratio_pct);
   check (Alcotest.option (Alcotest.float 1e-9)) "dt-med gain" (Some 14.66)
     (List.assoc_opt "dt-med" E.Paper.dropping_gain_pct)
+
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
+(* Every rendered table carries the paper's figure next to ours, so one
+   [mcmap experiments] run is the whole side-by-side comparison. *)
+let test_paper_blocks_rendered () =
+  check Alcotest.bool "table 2 shows the paper's mapping 1" true
+    (contains
+       ~affix:
+         "mapping 1: adhoc 661/462, wc-sim 661/521, proposed 666/552, \
+          naive 796/641"
+       (E.Table2.render []));
+  check Alcotest.bool "figure 5 shows the paper's point count" true
+    (contains
+       ~affix:
+         (Printf.sprintf "paper finds %d Pareto-optimal points"
+            E.Paper.fig5_pareto_points)
+       (E.Fig5.render []));
+  check Alcotest.bool "table 1 states the paper's argument" true
+    (contains ~affix:"the paper's Table 1 argument" (E.Table1.render []));
+  check Alcotest.bool "priority ablation explains the design choice" true
+    (contains ~affix:"the paper's scheduler does not segregate"
+       (E.Sensitivity.render_priority []))
 
 let test_dropping_entries () =
   (* micro run on the smallest benchmark only, to stay fast *)
@@ -164,6 +190,8 @@ let suite =
       test_table2_rows_and_safety;
     Alcotest.test_case "paper: reference values" `Quick
       test_paper_reference_values;
+    Alcotest.test_case "paper: values in the rendered tables" `Quick
+      test_paper_blocks_rendered;
     Alcotest.test_case "dropping: entries" `Slow test_dropping_entries;
     Alcotest.test_case "rescue: entries" `Slow test_rescue_entries;
     Alcotest.test_case "fig5: pareto points" `Slow test_fig5_points_sorted;

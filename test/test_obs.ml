@@ -184,29 +184,35 @@ let test_labelled_metrics () =
       (List.map fst snap.Obs.metrics)
       (List.map fst back.Obs.metrics)
 
+(* Series keep the newest 4096 points (the documented retention cap).
+   10,000 appends cross the 2 x cap truncation point once and leave a
+   partial refill, so both the per-domain truncation and the snapshot's
+   re-cap are exercised. *)
 let test_series_capacity () =
-  let saved = Obs.series_capacity () in
-  Fun.protect ~finally:(fun () -> Obs.set_series_capacity saved)
-  @@ fun () ->
   with_recorder @@ fun () ->
-  Obs.set_series_capacity 8;
-  for x = 1 to 50 do
+  let cap = 4096 and n = 10_000 in
+  for x = 1 to n do
     Obs.series "bounded" ~x (float_of_int x)
+  done;
+  for x = 1 to 50 do
+    Obs.series "short" ~x (float_of_int x)
   done;
   let snap = Obs.snapshot () in
   (match List.assoc_opt "bounded" snap.Obs.metrics with
    | Some (Obs.Series pts) ->
-     check Alcotest.int "capped to capacity" 8 (List.length pts);
+     check Alcotest.int "capped to capacity" cap (List.length pts);
      check
        Alcotest.(list (pair int (float 0.)))
        "newest points survive"
-       (List.init 8 (fun i -> (43 + i, float_of_int (43 + i))))
+       (List.init cap (fun i ->
+            let x = n - cap + 1 + i in
+            (x, float_of_int x)))
        pts
    | _ -> Alcotest.fail "bounded series missing");
-  check Alcotest.bool "capacity < 1 rejected" true
-    (match Obs.set_series_capacity 0 with
-     | () -> false
-     | exception Invalid_argument _ -> true)
+  match List.assoc_opt "short" snap.Obs.metrics with
+  | Some (Obs.Series pts) ->
+    check Alcotest.int "short series keeps every point" 50 (List.length pts)
+  | _ -> Alcotest.fail "short series missing"
 
 (* ------------------------------------------------------------------ *)
 (* Span nesting *)
