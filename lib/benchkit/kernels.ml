@@ -7,6 +7,8 @@ module D = Mcmap_dse
 module E = Mcmap_experiments
 module C = Mcmap_campaign
 module Obs = Mcmap_obs.Obs
+module Spec = Mcmap_spec.Spec
+module Lint = Mcmap_lint.Lint
 
 (* ------------------------------------------------------------------ *)
 (* Shared kernel contexts (forced on first use, shared across kernels) *)
@@ -74,6 +76,31 @@ let noc_ctx =
      and apps = bench.B.Benchmark.apps in
      let plan = B.Sampler.balanced_plan ~seed:42 arch apps in
      (arch, apps, plan))
+
+(* [lint/dt-large-noc]: the lint gate every [mcmap analyze] and every
+   serve [analyze] request runs first — parse, build and every system
+   check, MC301's reliability floor included — on the shipped DT-large
+   NoC spec, found from the working directory up. Outside a checkout the
+   registry's text of the same system stands in (the shipped file is
+   that text behind a comment header). *)
+let noc_spec_text =
+  lazy
+    (let rel = "examples/specs/dt-large-noc.mcmap" in
+     let rec find dir =
+       let path = Filename.concat dir rel in
+       if Sys.file_exists path then Some path
+       else
+         let parent = Filename.dirname dir in
+         if parent = dir then None else find parent in
+     match find (Sys.getcwd ()) with
+     | Some path ->
+       (match Spec.read_file path with
+        | Ok text -> text
+        | Error e -> failwith e)
+     | None ->
+       let b = B.Registry.find_exn "dt-large-noc" in
+       Spec.write_system
+         { Spec.arch = b.B.Benchmark.arch; apps = b.B.Benchmark.apps })
 
 let evaluator_cold_run () =
   let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
@@ -154,7 +181,10 @@ let suite =
         let arch, apps, _, population, _, domains =
           Lazy.force evaluator_ctx in
         let session = D.Evaluator.create ~domains arch apps in
-        ignore (D.Evaluator.eval_population session population)) ]
+        ignore (D.Evaluator.eval_population session population));
+    (* The lint gate in front of every analysis *)
+    plain "lint/dt-large-noc" (fun () ->
+        ignore (Lint.lint_system (Lazy.force noc_spec_text))) ]
 
 let names = List.map (fun k -> k.k_name) suite
 
@@ -336,6 +366,25 @@ let cold_alloc_contract =
            [ ("minor_words", words); ("minor_mb", minor_mb);
              ("max_mb", max_mb) ] } ))
 
+(* Minor allocation of one [Lint.lint_system] on the shipped DT-large
+   NoC spec, after a warm-up run, counted in words so it is
+   deterministic for a given build. MC301's floor stepping every
+   re-execution and checkpointing count up to 64 read 327.8k words;
+   closed forms, bisection and stopping at a zero floor bring it to
+   about 131k, most of it the parse. *)
+let lint_alloc_contract =
+  lazy
+    (let text = Lazy.force noc_spec_text in
+     ignore (Lint.lint_system text);
+     let before = Gc.minor_words () in
+     ignore (Lint.lint_system text);
+     let words = Gc.minor_words () -. before in
+     let max_words = 200_000. in
+     ( "lint_gate_alloc",
+       { Schema.ok = words <= max_words;
+         numbers = [ ("minor_words", words); ("max_words", max_words) ] } ))
+
 let contracts kernels =
   flat_contract kernels @ obs_contract kernels
-  @ [ Lazy.force sharing_contract; Lazy.force cold_alloc_contract ]
+  @ [ Lazy.force sharing_contract; Lazy.force cold_alloc_contract;
+      Lazy.force lint_alloc_contract ]

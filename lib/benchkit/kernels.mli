@@ -1,6 +1,6 @@
 (** The Bechamel kernel suite behind [mcmap bench run]: one
-    micro-benchmark per table/figure kernel plus the evaluator-session
-    and campaign kernels, measured with per-kernel
+    micro-benchmark per table/figure kernel plus the evaluator-session,
+    campaign and lint-gate kernels, measured with per-kernel
     dispersion (min/mean/stddev across the raw samples, OLS estimate
     for the central value).
 
@@ -36,5 +36,9 @@ val contracts : (string * Schema.kernel) list -> (string * Schema.contract) list
       [flat_cold] plan, after a warm-up evaluation that grows the flat
       arena, allocates at most 1.4 MB (10^6 bytes) on the minor heap.
       Counted in words, so it is always derived.
+    - ["lint_gate_alloc"]: one [Lint.lint_system] on
+      [examples/specs/dt-large-noc.mcmap], after a warm-up run,
+      allocates at most 200k words on the minor heap. Counted, so it is
+      always derived.
 
     Timed contracts whose kernels are missing are omitted. *)

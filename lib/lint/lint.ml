@@ -435,72 +435,96 @@ let check_critical_path ctx idx (sys : Spec.system) =
 (* ------------------------------------------------------------------ *)
 (* MC301: the reliability target is unreachable by any plan *)
 
+let reexec_cap = 64
+
+let reexec_count ~attempt ~deadline =
+  if deadline < 2 * attempt then 0
+  else if attempt = 0 then reexec_cap
+  else min reexec_cap ((deadline / attempt) - 1)
+
+(* Bisection for the first j in [0, reexec_cap) whose k = j + 1 misses
+   the deadline: every j below it fits, because the scaled checkpointed
+   WCET does not decrease in k. *)
+let checkpoint_count proc (t : Task.t) ~segments ~deadline =
+  let lo = ref 0 and hi = ref reexec_cap in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if
+      Proc.scale_time proc
+        (Technique.wcet_after_checkpointing ~wcet:t.Task.wcet
+           ~detection:t.Task.detection_overhead ~segments ~k:(mid + 1))
+      <= deadline
+    then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
+
+let compare_replica ((q1 : float), (d1 : int)) (q2, d2) =
+  let c = Float.compare q1 q2 in
+  if c <> 0 then c else Int.compare d1 d2
+
 (* Lower bound on the failure probability any supported hardening
    technique can achieve for one task instance: every technique is
    tried at its maximal strength that still fits the deadline on its
    best processor(s). If even this optimistic floor misses f_t, no plan
-   can satisfy the constraint. *)
-let reexec_cap = 64
-
+   can satisfy the constraint. Every candidate is a probability, never
+   below +0, so the search stops once the floor reaches 0 (DESIGN.md
+   §10). *)
 let task_failure_floor arch ~deadline (t : Task.t) =
   let n = Arch.n_procs arch in
   let best = ref infinity in
-  let consider p = if p < !best then best := p in
-  for pi = 0 to n - 1 do
-    let proc = Arch.proc arch pi in
-    let scale c = Proc.scale_time proc c in
-    let wcet = scale t.Task.wcet in
-    let dt = scale t.Task.detection_overhead in
+  let pi = ref 0 in
+  while !pi < n && !best > 0. do
+    let proc = Arch.proc arch !pi in
+    let wcet = Proc.scale_time proc t.Task.wcet in
+    let dt = Proc.scale_time proc t.Task.detection_overhead in
     (* no hardening *)
-    consider (Proc.fault_probability proc wcet);
+    let p = Proc.fault_probability proc wcet in
+    if p < !best then best := p;
     (* re-execution at the largest k whose Eq. (1) bound fits *)
-    let per_attempt = Proc.fault_probability proc (wcet + dt) in
-    let k = ref 0 in
-    while
-      !k < reexec_cap
-      && (wcet + dt) * (!k + 2) <= deadline
-    do
-      incr k
-    done;
-    if !k >= 1 then
-      consider (Fault_model.re_execution_failure ~per_attempt ~k:!k);
+    let k = reexec_count ~attempt:(wcet + dt) ~deadline in
+    if k >= 1 then begin
+      let per_attempt = Proc.fault_probability proc (wcet + dt) in
+      let p = Fault_model.re_execution_failure ~per_attempt ~k in
+      if p < !best then best := p
+    end;
     (* checkpointing: n segments shorten each recovery; try a few
        segment counts at the largest fitting k *)
-    List.iter
-      (fun segments ->
-        let k = ref 0 in
-        while
-          !k < reexec_cap
-          && scale
-               (Technique.wcet_after_checkpointing ~wcet:t.Task.wcet
-                  ~detection:t.Task.detection_overhead ~segments
-                  ~k:(!k + 1))
-             <= deadline
-        do
-          incr k
-        done;
-        if !k >= 1 then begin
-          let duration = wcet + (segments * dt) in
-          consider
-            (Fault_model.poisson_more_than ~rate:proc.Proc.fault_rate
-               ~duration ~k:!k)
-        end)
-      [ 1; 2; 4; 8; 16 ]
+    let segments = ref 1 in
+    while !segments <= 16 && !best > 0. do
+      let k = checkpoint_count proc t ~segments:!segments ~deadline in
+      if k >= 1 then begin
+        let p =
+          Fault_model.poisson_more_than ~rate:proc.Proc.fault_rate
+            ~duration:(wcet + (!segments * dt)) ~k in
+        if p < !best then best := p
+      end;
+      segments := 2 * !segments
+    done;
+    incr pi
   done;
   (* active replication on the most reliable processors; the replicas
      run in parallel, so the deadline constrains each replica like an
      unhardened run (plus voting), not their sum *)
-  let per_proc =
-    Array.init n (fun pi ->
-        let proc = Arch.proc arch pi in
-        ( Proc.fault_probability proc (Proc.scale_time proc t.Task.wcet),
-          Proc.scale_time proc (t.Task.wcet + t.Task.voting_overhead) )) in
-  Array.sort compare per_proc;
-  for replicas = 2 to min n 7 do
-    let chosen = Array.sub per_proc 0 replicas in
-    if Array.for_all (fun (_, d) -> d <= deadline) chosen then
-      consider (Fault_model.majority_failure (Array.map fst chosen))
-  done;
+  if !best > 0. then begin
+    let per_proc =
+      Array.init n (fun pi ->
+          let proc = Arch.proc arch pi in
+          ( Proc.fault_probability proc (Proc.scale_time proc t.Task.wcet),
+            Proc.scale_time proc (t.Task.wcet + t.Task.voting_overhead) ))
+    in
+    Array.sort compare_replica per_proc;
+    let fitting = ref 0 in
+    while !fitting < n && snd per_proc.(!fitting) <= deadline do
+      incr fitting
+    done;
+    for replicas = 2 to min !fitting 7 do
+      let p =
+        Fault_model.majority_failure
+          (Array.init replicas (fun i -> fst per_proc.(i))) in
+      if p < !best then best := p
+    done
+  end;
   !best
 
 let check_reliability_floor ctx idx (sys : Spec.system) =

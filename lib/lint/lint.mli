@@ -70,3 +70,28 @@ val lint_files :
   system:string -> ?plan:string -> unit -> (Diagnostic.t list, string) result
 (** Read files and return {!ingest}'s diagnostics. [Error] only for I/O
     failures — unreadable content is a diagnostic, not an error. *)
+
+val reexec_count : attempt:int -> deadline:int -> int
+(** The largest [k <= 64] whose Eq. (1) re-execution bound
+    [attempt * (k + 1)] fits [deadline], 0 if none does; [attempt] (the
+    scaled WCET plus detection overhead) must be non-negative. Closed
+    form: [clamp (deadline / attempt - 1) 0 64]. *)
+
+val checkpoint_count :
+  Mcmap_model.Proc.t -> Mcmap_model.Task.t -> segments:int -> deadline:int ->
+  int
+(** The largest [k <= 64] whose checkpointed WCET with
+    [segments] segments and [k] rollbacks, scaled to the processor,
+    fits [deadline], 0 if none does. Bisection, exact because the
+    scaled WCET does not decrease in [k]. *)
+
+val task_failure_floor :
+  Mcmap_model.Arch.t -> deadline:int -> Mcmap_model.Task.t -> float
+(** MC301's optimistic bound: the lowest failure probability one
+    instance of the task can reach under any supported hardening
+    technique whose worst case still fits [deadline] — no hardening,
+    re-execution and checkpointing (1, 2, 4, 8 or 16 segments) at the
+    largest fitting [k <= 64] on each processor, and active replication
+    (2 to 7 replicas) on the most reliable processors. A graph whose
+    product of per-task floors misses its [f_t] bound cannot be made
+    reliable by any plan. *)

@@ -5,8 +5,11 @@ let execution_failure arch ~proc ~duration =
   Proc.fault_probability (Arch.proc arch proc) duration
 
 let re_execution_failure ~per_attempt ~k =
-  let rec power acc i = if i = 0 then acc else power (acc *. per_attempt) (i - 1) in
-  power 1. (k + 1)
+  let acc = ref 1. in
+  for _ = 0 to k do
+    acc := !acc *. per_attempt
+  done;
+  !acc
 
 (* Distribution of the number of failures among independent, heterogeneous
    events: coefficients of prod_i ((1 - q_i) + q_i * x). *)
@@ -54,12 +57,21 @@ let passive_failure ~active ~spares =
   let all = Array.append active spares in
   at_least_k_failures all (Array.length spares + 1)
 
+(* Sums the Poisson terms P(0..k) in index order. Past the mode
+   ([i > m], with [m >= 0]) no later term is larger than the current
+   one, so once a term leaves the sum unchanged no later term can change
+   it: the loop stops there with the sum the full loop would reach
+   (DESIGN.md §10). *)
 let poisson_more_than ~rate ~duration ~k =
   let m = rate *. float_of_int duration in
-  let rec upto i term acc =
-    if i > k then acc
-    else begin
-      let term = if i = 0 then exp (-.m) else term *. m /. float_of_int i in
-      upto (i + 1) term (acc +. term)
-    end in
-  Mcmap_util.Mathx.clamp_f ~lo:0. ~hi:1. (1. -. upto 0 0. 0.)
+  let term = ref 0. and acc = ref 0. in
+  let i = ref 0 and summing = ref (k >= 0) in
+  while !summing do
+    term := (if !i = 0 then exp (-.m) else !term *. m /. float_of_int !i);
+    let sum = !acc +. !term in
+    if (sum = !acc && m >= 0. && float_of_int !i > m) || !i = k then
+      summing := false
+    else incr i;
+    acc := sum
+  done;
+  Mcmap_util.Mathx.clamp_f ~lo:0. ~hi:1. (1. -. !acc)

@@ -316,6 +316,23 @@ let test_contract_derivation () =
   | Some c -> check Alcotest.bool "2x speedup fails" false c.Schema.ok
   | None -> Alcotest.fail "flat contract not derived (slow)"
 
+(* The lint gate's allocation is counted, not timed: one
+   [Lint.lint_system] on the shipped DT-large NoC spec stays under 200k
+   minor words (an MC301 floor that steps every count up to 64 reads
+   about 328k). *)
+let test_lint_gate_alloc () =
+  match List.assoc_opt "lint_gate_alloc" (Kernels.contracts []) with
+  | Some c ->
+    check Alcotest.bool "lint gate allocation contract holds" true c.Schema.ok;
+    check
+      Alcotest.(option (float 0.))
+      "budget recorded" (Some 200_000.)
+      (List.assoc_opt "max_words" c.Schema.numbers);
+    (match List.assoc_opt "minor_words" c.Schema.numbers with
+     | Some w -> check Alcotest.bool "some allocation measured" true (w > 0.)
+     | None -> Alcotest.fail "minor_words not recorded")
+  | None -> Alcotest.fail "lint gate contract not derived"
+
 let suite =
   [ Alcotest.test_case "BENCH.json v2 round trip" `Quick
       test_schema_roundtrip;
@@ -332,4 +349,6 @@ let suite =
     Alcotest.test_case "gate rejects kernel regressions" `Quick
       test_gate_regressions;
     Alcotest.test_case "contracts derived from measurements" `Quick
-      test_contract_derivation ]
+      test_contract_derivation;
+    Alcotest.test_case "lint gate allocation contract holds" `Quick
+      test_lint_gate_alloc ]

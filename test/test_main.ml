@@ -14,6 +14,7 @@ let () =
       ("benchkit", Test_benchkit.suite);
       ("spec", Test_spec.suite);
       ("lint", Test_lint.suite);
+      ("floor", Test_floor.suite);
       ("experiments", Test_experiments.suite);
       ("check", Test_check.suite);
       ("serve", Test_serve.suite) ]
