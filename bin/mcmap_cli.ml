@@ -1136,9 +1136,12 @@ let bench_out_arg =
 let bench_run_cmd =
   let run fast out =
     let kernels = K.run_all ~fast ~progress:print_endline () in
+    let flat_pairs = K.measure_flat_pairs () in
+    Printf.printf "%-32s %d interleaved pairs\n%!" "flat_vs_reference"
+      (List.length flat_pairs);
     Bschema.write out
       { Bschema.fast; env = Bschema.env_now (); kernels;
-        contracts = K.contracts kernels };
+        contracts = K.contracts ~flat_pairs kernels };
     Printf.printf "benchmark summary written to %s\n%!" out;
     0 in
   Cmd.v

@@ -16,11 +16,21 @@ val run_all :
 (** Measure every kernel, calling [progress] with a human-readable line
     as each kernel finishes. Returns measurements in suite order. *)
 
-val contracts : (string * Schema.kernel) list -> (string * Schema.contract) list
+val measure_flat_pairs : unit -> (float * float) list
+(** [(reference_ns, flat_ns)] of 41 interleaved cold DT-large
+    evaluations ([evaluator_cold] then [flat_cold], or the reverse on
+    odd pairs), after one warm-up pair. *)
+
+val contracts :
+  flat_pairs:(float * float) list ->
+  (string * Schema.kernel) list ->
+  (string * Schema.contract) list
 (** The performance contracts derivable from a set of measurements:
 
     - ["flat_vs_reference"]: cold DT-large evaluation on the flat
-      engine is at least 3x faster than on the reference engine.
+      engine is at least 3x faster than on the reference engine, by the
+      median per-pair ratio of [flat_pairs] (from
+      {!measure_flat_pairs}); omitted when [flat_pairs] is empty.
     - ["obs_overhead"]: an enabled-recorder cold evaluation
       ([evaluator_cold_obs]) costs at most 2% over the disabled-recorder
       one — an upper bound on the disabled-mode instrumentation tax,
@@ -34,11 +44,17 @@ val contracts : (string * Schema.kernel) list -> (string * Schema.contract) list
       Counted, not timed, so it is always derived.
     - ["cold_eval_alloc"]: one cold Flat-session evaluation of the
       [flat_cold] plan, after a warm-up evaluation that grows the flat
-      arena, allocates at most 1.4 MB (10^6 bytes) on the minor heap.
+      arena, allocates at most 0.7 MB (10^6 bytes) on the minor heap.
       Counted in words, so it is always derived.
+    - ["flat_fixpoint_alloc"]: one [Flat.analyze_into] on the
+      [flat_cold] jobset, after a warm-up call, allocates 0 minor
+      words. Counted, so it is always derived.
+    - ["cold_eval_work"]: the same evaluation as ["scenario_sharing"],
+      run once with the recorder on, takes at most 252 sweeps and
+      recomputes at most 20435 jobs. Counted, so it is always derived.
     - ["lint_gate_alloc"]: one [Lint.lint_system] on
       [examples/specs/dt-large-noc.mcmap], after a warm-up run,
       allocates at most 200k words on the minor heap. Counted, so it is
       always derived.
 
-    Timed contracts whose kernels are missing are omitted. *)
+    Timed contracts whose measurements are missing are omitted. *)

@@ -21,29 +21,36 @@ module Flight = Mcmap_obs.Flight
 (* ------------------------------------------------------------------ *)
 (* Canonical plan fingerprints.                                        *)
 
-let technique_fp fp (t : Technique.t) =
+let technique_fp acc (t : Technique.t) =
+  let module F = Fingerprint in
   match t with
-  | Technique.No_hardening -> Fingerprint.int fp 1
-  | Technique.Re_execution k -> Fingerprint.int (Fingerprint.int fp 2) k
+  | Technique.No_hardening -> F.absorb_int acc 1
+  | Technique.Re_execution k ->
+    F.absorb_int acc 2;
+    F.absorb_int acc k
   | Technique.Checkpointing (segments, k) ->
-    Fingerprint.int (Fingerprint.int (Fingerprint.int fp 3) segments) k
+    F.absorb_int acc 3;
+    F.absorb_int acc segments;
+    F.absorb_int acc k
   | Technique.Active_replication n ->
-    Fingerprint.int (Fingerprint.int fp 4) n
+    F.absorb_int acc 4;
+    F.absorb_int acc n
   | Technique.Passive_replication m ->
-    Fingerprint.int (Fingerprint.int fp 5) m
+    F.absorb_int acc 5;
+    F.absorb_int acc m
 
 (* The voter binding is semantically inert without a voter (see
    {!Plan.decision}), so it is excluded from the canonical encoding:
    plans differing only there evaluate identically and should share one
    cache entry. *)
-let decision_fp fp ~graph ~task (d : Plan.decision) =
-  let fp = Fingerprint.int (Fingerprint.int fp graph) task in
-  let fp = technique_fp fp d.Plan.technique in
-  let fp = Fingerprint.int fp d.Plan.primary_proc in
-  let fp = Fingerprint.int_array fp d.Plan.replica_procs in
+let decision_fp acc ~graph ~task (d : Plan.decision) =
+  Fingerprint.absorb_int acc graph;
+  Fingerprint.absorb_int acc task;
+  technique_fp acc d.Plan.technique;
+  Fingerprint.absorb_int acc d.Plan.primary_proc;
+  Fingerprint.absorb_int_array acc d.Plan.replica_procs;
   if Technique.needs_voter d.Plan.technique then
-    Fingerprint.int fp d.Plan.voter_proc
-  else fp
+    Fingerprint.absorb_int acc d.Plan.voter_proc
 
 let drop_gene_tag = 0x4452 (* "DR": domain-separates drop genes *)
 
@@ -51,35 +58,38 @@ let fingerprint (plan : Plan.t) =
   (* Order-independent over genes: each bind/technique/drop gene is
      hashed with its coordinates and aggregated commutatively, so the
      encoding does not depend on any traversal order. *)
-  let acc = ref Fingerprint.unordered_zero in
+  let sum = ref Fingerprint.unordered_zero in
+  let add_gene acc =
+    sum := Fingerprint.unordered_add !sum (Fingerprint.finish acc) in
   Array.iteri
     (fun gi row ->
       Array.iteri
         (fun ti d ->
-          acc :=
-            Fingerprint.unordered_add !acc
-              (decision_fp Fingerprint.empty ~graph:gi ~task:ti d))
+          let acc = Fingerprint.start Fingerprint.empty in
+          decision_fp acc ~graph:gi ~task:ti d;
+          add_gene acc)
         row)
     plan.Plan.decisions;
   Array.iteri
     (fun gi dropped ->
-      if dropped then
-        acc :=
-          Fingerprint.unordered_add !acc
-            (Fingerprint.int
-               (Fingerprint.int Fingerprint.empty drop_gene_tag)
-               gi))
+      if dropped then begin
+        let acc = Fingerprint.start Fingerprint.empty in
+        Fingerprint.absorb_int acc drop_gene_tag;
+        Fingerprint.absorb_int acc gi;
+        add_gene acc
+      end)
     plan.Plan.dropped;
   Fingerprint.combine
     (Fingerprint.int Fingerprint.empty (Array.length plan.Plan.dropped))
-    !acc
+    !sum
 
 let row_fingerprint (plan : Plan.t) gi =
-  let fp = ref (Fingerprint.int Fingerprint.empty gi) in
+  let acc = Fingerprint.start Fingerprint.empty in
+  Fingerprint.absorb_int acc gi;
   Array.iteri
-    (fun ti d -> fp := decision_fp !fp ~graph:gi ~task:ti d)
+    (fun ti d -> decision_fp acc ~graph:gi ~task:ti d)
     plan.Plan.decisions.(gi);
-  !fp
+  Fingerprint.finish acc
 
 let decision_canonical_equal (a : Plan.decision) (b : Plan.decision) =
   a.Plan.technique = b.Plan.technique
@@ -327,8 +337,18 @@ let apps t = t.apps
 (* ------------------------------------------------------------------ *)
 (* Hardened-graph and reliability caches (keyed per decision row).     *)
 
-let hgraph_for t plan gi =
-  let key = Fingerprint.combine t.salt (row_fingerprint plan gi) in
+(* Per-row cache keys of a plan, computed once per fresh evaluation and
+   shared by the hardened-graph and rate tiers. Validates the plan
+   first, with the same error as the fresh [Happ.build] path. *)
+let row_keys t plan =
+  (match Plan.errors t.arch t.apps plan with
+   | [] -> ()
+   | msg :: _ -> invalid_arg ("Happ.build: " ^ msg));
+  Array.init t.n_graphs (fun gi ->
+      Fingerprint.combine t.salt (row_fingerprint plan gi))
+
+let hgraph_for t plan keys gi =
+  let key = keys.(gi) in
   match with_lock t (fun () -> Lru.find t.rows key) with
   | Some hg ->
     tier_hit "evaluator.rows";
@@ -339,17 +359,12 @@ let hgraph_for t plan gi =
     with_lock t (fun () -> tier_add "evaluator.rows" t.rows key hg);
     hg
 
-let happ_of t plan =
-  (* Validate before touching per-row constructors, with the same error
-     as the fresh [Happ.build] path. *)
-  (match Plan.errors t.arch t.apps plan with
-   | [] -> ()
-   | msg :: _ -> invalid_arg ("Happ.build: " ^ msg));
-  let graphs = Array.init t.n_graphs (fun gi -> hgraph_for t plan gi) in
+let happ_of t plan keys =
+  let graphs = Array.init t.n_graphs (fun gi -> hgraph_for t plan keys gi) in
   Happ.assemble t.arch t.apps plan graphs
 
-let rate_of t plan gi =
-  let key = Fingerprint.combine t.salt (row_fingerprint plan gi) in
+let rate_of t plan keys gi =
+  let key = keys.(gi) in
   match with_lock t (fun () -> Lru.find t.rates key) with
   | Some r ->
     tier_hit "evaluator.rates";
@@ -362,13 +377,13 @@ let rate_of t plan gi =
 
 (* Same iteration order and float comparisons as
    [Reliability.violations]; the cached rate is the identical double. *)
-let violations_of t plan =
+let violations_of t plan keys =
   let acc = ref [] in
   for gi = t.n_graphs - 1 downto 0 do
     match t.rel_bounds.(gi) with
     | None -> ()
     | Some bound ->
-      let failure_rate = rate_of t plan gi in
+      let failure_rate = rate_of t plan keys gi in
       if failure_rate > bound then
         acc := { Reliability.graph = gi; failure_rate; bound } :: !acc
   done;
@@ -419,39 +434,43 @@ let components_of t (happ : Happ.t) =
        !order)
   |> Array.of_list
 
+(* The component cache key: every job field, every precedence edge and
+   the topological order, absorbed into one accumulator. *)
 let structure_fp rjs =
-  let fp = ref (Fingerprint.int Fingerprint.empty (Jobset.n_jobs rjs)) in
+  let module F = Fingerprint in
+  let acc = F.start F.empty in
+  F.absorb_int acc (Jobset.n_jobs rjs);
   Array.iter
     (fun (j : Job.t) ->
-      let f = !fp in
-      let f = Fingerprint.int f j.Job.graph in
-      let f = Fingerprint.int f j.Job.task in
-      let f = Fingerprint.int f j.Job.instance in
-      let f = Fingerprint.int f j.Job.release in
-      let f = Fingerprint.int f j.Job.abs_deadline in
-      let f = Fingerprint.int f j.Job.proc in
-      let f = Fingerprint.int f j.Job.priority in
-      let f = Fingerprint.int f j.Job.bcet in
-      let f = Fingerprint.int f j.Job.wcet in
-      let f = Fingerprint.int f j.Job.critical_wcet in
-      let f = Fingerprint.int f j.Job.reexec_k in
-      let f = Fingerprint.int f j.Job.recovery in
-      let f = Fingerprint.bool f j.Job.passive in
-      let f = Fingerprint.bool f j.Job.voter in
-      let f = Fingerprint.int f j.Job.origin in
-      let f = Fingerprint.bool f j.Job.droppable in
-      let f = Fingerprint.bool f j.Job.in_dropped_set in
-      fp := f)
+      F.absorb_int acc j.Job.graph;
+      F.absorb_int acc j.Job.task;
+      F.absorb_int acc j.Job.instance;
+      F.absorb_int acc j.Job.release;
+      F.absorb_int acc j.Job.abs_deadline;
+      F.absorb_int acc j.Job.proc;
+      F.absorb_int acc j.Job.priority;
+      F.absorb_int acc j.Job.bcet;
+      F.absorb_int acc j.Job.wcet;
+      F.absorb_int acc j.Job.critical_wcet;
+      F.absorb_int acc j.Job.reexec_k;
+      F.absorb_int acc j.Job.recovery;
+      F.absorb_bool acc j.Job.passive;
+      F.absorb_bool acc j.Job.voter;
+      F.absorb_int acc j.Job.origin;
+      F.absorb_bool acc j.Job.droppable;
+      F.absorb_bool acc j.Job.in_dropped_set)
     rjs.Jobset.jobs;
   Array.iter
     (fun edges ->
-      fp := Fingerprint.int !fp (Array.length edges);
-      Array.iter
-        (fun (p, delay) -> fp := Fingerprint.int (Fingerprint.int !fp p) delay)
-        edges)
+      F.absorb_int acc (Array.length edges);
+      for e = 0 to Array.length edges - 1 do
+        let p, delay = edges.(e) in
+        F.absorb_int acc p;
+        F.absorb_int acc delay
+      done)
     rjs.Jobset.preds;
-  fp := Fingerprint.int_array !fp rjs.Jobset.topo;
-  !fp
+  F.absorb_int_array acc rjs.Jobset.topo;
+  F.finish acc
 
 let response_jobs_for rjs graphs =
   Array.map
@@ -637,8 +656,18 @@ let compute_sched t (happ : Happ.t) =
            required.(g) <- Verdict.Unbounded
        done;
        let absorbed = triggers - walked in
-       if Obs.enabled () then
+       if Obs.enabled () then begin
          Obs.incr ~by:absorbed "evaluator.scenarios_absorbed";
+         (* Which walk decided: a poisoned internal walk (no trigger
+            walked here), an external scenario, or an external scenario
+            of the last trigger (nothing left to absorb). *)
+         Obs.incr
+           ~label:
+             (if walked = 0 then "internal"
+              else if walked = triggers then "external_last"
+              else "external")
+           "evaluator.absorbed"
+       end;
        with_lock t (fun () -> t.n_absorbed <- t.n_absorbed + absorbed));
     let ok = ref true in
     Array.iteri
@@ -669,12 +698,14 @@ let sched_of t fp (happ : Happ.t Lazy.t) =
 (* ------------------------------------------------------------------ *)
 (* Evaluation.                                                         *)
 
-let power t plan = Evaluate.power_of_happ t.arch (happ_of t plan)
+let power t plan =
+  Evaluate.power_of_happ t.arch (happ_of t plan (row_keys t plan))
 
 let eval_fresh t fp plan =
-  let happ = happ_of t plan in
+  let keys = row_keys t plan in
+  let happ = happ_of t plan keys in
   let sinfo = sched_of t fp (lazy happ) in
-  let reliability_violations = violations_of t plan in
+  let reliability_violations = violations_of t plan keys in
   let reliable = reliability_violations = [] in
   let power = Evaluate.power_of_happ t.arch happ in
   let service = Evaluate.service_of_plan t.apps plan in
@@ -691,8 +722,9 @@ let eval_fresh t fp plan =
         Plan.make t.apps
           ~decisions:(Array.map Array.copy plan.Plan.decisions)
           ~dropped:(Array.make t.n_graphs false) in
+      (* Row keys read only the decisions, which [no_drop] shares. *)
       let ninfo =
-        sched_of t (fingerprint no_drop) (lazy (happ_of t no_drop)) in
+        sched_of t (fingerprint no_drop) (lazy (happ_of t no_drop keys)) in
       not ninfo.ok
     end in
   { Evaluate.plan; power; service; schedulable = sinfo.ok; reliable;

@@ -104,6 +104,11 @@ val fingerprint : Mcmap_hardening.Plan.t -> Mcmap_util.Fingerprint.t
     result — a voter binding under a voterless technique — are excluded,
     so such plans share cache entries. *)
 
+val structure_fp : Mcmap_sched.Jobset.t -> Mcmap_util.Fingerprint.t
+(** The component cache key: a positional fingerprint of every job
+    field, every precedence edge and the topological order of a
+    (restricted) jobset. *)
+
 val canonical_equal : Mcmap_hardening.Plan.t -> Mcmap_hardening.Plan.t -> bool
 (** Structural equality modulo canonically-ignored coordinates: the
     equivalence whose classes {!fingerprint} keys, used as the collision

@@ -88,8 +88,8 @@ let registry =
       "The architecture declares no processors.";
     reg "MC016" Error "invalid-processor-attribute"
       "A processor (or the bus) has an attribute outside its domain: \
-       non-positive speed or bandwidth, negative power, fault rate or \
-       latency, or an unknown scheduling policy.";
+       non-positive or non-finite speed, non-positive bandwidth, negative \
+       power, fault rate or latency, or an unknown scheduling policy.";
     reg "MC017" Error "invalid-criticality"
       "An application needs exactly one of (critical <rate>) with rate \
        in (0, 1] or (droppable <sv>) with a non-negative service \
@@ -116,6 +116,12 @@ let registry =
        fixed-point contexts grow with the square of their number, so \
        such a system would exhaust memory. Shorten the hyperperiod: \
        lengthen short periods or make the periods divide each other.";
+    reg "MC023" Error "time-out-of-range"
+      "A period or deadline reaches 2^40, or a task time (WCET, BCET, \
+       detection or voting overhead) reaches it once scaled by the \
+       slowest processor's speed. Scaled times saturate at 2^40, so \
+       the analyses would understate such a time; express the system \
+       in a coarser time unit.";
     (* MC1xx — plan consistency *)
     reg "MC100" Error "plan-syntax"
       "The plan file is not syntactically valid: malformed \

@@ -57,6 +57,9 @@ let check_proc ctx (p : Ast.proc) =
    | Some { Ast.v; pos } when v <= 0. ->
      emit ctx ~pos ~code:"MC016"
        "processor %s: speed must be positive, got %g" name v
+   | Some { Ast.v; pos } when not (Float.is_finite v) ->
+     emit ctx ~pos ~code:"MC016"
+       "processor %s: speed must be finite, got %g" name v
    | _ -> ());
   nonneg "static power" p.Ast.p_static;
   nonneg "dynamic power" p.Ast.p_dynamic;
@@ -325,13 +328,23 @@ let check_job_budget ctx (apps : Ast.app list) =
       Spec.pp_jobs total Spec.job_budget (loc_value g.Ast.g_name)
       Spec.pp_jobs count
 
+(* MC023: the time cap of [Spec.build_system], every offending time
+   reported where it is written. *)
+let check_time_cap ctx (s : Ast.system) =
+  List.iter
+    (fun (pos, msg) ->
+      emit ctx ~pos ~code:"MC023"
+        ~fixit:"express the system in a coarser time unit" "%s" msg)
+    (Spec.over_time_cap s)
+
 let check_system_ast ctx (s : Ast.system) =
   check_arch ctx s.Ast.sys_arch;
   check_duplicates ctx ~code:"MC002" ~what:"application name"
     (List.map (fun (g : Ast.app) -> g.Ast.g_name) s.Ast.sys_apps);
   List.iter (check_app ctx) s.Ast.sys_apps;
   check_hyperperiod ctx s.Ast.sys_apps;
-  check_job_budget ctx s.Ast.sys_apps
+  check_job_budget ctx s.Ast.sys_apps;
+  check_time_cap ctx s
 
 (* ------------------------------------------------------------------ *)
 (* MC2xx: schedulability necessary conditions on the built system *)

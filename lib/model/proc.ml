@@ -17,13 +17,24 @@ let make ?(proc_type = "RISC") ?(static_power = 0.1) ?(dynamic_power = 1.0)
   if static_power < 0. || dynamic_power < 0. then
     invalid_arg "Proc.make: negative power";
   if fault_rate < 0. then invalid_arg "Proc.make: negative fault rate";
+  if not (Float.is_finite speed) then invalid_arg "Proc.make: non-finite speed";
   if speed <= 0. then invalid_arg "Proc.make: non-positive speed";
   { id; name; proc_type; static_power; dynamic_power; fault_rate; speed;
     policy }
 
+let max_scaled_time = 1 lsl 40
+
+let scaled ~speed c = ceil (float_of_int c *. speed)
+
+let saturates ~speed c =
+  c > 0 && scaled ~speed c >= float_of_int max_scaled_time
+
+(* Saturating before the conversion keeps the result monotone in [c]:
+   [int_of_float] of a product at or beyond 2^62 would wrap. *)
 let scale_time p c =
   if c <= 0 then 0
-  else max 1 (int_of_float (ceil (float_of_int c *. p.speed)))
+  else if saturates ~speed:p.speed c then max_scaled_time
+  else max 1 (int_of_float (scaled ~speed:p.speed c))
 
 let fault_probability p duration =
   if duration <= 0 then 0.

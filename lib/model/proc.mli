@@ -16,7 +16,9 @@ type t = {
   static_power : float;  (** leakage power, consumed while allocated *)
   dynamic_power : float;  (** power at 100 % utilisation *)
   fault_rate : float;  (** lambda_p: transient faults per time unit *)
-  speed : float;  (** execution-time multiplier; 1.0 = reference speed *)
+  speed : float;
+      (** execution-time multiplier; 1.0 = reference speed; finite and
+          positive *)
   policy : policy;
 }
 
@@ -34,9 +36,22 @@ val make :
 (** Defaults: type ["RISC"], static 0.1, dynamic 1.0, fault rate 1e-6,
     speed 1.0, preemptive fixed-priority. *)
 
+val max_scaled_time : int
+(** [2^40], the cap of {!scale_time}: sums of up to [2^21] scaled times
+    stay below [max_int]. A system read from a spec never reaches it:
+    [Spec.build_system] rejects any period, deadline or task time that
+    would ({!saturates}). *)
+
+val saturates : speed:float -> int -> bool
+(** [saturates ~speed c] holds when [c > 0] scaled by [speed] and
+    rounded up reaches {!max_scaled_time}, i.e. when {!scale_time} on a
+    processor of that speed returns the cap instead of the exact
+    product. *)
+
 val scale_time : t -> int -> int
 (** [scale_time p c] is [c] scaled by the processor's speed factor, rounded
-    up (slower processor => larger execution time), at least [c > 0 => 1]. *)
+    up (slower processor => larger execution time), at least [c > 0 => 1]
+    and at most {!max_scaled_time}. Monotone in [c]; [0] for [c <= 0]. *)
 
 val fault_probability : t -> int -> float
 (** [fault_probability p duration] is the probability that at least one

@@ -121,36 +121,17 @@ let build ?priority_order ?(hyperperiods = 1) happ =
 
 let n_jobs t = Array.length t.jobs
 
-(* Sub-jobset of a set of graphs, exactly as the full build would order
-   it: jobs keep their relative order (so Gauss-Seidel sweeps visit them
-   in the same sequence), edges/processor buckets/topological order are
-   filtered in place, and priorities are renumbered densely — the
+(* The sub-jobset of the jobs with [newid.(j) >= 0] ([m] of them),
+   exactly as the full build would order it: jobs keep their relative
+   order (so Gauss-Seidel sweeps visit them in the same sequence),
+   edges/processor buckets/topological order are filtered in place,
+   and priorities are renumbered densely — the
    analysis only ever compares priorities of same-processor jobs, and a
    restriction closed under processor sharing contains every such
    comparand, so dense renumbering preserves all comparisons while making
    the result independent of the task counts of absent graphs. *)
-(* The empty restriction ([graphs = [||]]) needs no special case: every
-   derived structure below filters down to empty, which is exactly the
-   advertised boundary behaviour (and what the analyses expect — their
-   sweeps are vacuous and converge on the first pass). *)
-let restrict t ~graphs =
-  let n_graphs = Happ.n_graphs t.happ in
-  let keep_graph = Array.make n_graphs false in
-  Array.iter
-    (fun g ->
-      if g < 0 || g >= n_graphs then invalid_arg "Jobset.restrict";
-      keep_graph.(g) <- true)
-    graphs;
+let restrict_copy t ~newid ~m =
   let n = Array.length t.jobs in
-  let newid = Array.make n (-1) in
-  let count = ref 0 in
-  for j = 0 to n - 1 do
-    if keep_graph.(t.jobs.(j).Job.graph) then begin
-      newid.(j) <- !count;
-      incr count
-    end
-  done;
-  let m = !count in
   let old_of = Array.make m (-1) in
   for j = 0 to n - 1 do
     if newid.(j) >= 0 then old_of.(newid.(j)) <- j
@@ -193,6 +174,36 @@ let restrict t ~graphs =
   { happ = t.happ; hyperperiod = t.hyperperiod;
     base_hyperperiod = t.base_hyperperiod; jobs; preds; succs; by_proc;
     topo }
+
+(* The empty restriction ([graphs = [||]]) needs no special case: every
+   derived structure below filters down to empty, which is exactly the
+   advertised boundary behaviour (and what the analyses expect — their
+   sweeps are vacuous and converge on the first pass). A restriction
+   that keeps every job is [t] itself: ids are already positions, edges,
+   buckets and topological order stay as they are, and the priorities
+   of a built jobset are [Priority.assign]'s ranks, dense over the tasks
+   (every task has at least one job), so the dense renumbering is the
+   identity. *)
+let restrict t ~graphs =
+  let n_graphs = Happ.n_graphs t.happ in
+  let keep_graph = Array.make n_graphs false in
+  Array.iter
+    (fun g ->
+      if g < 0 || g >= n_graphs then invalid_arg "Jobset.restrict";
+      keep_graph.(g) <- true)
+    graphs;
+  let n = Array.length t.jobs in
+  let newid = Array.make n (-1) in
+  let count = ref 0 in
+  for j = 0 to n - 1 do
+    if keep_graph.(t.jobs.(j).Job.graph) then begin
+      newid.(j) <- !count;
+      incr count
+    end
+  done;
+  let m = !count in
+  if m = n then t
+  else restrict_copy t ~newid ~m
 
 let job t i = t.jobs.(i)
 

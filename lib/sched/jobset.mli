@@ -46,7 +46,10 @@ val restrict : t -> graphs:int array -> t
     only compares same-processor jobs, all of which are kept together.
     An empty [graphs] is legal (trivially closed) and yields the empty
     jobset — zero jobs, empty buckets and topological order — on which
-    both analysis engines converge immediately with no bounds.
+    both analysis engines converge immediately with no bounds. A
+    [graphs] that keeps every job returns the jobset itself (ids,
+    edges, buckets and order are unchanged, and a built jobset's
+    priorities are already dense).
     @raise Invalid_argument on an out-of-range graph index. *)
 
 val n_jobs : t -> int

@@ -215,6 +215,49 @@ let pp_jobs ppf n =
   if n = max_int then Format.pp_print_string ppf "more than 2^62"
   else Format.pp_print_int ppf n
 
+(* Every time the analyses read must stay exact: a task time scaled
+   past [Proc.max_scaled_time] saturates, which would understate it, and
+   a period or deadline at the cap could be met by a saturated time.
+   [scale_time] grows with the speed factor, so the slowest valid
+   processor bounds every placement. *)
+let over_time_cap (raw : Ast.system) =
+  let speed =
+    List.fold_left
+      (fun s (p : Ast.proc) ->
+        match p.Ast.p_speed with
+        | None -> Float.max s 1.
+        | Some { Ast.v; _ } when Float.is_finite v && v > 0. -> Float.max s v
+        | Some _ -> s)
+      0. raw.Ast.sys_arch.Ast.a_procs in
+  List.concat_map
+    (fun (g : Ast.app) ->
+      let app = g.Ast.g_name.Ast.v in
+      let bound what (l : int Ast.located) =
+        if Proc.saturates ~speed:1. l.Ast.v then
+          [ ( l.Ast.pos,
+              Format.asprintf "application %s: %s %d reaches the time cap \
+                               2^40"
+                app what l.Ast.v ) ]
+        else [] in
+      let scaled (t : Ast.task) what = function
+        | Some (l : int Ast.located) when Proc.saturates ~speed l.Ast.v ->
+          [ ( l.Ast.pos,
+              Format.asprintf
+                "task %s.%s: %s %d on the slowest processor (speed %g) \
+                 reaches the time cap 2^40"
+                app t.Ast.t_name.Ast.v what l.Ast.v speed ) ]
+        | _ -> [] in
+      bound "period" g.Ast.g_period
+      @ Option.fold ~none:[] ~some:(bound "deadline") g.Ast.g_deadline
+      @ List.concat_map
+          (fun (t : Ast.task) ->
+            scaled t "WCET" (Some t.Ast.t_wcet)
+            @ scaled t "BCET" t.Ast.t_bcet
+            @ scaled t "detection overhead" t.Ast.t_detect
+            @ scaled t "voting overhead" t.Ast.t_vote)
+          g.Ast.g_tasks)
+    raw.Ast.sys_apps
+
 let build_system (raw : Ast.system) =
   let* arch = build_arch raw.Ast.sys_arch in
   let* () =
@@ -227,6 +270,10 @@ let build_system (raw : Ast.system) =
     | g :: _ ->
       protect_at g.Ast.g_pos (fun () -> Appset.make (Array.of_list graphs))
   in
+  let* () =
+    match over_time_cap raw with
+    | [] -> Ok ()
+    | (pos, msg) :: _ -> errf ~pos "[MC023] %s" msg in
   match over_job_budget raw.Ast.sys_apps with
   | None -> Ok { arch; apps }
   | Some (total, largest, _) ->

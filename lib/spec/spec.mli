@@ -56,8 +56,18 @@ val build_system : Ast.system -> (system, error) result
     processor/application/task names and dangling channel endpoints are
     rejected with the position of the offending name; a system over the
     {!job_budget} with ["[MC022] one hyperperiod expands to N jobs, over
-    the budget of 5000"] at the period of its largest contributor. Every
-    system that builds is within the budget, whatever path read it. *)
+    the budget of 5000"] at the period of its largest contributor, and a
+    system with a time at the cap of {!over_time_cap} with ["[MC023]
+    ..."] at that time. Every system that builds is within the budget
+    and below the cap, whatever path read it. *)
+
+val over_time_cap : Ast.system -> (Mcmap_util.Sexp.pos * string) list
+(** Every period or deadline that reaches [Proc.max_scaled_time], and
+    every task time (WCET, BCET, detection and voting overhead) that
+    reaches it once scaled by the slowest valid processor speed, with
+    its position and a message, in source order. On a system without
+    them no scaled task time saturates, and a time that does (a
+    hardened composite in the lint floor) exceeds every deadline. *)
 
 val job_budget : int
 (** The most jobs one hyperperiod may expand to: above it the analysis

@@ -10,6 +10,31 @@ type t = { lo : int64; hi : int64 }
 
 val empty : t
 
+(** {1 Accumulator}
+
+    The one absorption core: every combinator below is [start], a fold
+    of absorptions, then [finish], so a chain of absorptions through an
+    accumulator gives bit-for-bit the value the same chain of combinator
+    calls would. Absorbing allocates nothing; [start] and [finish]
+    allocate the 16-byte state and the result. *)
+
+type acc
+
+val start : t -> acc
+(** A fresh accumulator holding [t]. *)
+
+val absorb_int : acc -> int -> unit
+
+val absorb_bool : acc -> bool -> unit
+
+val absorb_int_array : acc -> int array -> unit
+(** Length-prefixed, positional: what {!int_array} absorbs. *)
+
+val finish : acc -> t
+(** The accumulator's current value; absorbing may continue after. *)
+
+(** {1 Combinators} *)
+
 val int : t -> int -> t
 
 val int64 : t -> int64 -> t

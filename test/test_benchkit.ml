@@ -265,15 +265,27 @@ let test_contract_derivation () =
     [ ("evaluator_cold", kernel ~mean:9000. ~stddev:10. ());
       ("flat_cold", kernel ~mean:1000. ~stddev:10. ());
       ("evaluator_cold_obs", kernel ~mean:9050. ~stddev:10. ()) ] in
-  let contracts = Kernels.contracts kernels in
+  (* The flat speed-up is the median of per-pair ratios: one wild pair
+     (a load spike on the flat side) does not move it. *)
+  let flat_pairs =
+    [ (9000., 1000.); (9100., 1000.); (8900., 1000.); (9000., 5000.);
+      (9000., 1000.) ] in
+  let contracts = Kernels.contracts ~flat_pairs kernels in
   (match List.assoc_opt "flat_vs_reference" contracts with
    | Some c ->
      check Alcotest.bool "9x speedup passes" true c.Schema.ok;
      check
        Alcotest.(option (float 1e-6))
-       "speedup recorded" (Some 9.0)
-       (List.assoc_opt "speedup" c.Schema.numbers)
+       "median speedup recorded" (Some 9.0)
+       (List.assoc_opt "speedup" c.Schema.numbers);
+     check
+       Alcotest.(option (float 0.))
+       "pairs recorded" (Some 5.)
+       (List.assoc_opt "pairs" c.Schema.numbers)
    | None -> Alcotest.fail "flat contract not derived");
+  check Alcotest.bool "no pairs, no flat contract" false
+    (List.mem_assoc "flat_vs_reference"
+       (Kernels.contracts ~flat_pairs:[] kernels));
   (match List.assoc_opt "obs_overhead" contracts with
    | Some c ->
      check Alcotest.bool "0.6% overhead passes" true c.Schema.ok
@@ -292,8 +304,8 @@ let test_contract_derivation () =
       | Some f -> check Alcotest.bool "fewer fixpoints" true (f < 68.)
       | None -> Alcotest.fail "fixpoints not recorded")
    | None -> Alcotest.fail "sharing contract not derived");
-  (* Counted in minor words: a cold evaluation whose trigger scenarios
-     go through the reducing entry stays under 1.4 MB. *)
+  (* Counted in minor words: a cold evaluation with allocation-free
+     keys stays under 0.7 MB. *)
   (match List.assoc_opt "cold_eval_alloc" contracts with
    | Some c ->
      check Alcotest.bool "allocation contract holds" true c.Schema.ok;
@@ -305,23 +317,52 @@ let test_contract_derivation () =
   let heavy =
     [ ("evaluator_cold", kernel ~mean:9000. ~stddev:10. ());
       ("evaluator_cold_obs", kernel ~mean:9900. ~stddev:10. ()) ] in
-  (match List.assoc_opt "obs_overhead" (Kernels.contracts heavy) with
+  (match
+     List.assoc_opt "obs_overhead" (Kernels.contracts ~flat_pairs:[] heavy)
+   with
    | Some c -> check Alcotest.bool "10% overhead fails" false c.Schema.ok
    | None -> Alcotest.fail "obs contract not derived (heavy)");
   (* a slow flat kernel fails the speedup contract *)
-  let slow =
-    [ ("evaluator_cold", kernel ~mean:2000. ~stddev:10. ());
-      ("flat_cold", kernel ~mean:1000. ~stddev:10. ()) ] in
-  match List.assoc_opt "flat_vs_reference" (Kernels.contracts slow) with
+  let slow = [ (2000., 1000.); (2100., 1000.); (9000., 1000.) ] in
+  match
+    List.assoc_opt "flat_vs_reference" (Kernels.contracts ~flat_pairs:slow [])
+  with
   | Some c -> check Alcotest.bool "2x speedup fails" false c.Schema.ok
   | None -> Alcotest.fail "flat contract not derived (slow)"
+
+(* The flat fixpoint allocates nothing after warm-up, and a cold
+   evaluation's work stays within its pinned counts; both are counted,
+   so they are derived without any timing. *)
+let test_counted_contracts () =
+  let contracts = Kernels.contracts ~flat_pairs:[] [] in
+  (match List.assoc_opt "flat_fixpoint_alloc" contracts with
+   | Some c ->
+     check Alcotest.bool "flat fixpoint allocation contract holds" true
+       c.Schema.ok;
+     check
+       Alcotest.(option (float 0.))
+       "zero words" (Some 0.)
+       (List.assoc_opt "minor_words" c.Schema.numbers)
+   | None -> Alcotest.fail "flat fixpoint contract not derived");
+  match List.assoc_opt "cold_eval_work" contracts with
+  | Some c ->
+    check Alcotest.bool "cold evaluation work contract holds" true c.Schema.ok;
+    List.iter
+      (fun name ->
+        match List.assoc_opt name c.Schema.numbers with
+        | Some n -> check Alcotest.bool (name ^ " counted") true (n > 0.)
+        | None -> Alcotest.failf "%s not recorded" name)
+      [ "sweeps"; "recomputed_jobs" ]
+  | None -> Alcotest.fail "cold evaluation work contract not derived"
 
 (* The lint gate's allocation is counted, not timed: one
    [Lint.lint_system] on the shipped DT-large NoC spec stays under 200k
    minor words (an MC301 floor that steps every count up to 64 reads
    about 328k). *)
 let test_lint_gate_alloc () =
-  match List.assoc_opt "lint_gate_alloc" (Kernels.contracts []) with
+  match
+    List.assoc_opt "lint_gate_alloc" (Kernels.contracts ~flat_pairs:[] [])
+  with
   | Some c ->
     check Alcotest.bool "lint gate allocation contract holds" true c.Schema.ok;
     check
@@ -351,4 +392,6 @@ let suite =
     Alcotest.test_case "contracts derived from measurements" `Quick
       test_contract_derivation;
     Alcotest.test_case "lint gate allocation contract holds" `Quick
-      test_lint_gate_alloc ]
+      test_lint_gate_alloc;
+    Alcotest.test_case "counted contracts hold" `Quick
+      test_counted_contracts ]

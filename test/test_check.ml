@@ -84,6 +84,46 @@ let test_corpus_both_engines () =
         (Oracles.evaluations_equal r f))
     entries
 
+(* The pinned system whose verdicts an external scenario of the last
+   trigger decides: the session must reach that absorb (counted under
+   [evaluator.absorbed~external_last]) and still equal the fresh
+   evaluation on both engines. Random systems almost never reach it, so
+   an evaluator that skipped this absorb passed every oracle. *)
+let test_corpus_external_last () =
+  let module Spec = Mcmap_spec.Spec in
+  let module Obs = Mcmap_obs.Obs in
+  let sys =
+    match Spec.load_system "corpus/external-last.mcmap" with
+    | Ok sys -> sys
+    | Error e -> Alcotest.fail e in
+  let plan =
+    match Spec.load_plan sys "corpus/external-last.plan" with
+    | Ok plan -> plan
+    | Error e -> Alcotest.fail e in
+  let arch = sys.Spec.arch and apps = sys.Spec.apps in
+  let fresh = Mcmap_dse.Evaluate.evaluate arch apps plan in
+  List.iter
+    (fun (engine, name) ->
+      Obs.enable ();
+      Obs.reset ();
+      let e =
+        Fun.protect
+          ~finally:(fun () -> Obs.disable ())
+          (fun () -> Evaluator.eval (Evaluator.create ~engine arch apps) plan)
+      in
+      let reached =
+        match
+          List.assoc_opt "evaluator.absorbed~external_last"
+            (Obs.snapshot ()).Obs.metrics
+        with
+        | Some (Obs.Counter n) -> n
+        | _ -> 0 in
+      Obs.reset ();
+      check Alcotest.int (name ^ ": external_last absorb reached") 1 reached;
+      check Alcotest.bool (name ^ ": session equals fresh") true
+        (Oracles.evaluations_equal e fresh))
+    [ (Evaluator.Flat, "flat"); (Evaluator.Reference, "reference") ]
+
 let test_replay_unknown_oracle () =
   check Alcotest.bool "unknown oracle is an error" true
     (Result.is_error (Runner.replay_entry (1, "no-such-oracle")))
@@ -203,4 +243,6 @@ let suite =
     Alcotest.test_case "mutation: broken bound caught and shrunk" `Quick
       test_broken_bound_caught_and_shrunk;
     Alcotest.test_case "mutation: failure report renders" `Quick
-      test_failure_report_renders ]
+      test_failure_report_renders;
+    Alcotest.test_case "corpus: external scenario of the last trigger" `Quick
+      test_corpus_external_last ]

@@ -434,6 +434,41 @@ let test_evaluator_fingerprint_canonical () =
   check Alcotest.bool "rebinding breaks canonical equality" false
     (Evaluator.canonical_equal plan rebound)
 
+(* The accumulator-built keys equal the allocating fold they replaced
+   ([Fingerprint_reference], a literal copy), bit for bit: the plan
+   fingerprint, and the structure key of the full jobset and of every
+   one-graph restriction, on every registry benchmark (a sampler plan
+   each) and on 500 generated systems. *)
+let test_evaluator_keys_match_reference () =
+  let module R = Fingerprint_reference in
+  let module Jobset = Mcmap_sched.Jobset in
+  let check_keys what arch apps plan =
+    if not (R.same (R.plan_fingerprint plan) (Evaluator.fingerprint plan))
+    then Alcotest.failf "%s: plan fingerprint moved" what;
+    let js = Jobset.build (Mcmap_hardening.Happ.build arch apps plan) in
+    let restrictions =
+      js
+      :: List.init (Appset.n_graphs apps) (fun g ->
+             Jobset.restrict js ~graphs:[| g |]) in
+    List.iter
+      (fun rjs ->
+        if not (R.same (R.structure_fp rjs) (Evaluator.structure_fp rjs))
+        then Alcotest.failf "%s: structure key moved" what)
+      restrictions in
+  List.iter
+    (fun (b : Mcmap_benchmarks.Benchmark.t) ->
+      let arch = b.Mcmap_benchmarks.Benchmark.arch
+      and apps = b.Mcmap_benchmarks.Benchmark.apps in
+      check_keys b.Mcmap_benchmarks.Benchmark.name arch apps
+        (Mcmap_benchmarks.Sampler.balanced_plan ~seed:42 arch apps))
+    (Mcmap_benchmarks.Registry.all ());
+  for seed = 1 to 500 do
+    let sys = Test_gen.random_system seed in
+    check_keys
+      (Printf.sprintf "gen seed %d" seed)
+      sys.Test_gen.arch sys.Test_gen.apps sys.Test_gen.plan
+  done
+
 let test_evaluator_matches_fresh () =
   let sys = Test_gen.random_system 32 in
   let arch = sys.Test_gen.arch and apps = sys.Test_gen.apps in
@@ -563,4 +598,6 @@ let suite =
     Alcotest.test_case "evaluator: power shim" `Quick
       test_evaluator_power_matches;
     Alcotest.test_case "evaluator: population determinism" `Quick
-      test_eval_population_deterministic ]
+      test_eval_population_deterministic;
+    Alcotest.test_case "evaluator: keys equal the reference fold" `Quick
+      test_evaluator_keys_match_reference ]

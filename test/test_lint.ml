@@ -149,7 +149,8 @@ let test_corpus_positions () =
     [ ("MC001.mcmap", 6, 20); (* second (name p0) value *)
       ("MC008.mcmap", 11, 35); (* the (bcet 20) value *)
       ("MC016.mcmap", 5, 31); (* the (speed -1) value *)
-      ("MC022.mcmap", 11, 11) (* the (period 10) of the biggest app *) ]
+      ("MC022.mcmap", 11, 11); (* the (period 10) of the biggest app *)
+      ("MC023-speed.mcmap", 15, 25) (* the (wcet 50) scaled by 1e18 *) ]
 
 (* ------------------------------------------------------------------ *)
 (* Shipped example specs stay clean even with warnings denied *)
@@ -212,6 +213,47 @@ let test_job_budget () =
        (Spec.read_system
           (String.concat "\n"
              [ arch; app "a" 1; app "b" (Spec.job_budget - 1) ])))
+
+(* The MC023 time cap is a build-time invariant too: a period, deadline
+   or slowest-processor task time at 2^40 fails [Spec.read_system] with a
+   located MC023 error, lint or no lint, while one unit below builds. *)
+let test_time_cap () =
+  let cap = Mcmap_model.Proc.max_scaled_time in
+  let over what text ~at =
+    match Spec.read_system text with
+    | Ok _ -> Alcotest.failf "%s: built a system at the time cap" what
+    | Error e ->
+      check Alcotest.bool (Printf.sprintf "%s: located MC023 in %S" what e)
+        true
+        (contains e (at ^ ": [MC023] ")) in
+  over "corpus speed" (read_corpus "MC023-speed.mcmap") ~at:"15:25";
+  over "corpus deadline" (read_corpus "MC023-deadline.mcmap") ~at:"12:11";
+  let system ~speed ~period ~wcet =
+    Printf.sprintf
+      "(architecture (processor (name p0) (speed 1))\n\
+      \  (processor (name p1) (speed %g)))\n\
+       (application (name a) (period %d) (droppable 1)\n\
+      \  (task (name t) (wcet %d)))"
+      speed period wcet in
+  let builds what text =
+    match Spec.read_system text with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" what e in
+  builds "every time one below the cap"
+    (system ~speed:1. ~period:(cap - 1) ~wcet:(cap - 1));
+  builds "a scaled WCET one below the cap"
+    (system ~speed:2. ~period:100 ~wcet:((cap / 2) - 1));
+  over "period at the cap" (system ~speed:1. ~period:cap ~wcet:1) ~at:"3:31";
+  over "WCET at the cap on the slower processor"
+    (system ~speed:2. ~period:100 ~wcet:(cap / 2))
+    ~at:"4:24";
+  match Lint.ingest ~system_file:"speed" ~no_lint:true
+          (read_corpus "MC023-speed.mcmap") None
+  with
+  | _, Some _ -> Alcotest.fail "built a system whose WCET saturates"
+  | [ d ], None -> check Alcotest.string "code" "MC023" d.D.code
+  | ds, None ->
+    Alcotest.failf "expected one diagnostic, got:\n%s" (D.render_human ds)
 
 (* [Lint.ingest], with and without the gate, builds every shipped spec
    (and cruise with its mapping) into the values [Spec.load_*] read. *)
@@ -390,6 +432,8 @@ let suite =
     Alcotest.test_case "corpus: positioned diagnostics" `Quick
       test_corpus_positions;
     Alcotest.test_case "examples: lint clean" `Quick test_examples_clean;
+    Alcotest.test_case "time cap (MC023) on built systems" `Quick
+      test_time_cap;
     Alcotest.test_case "job budget (MC022) on built systems" `Quick
       test_job_budget;
     Alcotest.test_case "ingest: shipped specs equal Spec.load_*" `Quick

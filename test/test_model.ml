@@ -40,7 +40,14 @@ let test_proc_validation () =
       ignore (Proc.make ~id:0 ~name:"x" ~fault_rate:(-1.) ()));
   Alcotest.check_raises "zero speed"
     (Invalid_argument "Proc.make: non-positive speed") (fun () ->
-      ignore (Proc.make ~id:0 ~name:"x" ~speed:0. ()))
+      ignore (Proc.make ~id:0 ~name:"x" ~speed:0. ()));
+  List.iter
+    (fun speed ->
+      Alcotest.check_raises
+        (Printf.sprintf "speed %g" speed)
+        (Invalid_argument "Proc.make: non-finite speed") (fun () ->
+          ignore (Proc.make ~id:0 ~name:"x" ~speed ())))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 let test_proc_scale_time () =
   let fast = proc ~speed:1.0 0 and slow = proc ~speed:1.5 1 in
@@ -48,7 +55,37 @@ let test_proc_scale_time () =
   check Alcotest.int "slow rounded up" 15 (Proc.scale_time slow 10);
   check Alcotest.int "zero is zero" 0 (Proc.scale_time slow 0);
   let tiny = proc ~speed:0.01 2 in
-  check Alcotest.int "positive stays positive" 1 (Proc.scale_time tiny 1)
+  check Alcotest.int "positive stays positive" 1 (Proc.scale_time tiny 1);
+  (* 50 * 1e18 is beyond any int: the product saturates, never wraps *)
+  let huge = proc ~speed:1e18 3 in
+  check Alcotest.int "huge product saturates" Proc.max_scaled_time
+    (Proc.scale_time huge 50);
+  check Alcotest.int "max_int saturates" Proc.max_scaled_time
+    (Proc.scale_time fast max_int)
+
+(* [scale_time] is monotone in the time and capped, for every finite
+   positive speed, from tiny to far beyond the cap's ratio. *)
+let qcheck_scale_time_monotone =
+  let time =
+    QCheck.Gen.(
+      oneof
+        [ int_range (-5) 1000; int_range 0 max_int;
+          map (fun e -> 1 lsl e) (int_range 0 61) ]) in
+  let speed =
+    QCheck.Gen.(
+      oneof
+        [ float_range 0.01 4.;
+          map (fun e -> 10. ** float_of_int e) (int_range (-300) 300) ]) in
+  QCheck.Test.make ~name:"proc: scale_time is monotone and capped"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (s, a, b) -> Printf.sprintf "speed %g, %d vs %d" s a b)
+       QCheck.Gen.(triple speed time time))
+    (fun (speed, a, b) ->
+      let p = proc ~speed 0 in
+      let lo = min a b and hi = max a b in
+      let slo = Proc.scale_time p lo and shi = Proc.scale_time p hi in
+      slo <= shi && shi <= Proc.max_scaled_time && (hi <= 0 || shi >= 1))
 
 let test_proc_fault_probability () =
   let p = proc ~fault_rate:1e-3 0 in
@@ -412,4 +449,5 @@ let suite =
       test_graph_cycle_detection;
     Alcotest.test_case "graph: validation" `Quick test_graph_validation;
     Alcotest.test_case "appset: accessors" `Quick test_appset;
-    Alcotest.test_case "appset: validation" `Quick test_appset_validation ]
+    Alcotest.test_case "appset: validation" `Quick test_appset_validation;
+    qtest qcheck_scale_time_monotone ]

@@ -476,6 +476,72 @@ let test_flat_scratch_arena_reuse () =
   check Alcotest.int "smaller analyses reuse, never shrink" cap
     (Flat.scratch_capacity ())
 
+(* The copying restriction as it was written before restrict learnt to
+   return its argument: every field, re-derived from the kept jobs. *)
+let copy_restrict (t : Jobset.t) ~graphs =
+  let keep (j : Job.t) = Array.mem j.Job.graph graphs in
+  let n = Jobset.n_jobs t in
+  let newid = Array.make n (-1) in
+  let count = ref 0 in
+  Array.iteri
+    (fun i j ->
+      if keep j then begin
+        newid.(i) <- !count;
+        incr count
+      end)
+    t.Jobset.jobs;
+  let old_of = Array.make !count (-1) in
+  Array.iteri (fun i k -> if k >= 0 then old_of.(k) <- i) newid;
+  let prios =
+    List.sort_uniq compare
+      (Array.to_list
+         (Array.map (fun i -> t.Jobset.jobs.(i).Job.priority) old_of)) in
+  let rank p =
+    let rec find i = function
+      | [] -> assert false
+      | q :: rest -> if q = p then i else find (i + 1) rest in
+    find 0 prios in
+  let remap (p, d) = (newid.(p), d) in
+  let filter ids =
+    Array.of_list
+      (List.filter_map
+         (fun j -> if newid.(j) >= 0 then Some newid.(j) else None)
+         (Array.to_list ids)) in
+  ( Array.mapi
+      (fun k i ->
+        let job = t.Jobset.jobs.(i) in
+        { job with Job.id = k; priority = rank job.Job.priority })
+      old_of,
+    Array.map (fun i -> Array.map remap t.Jobset.preds.(i)) old_of,
+    Array.map (fun i -> Array.map remap t.Jobset.succs.(i)) old_of,
+    Array.map filter t.Jobset.by_proc,
+    filter t.Jobset.topo )
+
+let test_jobset_restrict_matches_copy () =
+  let fields (r : Jobset.t) =
+    (r.Jobset.jobs, r.Jobset.preds, r.Jobset.succs, r.Jobset.by_proc,
+     r.Jobset.topo) in
+  for seed = 1 to 200 do
+    let sys = Mcmap_gen.Gen.random_system seed in
+    let js =
+      Jobset.build
+        (Happ.build sys.Mcmap_gen.Gen.arch sys.Mcmap_gen.Gen.apps
+           sys.Mcmap_gen.Gen.plan) in
+    let n_graphs = Appset.n_graphs sys.Mcmap_gen.Gen.apps in
+    let all = Array.init n_graphs Fun.id in
+    let whole = Jobset.restrict js ~graphs:all in
+    if whole != js then
+      Alcotest.failf "seed %d: restricting to every graph copied" seed;
+    if fields whole <> copy_restrict js ~graphs:all then
+      Alcotest.failf "seed %d: every-graph restriction differs from the copy"
+        seed;
+    for g = 0 to n_graphs - 1 do
+      let graphs = Array.of_list (List.filter (( <> ) g) (Array.to_list all)) in
+      if fields (Jobset.restrict js ~graphs) <> copy_restrict js ~graphs then
+        Alcotest.failf "seed %d: restriction without graph %d differs" seed g
+    done
+  done
+
 let test_jobset_restrict_empty () =
   let g =
     graph ~name:"g" ~period:100
@@ -612,4 +678,6 @@ let suite =
       test_static_schedule_chain;
     Alcotest.test_case "static: scenario count" `Quick
       test_static_scenario_count;
-    QCheck_alcotest.to_alcotest prop_static_schedule_well_formed ]
+    QCheck_alcotest.to_alcotest prop_static_schedule_well_formed;
+    Alcotest.test_case "jobset: restrict equals the copy" `Quick
+      test_jobset_restrict_matches_copy ]

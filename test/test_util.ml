@@ -631,6 +631,82 @@ let test_fingerprint_unordered () =
   check Alcotest.bool "different multisets differ" false
     (Fingerprint.equal (sum [ 1; 2; 3 ]) (sum [ 1; 2; 4 ]))
 
+(* Every combinator equals the allocating fold it replaced
+   ([Fingerprint_reference], a literal copy), bit for bit, over random
+   mixed sequences; and absorbing the same values through one
+   accumulator equals chaining the combinators. *)
+type fp_op =
+  | Op_int of int
+  | Op_bool of bool
+  | Op_int64 of int64
+  | Op_float of float
+  | Op_string of string
+  | Op_int_array of int array
+  | Op_combine of int list
+
+let fp_op_gen =
+  QCheck.Gen.(
+    oneof
+      [ map (fun v -> Op_int v) int;
+        map (fun v -> Op_int v) (oneofl [ 0; 1; -1; max_int; min_int ]);
+        map (fun b -> Op_bool b) bool;
+        map (fun v -> Op_int64 v) ui64;
+        map (fun v -> Op_float v) float;
+        map (fun s -> Op_string s) (string_size (0 -- 40));
+        map (fun a -> Op_int_array a) (array_size (0 -- 8) int);
+        map (fun l -> Op_combine l) (list_size (0 -- 4) int) ])
+
+let apply_new t = function
+  | Op_int v -> Fingerprint.int t v
+  | Op_bool b -> Fingerprint.bool t b
+  | Op_int64 v -> Fingerprint.int64 t v
+  | Op_float v -> Fingerprint.float t v
+  | Op_string s -> Fingerprint.string t s
+  | Op_int_array a -> Fingerprint.int_array t a
+  | Op_combine l ->
+    Fingerprint.combine t (List.fold_left Fingerprint.int Fingerprint.empty l)
+
+let apply_old t =
+  let module R = Fingerprint_reference in
+  function
+  | Op_int v -> R.int t v
+  | Op_bool b -> R.bool t b
+  | Op_int64 v -> R.int64 t v
+  | Op_float v -> R.float t v
+  | Op_string s -> R.string t s
+  | Op_int_array a -> R.int_array t a
+  | Op_combine l -> R.combine t (List.fold_left R.int R.empty l)
+
+let prop_fingerprint_matches_reference =
+  QCheck.Test.make ~name:"fingerprint: equals the reference fold"
+    ~count:500
+    (QCheck.make QCheck.Gen.(list_size (0 -- 30) fp_op_gen))
+    (fun ops ->
+      Fingerprint_reference.same
+        (List.fold_left apply_old Fingerprint_reference.empty ops)
+        (List.fold_left apply_new Fingerprint.empty ops))
+
+let prop_fingerprint_accumulator =
+  let value_gen =
+    QCheck.Gen.(
+      oneof
+        [ map (fun v -> Op_int v) int; map (fun b -> Op_bool b) bool;
+          map (fun a -> Op_int_array a) (array_size (0 -- 8) int) ]) in
+  QCheck.Test.make ~name:"fingerprint: accumulator equals the combinators"
+    ~count:500
+    (QCheck.make QCheck.Gen.(list_size (0 -- 30) value_gen))
+    (fun ops ->
+      let acc = Fingerprint.start Fingerprint.empty in
+      List.iter
+        (function
+          | Op_int v -> Fingerprint.absorb_int acc v
+          | Op_bool b -> Fingerprint.absorb_bool acc b
+          | Op_int_array a -> Fingerprint.absorb_int_array acc a
+          | _ -> assert false)
+        ops;
+      Fingerprint.equal (Fingerprint.finish acc)
+        (List.fold_left apply_new Fingerprint.empty ops))
+
 (* ------------------------------------------------------------------ *)
 (* Bitset. Capacities straddle the 63-bit word boundary on purpose so
    every law exercises both the single- and multi-word paths. *)
@@ -839,4 +915,6 @@ let suite =
     Alcotest.test_case "json: parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json: member" `Quick test_json_member;
     qtest prop_json_roundtrip;
-    qtest prop_json_minified_roundtrip ]
+    qtest prop_json_minified_roundtrip;
+    qtest prop_fingerprint_matches_reference;
+    qtest prop_fingerprint_accumulator ]
