@@ -9,6 +9,8 @@ module C = Mcmap_campaign
 module Obs = Mcmap_obs.Obs
 module Spec = Mcmap_spec.Spec
 module Lint = Mcmap_lint.Lint
+module Protocol = Mcmap_serve.Protocol
+module Sexp = Mcmap_util.Sexp
 
 (* ------------------------------------------------------------------ *)
 (* Shared kernel contexts (forced on first use, shared across kernels) *)
@@ -379,6 +381,14 @@ let sharing_contract =
              ("scenarios", float_of_int scenarios); ("ratio", ratio);
              ("max_ratio", max_ratio) ] } ))
 
+(* Minor words [f ()] allocates, after one warm-up call; deterministic
+   for a given build. *)
+let minor_words_of f =
+  ignore (f ());
+  let before = Gc.minor_words () in
+  ignore (f ());
+  Gc.minor_words () -. before
+
 (* Minor allocation of one cold Flat-session evaluation of the
    [flat_cold] plan (session creation included), after one warm-up
    evaluation on this domain so the flat arena has already grown to the
@@ -391,13 +401,11 @@ let sharing_contract =
 let cold_alloc_contract =
   lazy
     (let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
-     let eval () =
-       let session = D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
-       ignore (D.Evaluator.eval session plan) in
-     eval ();
-     let before = Gc.minor_words () in
-     eval ();
-     let words = Gc.minor_words () -. before in
+     let words =
+       minor_words_of (fun () ->
+           let session =
+             D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
+           D.Evaluator.eval session plan) in
      let minor_mb = words *. float_of_int (Sys.word_size / 8) /. 1e6 in
      let max_mb = 0.7 in
      ( "cold_eval_alloc",
@@ -406,23 +414,46 @@ let cold_alloc_contract =
            [ ("minor_words", words); ("minor_mb", minor_mb);
              ("max_mb", max_mb) ] } ))
 
+let words_contract name ~max_words f =
+  let words = minor_words_of f in
+  ( name,
+    { Schema.ok = words <= max_words;
+      numbers = [ ("minor_words", words); ("max_words", max_words) ] } )
+
 (* Minor allocation of one [Lint.lint_system] on the shipped DT-large
-   NoC spec, after a warm-up run, counted in words so it is
-   deterministic for a given build. MC301's floor stepping every
-   re-execution and checkpointing count up to 64 read 327.8k words;
-   closed forms, bisection and stopping at a zero floor bring it to
-   about 131k, most of it the parse. *)
+   NoC spec. MC301's floor stepping every re-execution and checkpointing
+   count up to 64 read 327.8k words; closed forms, bisection and
+   stopping at a zero floor read 130.6k, most of it the parse; a reader
+   that allocates only the tree reads about 76k. *)
 let lint_alloc_contract =
   lazy
     (let text = Lazy.force noc_spec_text in
-     ignore (Lint.lint_system text);
-     let before = Gc.minor_words () in
-     ignore (Lint.lint_system text);
-     let words = Gc.minor_words () -. before in
-     let max_words = 200_000. in
-     ( "lint_gate_alloc",
-       { Schema.ok = words <= max_words;
-         numbers = [ ("minor_words", words); ("max_words", max_words) ] } ))
+     words_contract "lint_gate_alloc" ~max_words:100_000. (fun () ->
+         Lint.lint_system text))
+
+(* The text of one serve [analyze] request: the DT-large system and its
+   balanced seed-42 plan, as a client frames it (about 13 KB). *)
+let analyze_frame =
+  lazy
+    (let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
+     let system = { Spec.arch; apps } in
+     let parse text =
+       match Sexp.parse text with Ok forms -> forms | Error e -> failwith e in
+     let body =
+       Protocol.Analyze
+         { system = parse (Spec.write_system system);
+           plan = Some (List.hd (parse (Spec.write_plan system plan))) } in
+     Protocol.request_to_string
+       { Protocol.id = 1; deadline_ms = None; no_lint = false; body })
+
+(* Minor allocation of decoding that frame. A reader that allocated a
+   [Some] per byte and an [Ok] per node read 135.6k words; one that
+   allocates only the tree reads about 14.6k. *)
+let frame_decode_contract =
+  lazy
+    (let frame = Lazy.force analyze_frame in
+     words_contract "frame_decode_alloc" ~max_words:40_000. (fun () ->
+         Protocol.request_of_string frame))
 
 (* Minor allocation of one [Flat.analyze_into] on the [flat_cold]
    jobset (the normal state's exec vector), after a warm-up call that
@@ -442,10 +473,8 @@ let flat_fixpoint_alloc_contract =
          exec.((2 * j.S.Job.id) + 1) <- wcet)
        js.S.Jobset.jobs;
      let max_finish = Array.make n 0 in
-     ignore (S.Flat.analyze_into ctx ~exec ~max_finish);
-     let before = Gc.minor_words () in
-     ignore (S.Flat.analyze_into ctx ~exec ~max_finish);
-     let words = Gc.minor_words () -. before in
+     let words =
+       minor_words_of (fun () -> S.Flat.analyze_into ctx ~exec ~max_finish) in
      ( "flat_fixpoint_alloc",
        { Schema.ok = words = 0.;
          numbers = [ ("minor_words", words); ("max_words", 0.) ] } ))
@@ -472,4 +501,4 @@ let contracts ~flat_pairs kernels =
   flat_contract flat_pairs @ obs_contract kernels
   @ [ Lazy.force sharing_contract; Lazy.force cold_alloc_contract;
       Lazy.force flat_fixpoint_alloc_contract; Lazy.force work_contract;
-      Lazy.force lint_alloc_contract ]
+      Lazy.force lint_alloc_contract; Lazy.force frame_decode_contract ]

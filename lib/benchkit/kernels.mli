@@ -54,7 +54,11 @@ val contracts :
       recomputes at most 20435 jobs. Counted, so it is always derived.
     - ["lint_gate_alloc"]: one [Lint.lint_system] on
       [examples/specs/dt-large-noc.mcmap], after a warm-up run,
-      allocates at most 200k words on the minor heap. Counted, so it is
+      allocates at most 100k words on the minor heap. Counted, so it is
       always derived.
+    - ["frame_decode_alloc"]: one [Protocol.request_of_string] of a
+      DT-large [analyze] frame (the [flat_cold] plan with its system,
+      about 13 KB), after a warm-up run, allocates at most 40k words on
+      the minor heap. Counted, so it is always derived.
 
     Timed contracts whose measurements are missing are omitted. *)

@@ -722,9 +722,13 @@ let eval_fresh t fp plan =
         Plan.make t.apps
           ~decisions:(Array.map Array.copy plan.Plan.decisions)
           ~dropped:(Array.make t.n_graphs false) in
-      (* Row keys read only the decisions, which [no_drop] shares. *)
+      (* Row keys read only the decisions, which [no_drop] shares; the
+         sched key is salted as in [eval], so the twin's own evaluation
+         reuses this entry. *)
       let ninfo =
-        sched_of t (fingerprint no_drop) (lazy (happ_of t no_drop keys)) in
+        sched_of t
+          (Fingerprint.combine t.salt (fingerprint no_drop))
+          (lazy (happ_of t no_drop keys)) in
       not ninfo.ok
     end in
   { Evaluate.plan; power; service; schedulable = sinfo.ok; reliable;

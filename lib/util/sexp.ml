@@ -14,97 +14,112 @@ end
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
-type cursor = {
-  input : string;
-  mutable pos : int;
+(* One cursor over the text. The column is derived, [i - line_start +
+   1], so a byte costs one index bump; a newline also moves [line] and
+   [line_start]. *)
+type reader = {
+  text : string;
+  len : int;
+  mutable i : int;
   mutable line : int;
-  mutable col : int;
+  mutable line_start : int;
 }
 
-let peek c = if c.pos < String.length c.input then Some c.input.[c.pos] else None
+let max_depth = 1000
 
-let advance c =
-  (match peek c with
-   | Some '\n' ->
-     c.line <- c.line + 1;
-     c.col <- 1
-   | Some _ -> c.col <- c.col + 1
-   | None -> ());
-  c.pos <- c.pos + 1
+(* Raised at the first malformed byte with the located message, and
+   caught once in [read_forms]: no node carries a result. *)
+exception Malformed of string
 
-let error c msg = Error (Format.asprintf "%d:%d: %s" c.line c.col msg)
+let malformed r msg =
+  Malformed (Printf.sprintf "%d:%d: %s" r.line (r.i - r.line_start + 1) msg)
 
-let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+let is_atom_char = function
+  | ' ' | '\t' | '\n' | '\r' | '(' | ')' | ';' -> false
+  | _ -> true
 
-let is_atom_char ch = (not (is_space ch)) && ch <> '(' && ch <> ')' && ch <> ';'
+(* Skip whitespace and [;] comments; a comment stops before its newline,
+   which the next round consumes. *)
+let rec skip_blank r =
+  if r.i < r.len then
+    match String.unsafe_get r.text r.i with
+    | ' ' | '\t' | '\r' ->
+      r.i <- r.i + 1;
+      skip_blank r
+    | '\n' ->
+      r.i <- r.i + 1;
+      r.line <- r.line + 1;
+      r.line_start <- r.i;
+      skip_blank r
+    | ';' ->
+      while r.i < r.len && String.unsafe_get r.text r.i <> '\n' do
+        r.i <- r.i + 1
+      done;
+      skip_blank r
+    | _ -> ()
 
-let rec skip_blank c =
-  match peek c with
-  | Some ch when is_space ch ->
-    advance c;
-    skip_blank c
-  | Some ';' ->
-    let rec to_eol () =
-      match peek c with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance c;
-        to_eol () in
-    to_eol ();
-    skip_blank c
-  | Some _ | None -> ()
+(* The forms of [text], built by [atom line col name] and [list line col
+   items] at the position of an atom's first byte or a list's [(]. The
+   reader stands after [skip_blank] on entry to [read_expr], on a byte
+   that is not [)]; atoms hold no newline. *)
+let read_forms (type a) ~(atom : int -> int -> string -> a)
+    ~(list : int -> int -> a list -> a) text : (a list, string) result =
+  let r = { text; len = String.length text; i = 0; line = 1; line_start = 0 } in
+  let rec read_expr depth =
+    let line = r.line and col = r.i - r.line_start + 1 in
+    if String.unsafe_get text r.i = '(' then begin
+      if depth >= max_depth then
+        raise_notrace
+          (malformed r (Printf.sprintf "nesting deeper than %d" max_depth));
+      r.i <- r.i + 1;
+      list line col (items (depth + 1))
+    end
+    else begin
+      let start = r.i in
+      let stop = ref (start + 1) in
+      while !stop < r.len && is_atom_char (String.unsafe_get text !stop) do
+        incr stop
+      done;
+      r.i <- !stop;
+      atom line col (String.sub text start (!stop - start))
+    end
+  and[@tail_mod_cons] items depth =
+    skip_blank r;
+    if r.i >= r.len then raise_notrace (malformed r "unclosed '('")
+    else if String.unsafe_get text r.i = ')' then begin
+      r.i <- r.i + 1;
+      []
+    end
+    else
+      let e = read_expr depth in
+      e :: items depth in
+  let[@tail_mod_cons] rec top () =
+    skip_blank r;
+    if r.i >= r.len then []
+    else if String.unsafe_get text r.i = ')' then
+      raise_notrace (malformed r "unexpected ')'")
+    else
+      let e = read_expr 0 in
+      e :: top () in
+  match top () with
+  | forms -> Ok forms
+  | exception Malformed msg -> Error msg
 
-let read_atom c =
-  let start = c.pos in
-  let rec loop () =
-    match peek c with
-    | Some ch when is_atom_char ch ->
-      advance c;
-      loop ()
-    | Some _ | None -> () in
-  loop ();
-  String.sub c.input start (c.pos - start)
+let parse_loc input =
+  read_forms input
+    ~atom:(fun line col a -> { Loc.v = Loc.Atom a; pos = { line; col } })
+    ~list:(fun line col items ->
+      { Loc.v = Loc.List items; pos = { line; col } })
 
-let rec read_expr c =
-  skip_blank c;
-  let here = { line = c.line; col = c.col } in
-  match peek c with
-  | None -> error c "unexpected end of input"
-  | Some ')' -> error c "unexpected ')'"
-  | Some '(' ->
-    advance c;
-    let rec items acc =
-      skip_blank c;
-      match peek c with
-      | Some ')' ->
-        advance c;
-        Ok { Loc.v = Loc.List (List.rev acc); pos = here }
-      | None -> error c "unclosed '('"
-      | Some _ ->
-        (match read_expr c with
-         | Ok e -> items (e :: acc)
-         | Error _ as err -> err) in
-    items []
-  | Some _ -> Ok { Loc.v = Loc.Atom (read_atom c); pos = here }
+let parse input =
+  read_forms input
+    ~atom:(fun _ _ a -> Atom a)
+    ~list:(fun _ _ items -> List items)
 
 let rec strip (e : Loc.sexp) =
   match e.Loc.v with
   | Loc.Atom a -> Atom a
   | Loc.List items -> List (List.map strip items)
-
-let parse_loc input =
-  let c = { input; pos = 0; line = 1; col = 1 } in
-  let rec loop acc =
-    skip_blank c;
-    match peek c with
-    | None -> Ok (List.rev acc)
-    | Some _ ->
-      (match read_expr c with
-       | Ok e -> loop (e :: acc)
-       | Error _ as err -> err) in
-  loop []
-
-let parse input = Result.map (List.map strip) (parse_loc input)
 
 let parse_one input =
   match parse input with
@@ -116,33 +131,53 @@ let parse_one input =
 (* ------------------------------------------------------------------ *)
 (* Printing *)
 
-let rec flat_width = function
-  | Atom a -> String.length a
-  | List items ->
-    2 + List.length items
-    + Mathx.sum_by flat_width items
+(* [room budget e] is [budget] less the flat width of [e] — atoms their
+   length, a list 2 plus 1 per item plus its items' widths — when that
+   is not negative, and some negative number otherwise: counting stops
+   once the budget is spent, so a fit test costs at most the width it
+   allows, not the subtree. *)
+let rec room budget e =
+  if budget < 0 then budget
+  else
+    match e with
+    | Atom a -> budget - String.length a
+    | List items -> items_room (budget - 2) items
+
+and items_room budget = function
+  | [] -> budget
+  | item :: rest ->
+    let budget = room (budget - 1) item in
+    if budget < 0 then budget else items_room budget rest
 
 let to_string ?(indent = 2) expr =
   let buf = Buffer.create 256 in
-  let rec emit depth expr =
-    match expr with
+  let rec flat = function
     | Atom a -> Buffer.add_string buf a
-    | List items when flat_width expr + (depth * indent) <= 76 ->
+    | List items ->
       Buffer.add_char buf '(';
       List.iteri
         (fun i item ->
           if i > 0 then Buffer.add_char buf ' ';
-          emit depth item)
+          flat item)
         items;
-      Buffer.add_char buf ')'
+      Buffer.add_char buf ')' in
+  (* A list that fits in [76 - depth * indent] columns prints flat; its
+     items then fit too. *)
+  let rec emit depth expr =
+    match expr with
+    | Atom a -> Buffer.add_string buf a
+    | List _ when room (76 - (depth * indent)) expr >= 0 -> flat expr
     | List [] -> Buffer.add_string buf "()"
     | List (head :: rest) ->
+      let pad = (depth + 1) * indent in
       Buffer.add_char buf '(';
       emit (depth + 1) head;
       List.iter
         (fun item ->
           Buffer.add_char buf '\n';
-          Buffer.add_string buf (String.make ((depth + 1) * indent) ' ');
+          for _ = 1 to pad do
+            Buffer.add_char buf ' '
+          done;
           emit (depth + 1) item)
         rest;
       Buffer.add_char buf ')' in

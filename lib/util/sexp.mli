@@ -23,6 +23,12 @@ module Loc : sig
   and value = Atom of string | List of sexp list
 end
 
+val max_depth : int
+(** The deepest list nesting a reader accepts: 1000 levels, far above
+    the ~10 that specs and wire frames use. The [(] that would open one
+    level more fails the parse with [L:C: nesting deeper than 1000] at
+    that parenthesis, so no input can exhaust the reader's stack. *)
+
 val parse : string -> (t list, string) result
 (** Parse every top-level expression in the input. Errors carry a
     line/column position. *)

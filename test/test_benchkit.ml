@@ -355,24 +355,29 @@ let test_counted_contracts () =
       [ "sweeps"; "recomputed_jobs" ]
   | None -> Alcotest.fail "cold evaluation work contract not derived"
 
-(* The lint gate's allocation is counted, not timed: one
-   [Lint.lint_system] on the shipped DT-large NoC spec stays under 200k
-   minor words (an MC301 floor that steps every count up to 64 reads
-   about 328k). *)
-let test_lint_gate_alloc () =
-  match
-    List.assoc_opt "lint_gate_alloc" (Kernels.contracts ~flat_pairs:[] [])
-  with
-  | Some c ->
-    check Alcotest.bool "lint gate allocation contract holds" true c.Schema.ok;
-    check
-      Alcotest.(option (float 0.))
-      "budget recorded" (Some 200_000.)
-      (List.assoc_opt "max_words" c.Schema.numbers);
-    (match List.assoc_opt "minor_words" c.Schema.numbers with
-     | Some w -> check Alcotest.bool "some allocation measured" true (w > 0.)
-     | None -> Alcotest.fail "minor_words not recorded")
-  | None -> Alcotest.fail "lint gate contract not derived"
+(* The text plane's allocation is counted, not timed: one
+   [Lint.lint_system] on the shipped DT-large NoC spec stays under 100k
+   minor words (130.6k with a reader that allocated a [Some] per byte
+   and an [Ok] per node), and decoding a DT-large [analyze] frame under
+   40k (135k with that reader). *)
+let test_text_plane_alloc () =
+  let contracts = Kernels.contracts ~flat_pairs:[] [] in
+  List.iter
+    (fun (name, budget) ->
+      match List.assoc_opt name contracts with
+      | Some c ->
+        check Alcotest.bool (name ^ " holds") true c.Schema.ok;
+        check
+          Alcotest.(option (float 0.))
+          (name ^ ": budget recorded") (Some budget)
+          (List.assoc_opt "max_words" c.Schema.numbers);
+        (match List.assoc_opt "minor_words" c.Schema.numbers with
+         | Some w ->
+           check Alcotest.bool (name ^ ": some allocation measured") true
+             (w > 0.)
+         | None -> Alcotest.failf "%s: minor_words not recorded" name)
+      | None -> Alcotest.failf "%s not derived" name)
+    [ ("lint_gate_alloc", 100_000.); ("frame_decode_alloc", 40_000.) ]
 
 let suite =
   [ Alcotest.test_case "BENCH.json v2 round trip" `Quick
@@ -392,6 +397,6 @@ let suite =
     Alcotest.test_case "contracts derived from measurements" `Quick
       test_contract_derivation;
     Alcotest.test_case "lint gate allocation contract holds" `Quick
-      test_lint_gate_alloc;
+      test_text_plane_alloc;
     Alcotest.test_case "counted contracts hold" `Quick
       test_counted_contracts ]

@@ -434,6 +434,30 @@ let test_evaluator_fingerprint_canonical () =
   check Alcotest.bool "rebinding breaks canonical equality" false
     (Evaluator.canonical_equal plan rebound)
 
+(* A schedulable plan with a dropped graph re-checks its no-drop twin
+   for the rescue flag; evaluating that twin next in the same session
+   finds the twin's scheduling info already cached under the session's
+   salted key (one sched hit), and both results equal a fresh
+   evaluation. *)
+let test_evaluator_rescue_twin_shares_sched () =
+  let sys = Test_gen.random_system 46 in
+  let arch = sys.Test_gen.arch and apps = sys.Test_gen.apps in
+  let plan = sys.Test_gen.plan in
+  let no_drop =
+    Plan.make apps
+      ~decisions:(Array.map Array.copy plan.Plan.decisions)
+      ~dropped:(Array.make (Appset.n_graphs apps) false) in
+  let session = Evaluator.create arch apps in
+  let e = Evaluator.eval session plan in
+  check Alcotest.bool "the plan drops a graph and schedules" true
+    (Plan.dropped_graphs plan <> [] && e.Evaluate.schedulable);
+  let twin = Evaluator.eval session no_drop in
+  check Alcotest.int "the twin's scheduling info is reused" 1
+    (Evaluator.stats session).Evaluator.sched_hits;
+  check_evaluation_equal "plan" (Evaluate.evaluate arch apps plan) e;
+  check_evaluation_equal "no-drop twin"
+    (Evaluate.evaluate arch apps no_drop) twin
+
 (* The accumulator-built keys equal the allocating fold they replaced
    ([Fingerprint_reference], a literal copy), bit for bit: the plan
    fingerprint, and the structure key of the full jobset and of every
@@ -600,4 +624,6 @@ let suite =
     Alcotest.test_case "evaluator: population determinism" `Quick
       test_eval_population_deterministic;
     Alcotest.test_case "evaluator: keys equal the reference fold" `Quick
-      test_evaluator_keys_match_reference ]
+      test_evaluator_keys_match_reference;
+    Alcotest.test_case "evaluator: rescue twin shares the sched tier" `Quick
+      test_evaluator_rescue_twin_shares_sched ]

@@ -13,6 +13,7 @@ let () =
       ("benchmarks", Test_benchmarks.suite);
       ("benchkit", Test_benchkit.suite);
       ("spec", Test_spec.suite);
+      ("sexp", Test_sexp.suite);
       ("lint", Test_lint.suite);
       ("floor", Test_floor.suite);
       ("experiments", Test_experiments.suite);
