@@ -33,7 +33,9 @@ let trace_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
            ~doc:"Record spans and write a Chrome trace-event JSON to \
-                 $(docv) (load it in chrome://tracing or Perfetto).")
+                 $(docv) (load it in chrome://tracing or Perfetto). \
+                 Each domain keeps its newest 8192 spans at least; \
+                 older ones may be dropped, with a warning.")
 
 let metrics_arg =
   Arg.(value & opt (some string) None
@@ -78,7 +80,13 @@ let with_obs trace metrics flight run =
     Option.iter
       (fun path ->
         Obs.write_trace ~snapshot path;
-        Printf.printf "chrome trace written to %s\n%!" path)
+        Printf.printf "chrome trace written to %s\n%!" path;
+        match Obs.spans_dropped snapshot with
+        | 0 -> ()
+        | n ->
+          Printf.eprintf
+            "warning: %s lacks %d early spans (each domain keeps its \
+             newest 8192)\n%!" path n)
       trace;
     finish code
 

@@ -141,7 +141,6 @@ end
     sessions across clients (see [lib/serve] and DESIGN.md §14). *)
 module Serve = struct
   module Protocol = Mcmap_serve.Protocol
-  module Metrics = Mcmap_serve.Metrics
   module Bqueue = Mcmap_serve.Bqueue
   module Pool = Mcmap_serve.Pool
   module Server = Mcmap_serve.Server

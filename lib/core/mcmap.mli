@@ -150,7 +150,6 @@ end
     DESIGN.md §14). *)
 module Serve : sig
   module Protocol = Mcmap_serve.Protocol
-  module Metrics = Mcmap_serve.Metrics
   module Bqueue = Mcmap_serve.Bqueue
   module Pool = Mcmap_serve.Pool
   module Server = Mcmap_serve.Server

@@ -145,10 +145,10 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
    - [eval] is therefore safe from any number of domains.
      [eval_population] additionally spawns its own fan-out, so
      concurrent calls are serialised on [population_lock] (below).
-   - Obs/Flight recording uses per-domain buffers: safe from domains,
-     but NOT from multiple systhreads sharing one domain — callers
-     embedding a session in a threaded server must record their own
-     metrics from reader threads (see Mcmap_serve.Metrics). *)
+   - Obs recording locks its per-domain buffer, so it is safe from
+     domains and from systhreads sharing one. Flight's per-domain ring
+     assumes one mutator per domain: safe from domains, but NOT from
+     multiple systhreads sharing one domain while it is armed. *)
 
 type engine = Reference | Flat
 

@@ -79,8 +79,8 @@ val eval : t -> Mcmap_hardening.Plan.t -> Evaluate.t
     in per-domain arenas ([Flat]); racing domains can at worst duplicate
     work, never diverge (audited in [evaluator.ml], exercised by the
     concurrent-access test). Not safe from multiple systhreads that
-    share one domain while Obs/Flight recording is enabled — the
-    recorders' per-domain buffers assume one mutator per domain. *)
+    share one domain while the {!Mcmap_obs.Flight} recorder is armed —
+    its per-domain ring assumes one mutator per domain. *)
 
 val eval_population :
   t -> Mcmap_hardening.Plan.t array -> Evaluate.t array

@@ -27,14 +27,26 @@ type snapshot = {
 (* Per-domain buffers
 
    Every domain records into its own buffer (reached through
-   domain-local storage), so workers spawned by [Parallel.map_array]
-   never contend on a lock in the recording fast path. Buffers register
-   themselves in a global list on first use; [snapshot] merges them
-   with the commutative, associative per-kind merges below, which is
-   why the merged metrics are identical for 1 and N domains. A
-   [generation] counter lets [reset] invalidate every buffer without
+   domain-local storage). Buffers register themselves in a global list
+   on first use; [snapshot] merges them with the commutative,
+   associative per-kind merges below, which is why the merged metrics
+   are identical for 1 and N domains. Each buffer has one mutex, taken
+   only on the enabled path: by the buffer's own writers (its domain,
+   or the systhreads that share that domain) and by [snapshot]. A
+   worker domain's lock is therefore uncontended except against a
+   snapshot, and a snapshot is safe at any time from any thread.
+
+   When a domain exits, its buffer is folded into the one [retired]
+   buffer and unlisted, so the registry holds the live domains plus
+   one: [Parallel.map_array] spawns fresh domains on every call, and a
+   long-running recorder would otherwise keep a buffer for each.
+
+   A [generation] counter lets [reset] invalidate every buffer without
    reaching into other domains' storage: a buffer lazily clears and
-   re-registers itself when it notices its generation is stale. *)
+   re-registers itself when it notices its generation is stale.
+
+   Lock order: [registry_mutex] before any buffer's lock, and a
+   retiring buffer's lock before [retired]'s. *)
 
 type series_cell = {
   mutable pts : (int * float) list;  (* newest first *)
@@ -49,11 +61,18 @@ type cell =
 
 type buffer = {
   tid : int;
+  lock : Mutex.t;
   mutable gen : int;
+  mutable hooked : bool;  (* retirement registered with [Domain.at_exit] *)
   cells : (string, cell) Hashtbl.t;
-  mutable spans : span list;
+  mutable spans : span list;  (* newest first *)
+  mutable n_spans : int;
   mutable stack_depth : int;
 }
+
+let new_buffer tid =
+  { tid; lock = Mutex.create (); gen = -1; hooked = false;
+    cells = Hashtbl.create 32; spans = []; n_spans = 0; stack_depth = 0 }
 
 let enabled_flag = Atomic.make false
 
@@ -65,33 +84,28 @@ let registry = ref ([] : buffer list)
 
 let registry_mutex = Mutex.create ()
 
-let dls_key =
-  Domain.DLS.new_key (fun () ->
-      { tid = (Domain.self () :> int); gen = -1; cells = Hashtbl.create 32;
-        spans = []; stack_depth = 0 })
+let dls_key = Domain.DLS.new_key (fun () -> new_buffer (Domain.self () :> int))
 
-let buffer () =
-  let b = Domain.DLS.get dls_key in
-  let g = Atomic.get generation in
-  if b.gen <> g then begin
-    Hashtbl.reset b.cells;
-    b.spans <- [];
-    b.stack_depth <- 0;
-    b.gen <- g;
-    Mutex.protect registry_mutex (fun () -> registry := b :: !registry)
-  end;
-  b
+(* Every exited domain's data, spans keeping their own [tid]. *)
+let retired = new_buffer (-1)
 
 let enabled () = Atomic.get enabled_flag
 
 let now_ns () = Monotonic_clock.now ()
 
-(* Series retention: [dse.eval_ms] and friends append one point per
-   observation, which on long GA runs would bloat the buffers and every
-   export. Each domain keeps at most [series_capacity] points per
-   series (tail-keep: newest survive), and [snapshot] applies the same
-   cap again to the merged, x-sorted result. *)
+(* Retention: [dse.eval_ms] and friends append one series point per
+   observation, and a long-running server keeps two spans per request,
+   which would otherwise grow without bound. Each buffer keeps at least
+   the newest [series_capacity] points per series and [span_capacity]
+   spans, and at most twice that: a newest-first list may grow to twice
+   its cap before it is truncated back to its newest [cap], which keeps
+   appends amortised O(1). Dropped spans are counted in
+   [obs.spans_dropped], so an export can say it is incomplete. *)
 let series_capacity = 4096
+
+let span_capacity = 8192
+
+let newest cap xs = List.filteri (fun i _ -> i < cap) xs
 
 let enable () =
   if not (Atomic.get enabled_flag) then begin
@@ -106,12 +120,102 @@ let reset () =
   Atomic.incr generation;
   Atomic.set epoch (now_ns ())
 
-(* ------------------------------------------------------------------ *)
-(* Recording *)
-
 let kind_error name kind =
   invalid_arg
     (Printf.sprintf "Obs: metric %s already recorded as a %s" name kind)
+
+(* ------------------------------------------------------------------ *)
+(* Buffer operations (callers hold the buffer's lock) *)
+
+let add_counter b name by =
+  match Hashtbl.find_opt b.cells name with
+  | Some (Ccounter r) -> r := !r + by
+  | Some _ -> kind_error name "different kind"
+  | None -> Hashtbl.add b.cells name (Ccounter (ref by))
+
+let series_append c x v =
+  c.pts <- (x, v) :: c.pts;
+  c.len <- c.len + 1;
+  if c.len >= 2 * series_capacity then begin
+    c.pts <- newest series_capacity c.pts;
+    c.len <- series_capacity
+  end
+
+let push_span b s =
+  b.spans <- s :: b.spans;
+  b.n_spans <- b.n_spans + 1;
+  if b.n_spans >= 2 * span_capacity then begin
+    b.spans <- newest span_capacity b.spans;
+    b.n_spans <- span_capacity;
+    add_counter b "obs.spans_dropped" span_capacity
+  end
+
+let clear b =
+  Hashtbl.reset b.cells;
+  b.spans <- [];
+  b.n_spans <- 0;
+  b.stack_depth <- 0
+
+(* Fold [src]'s data into [dst] with the snapshot's per-kind merges.
+   [src] is cleared afterwards, so its cells can move over whole. *)
+let absorb dst src =
+  Hashtbl.iter
+    (fun name cell ->
+      match Hashtbl.find_opt dst.cells name, cell with
+      | None, _ -> Hashtbl.replace dst.cells name cell
+      | Some (Ccounter r), Ccounter s -> r := !r + !s
+      | Some (Cgauge r), Cgauge s -> r := Float.max !r !s
+      | Some (Chist h), Chist s ->
+        Hashtbl.replace dst.cells name (Chist (Histogram.merge h s))
+      | Some (Cseries c), Cseries s ->
+        List.iter (fun (x, v) -> series_append c x v) (List.rev s.pts)
+      | Some (Ccounter _ | Cgauge _ | Chist _ | Cseries _), _ ->
+        kind_error name "different kind in another domain")
+    src.cells;
+  List.iter (push_span dst) (List.rev src.spans)
+
+(* ------------------------------------------------------------------ *)
+(* Registration and retirement *)
+
+(* Under [registry_mutex]: start [b] afresh in generation [g] and list
+   it. *)
+let register_locked b g =
+  Mutex.protect b.lock (fun () ->
+      clear b;
+      b.gen <- g);
+  registry := b :: !registry
+
+let retire b =
+  Mutex.protect registry_mutex (fun () ->
+      if List.memq b !registry then begin
+        registry := List.filter (fun x -> x != b) !registry;
+        let g = Atomic.get generation in
+        if retired.gen <> g then register_locked retired g;
+        Mutex.protect b.lock (fun () ->
+            Mutex.protect retired.lock (fun () -> absorb retired b);
+            clear b;
+            (* a late record (another exit hook) re-registers *)
+            b.gen <- -1)
+      end)
+
+let adopt b =
+  Mutex.protect registry_mutex (fun () ->
+      let g = Atomic.get generation in
+      if b.gen <> g then register_locked b g;
+      (* the main domain exits with the program: nothing to retire *)
+      if not (b.hooked || Domain.is_main_domain ()) then begin
+        b.hooked <- true;
+        Domain.at_exit (fun () -> retire b)
+      end)
+
+(* [f] on the calling domain's buffer, under the buffer's lock. *)
+let with_buffer f =
+  let b = Domain.DLS.get dls_key in
+  if b.gen <> Atomic.get generation then adopt b;
+  Mutex.protect b.lock (fun () -> f b)
+
+(* ------------------------------------------------------------------ *)
+(* Recording *)
 
 (* The label dimension: [incr ~label:"hit" "evaluator.result"] records
    under the derived key "evaluator.result~hit". The key is built only
@@ -123,54 +227,41 @@ let keyed name label =
 let incr ?(by = 1) ?label name =
   if enabled () then begin
     let name = keyed name label in
-    let b = buffer () in
-    match Hashtbl.find_opt b.cells name with
-    | Some (Ccounter r) -> r := !r + by
-    | Some _ -> kind_error name "different kind"
-    | None -> Hashtbl.add b.cells name (Ccounter (ref by))
+    with_buffer (fun b -> add_counter b name by)
   end
 
 let gauge ?label name v =
   if enabled () then begin
     let name = keyed name label in
-    let b = buffer () in
-    match Hashtbl.find_opt b.cells name with
-    | Some (Cgauge r) -> r := v
-    | Some _ -> kind_error name "different kind"
-    | None -> Hashtbl.add b.cells name (Cgauge (ref v))
+    with_buffer (fun b ->
+        match Hashtbl.find_opt b.cells name with
+        | Some (Cgauge r) -> r := v
+        | Some _ -> kind_error name "different kind"
+        | None -> Hashtbl.add b.cells name (Cgauge (ref v)))
   end
 
 let observe ?label name v =
   if enabled () then begin
     let name = keyed name label in
-    let b = buffer () in
-    match Hashtbl.find_opt b.cells name with
-    | Some (Chist h) -> Histogram.observe h v
-    | Some _ -> kind_error name "different kind"
-    | None ->
-      let h = Histogram.create () in
-      Histogram.observe h v;
-      Hashtbl.add b.cells name (Chist h)
-  end
-
-(* Tail-keep with amortised O(1) appends: let the list grow to twice the
-   cap, then truncate back to the newest [cap] points. *)
-let series_append c x v =
-  c.pts <- (x, v) :: c.pts;
-  c.len <- c.len + 1;
-  if c.len >= 2 * series_capacity then begin
-    c.pts <- List.filteri (fun i _ -> i < series_capacity) c.pts;
-    c.len <- series_capacity
+    with_buffer (fun b ->
+        match Hashtbl.find_opt b.cells name with
+        | Some (Chist h) -> Histogram.observe h v
+        | Some _ -> kind_error name "different kind"
+        | None ->
+          let h = Histogram.create () in
+          Histogram.observe h v;
+          Hashtbl.add b.cells name (Chist h))
   end
 
 let series ?label name ~x v =
   if enabled () then begin
     let name = keyed name label in
-    let b = buffer () in
-    match Hashtbl.find_opt b.cells name with
-    | Some (Cseries c) -> series_append c x v
-    | Some _ -> kind_error name "different kind"
-    | None -> Hashtbl.add b.cells name (Cseries { pts = [ (x, v) ]; len = 1 })
+    with_buffer (fun b ->
+        match Hashtbl.find_opt b.cells name with
+        | Some (Cseries c) -> series_append c x v
+        | Some _ -> kind_error name "different kind"
+        | None ->
+          Hashtbl.add b.cells name (Cseries { pts = [ (x, v) ]; len = 1 }))
   end
 
 let with_span name f =
@@ -178,30 +269,27 @@ let with_span name f =
   let flight_on = Flight.armed () in
   if not (obs_on || flight_on) then f ()
   else begin
-    let b = if obs_on then Some (buffer ()) else None in
     let depth =
-      match b with
-      | Some b ->
-        let d = b.stack_depth in
-        b.stack_depth <- d + 1;
-        d
-      | None -> 0 in
+      if obs_on then
+        with_buffer (fun b ->
+            let d = b.stack_depth in
+            b.stack_depth <- d + 1;
+            d)
+      else 0 in
     if flight_on then Flight.record Span_open name;
     let t0 = now_ns () in
     let finish () =
       let t1 = now_ns () in
       if flight_on then
         Flight.record ~a:(Int64.to_int (Int64.sub t1 t0)) Span_close name;
-      match b with
-      | None -> ()
-      | Some b ->
+      if obs_on then
         (* same domain: [f] cannot migrate the current domain *)
-        b.stack_depth <- depth;
-        b.spans <-
-          { name; tid = b.tid; depth;
-            ts_ns = Int64.sub t0 (Atomic.get epoch);
-            dur_ns = Int64.sub t1 t0 }
-          :: b.spans in
+        with_buffer (fun b ->
+            b.stack_depth <- depth;
+            push_span b
+              { name; tid = b.tid; depth;
+                ts_ns = Int64.sub t0 (Atomic.get epoch);
+                dur_ns = Int64.sub t1 t0 }) in
     match f () with
     | v ->
       finish ();
@@ -213,6 +301,15 @@ let with_span name f =
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot (merge across domains) *)
+
+(* Every listed buffer, each read under its own lock, all under
+   [registry_mutex]: live writers never see (or cause) a torn read, and
+   a domain cannot retire halfway through and be counted twice. *)
+let fold_buffers f init =
+  Mutex.protect registry_mutex (fun () ->
+      List.fold_left
+        (fun acc b -> Mutex.protect b.lock (fun () -> f acc b))
+        init !registry)
 
 let merge_metric name a b =
   match a, b with
@@ -229,15 +326,10 @@ let metric_of_cell = function
   | Chist h -> Histogram (Histogram.copy h)
   | Cseries c -> Series c.pts
 
-(* Snapshots must be taken from the main domain while no worker is
-   recording (i.e. outside [Parallel.map_array] sections) — buffers of
-   joined workers are still merged, live writers are not synchronised
-   against. *)
-let snapshot () =
-  let buffers = Mutex.protect registry_mutex (fun () -> !registry) in
+let metrics () =
   let merged : (string, metric) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun b ->
+  fold_buffers
+    (fun () b ->
       Hashtbl.iter
         (fun name cell ->
           let m = metric_of_cell cell in
@@ -245,30 +337,41 @@ let snapshot () =
           | None -> Hashtbl.replace merged name m
           | Some prev -> Hashtbl.replace merged name (merge_metric name prev m))
         b.cells)
-    buffers;
-  let metrics =
-    Hashtbl.fold (fun name m acc -> (name, m) :: acc) merged []
-    |> List.map (fun (name, m) ->
-           match m with
-           | Series points ->
-             let points = List.sort compare points in
-             (* Re-apply the retention cap to the merged series: keep
-                the last [series_capacity] points by x, so the merged
-                view obeys the same bound as any single domain. *)
-             let n = List.length points in
-             let points =
-               if n <= series_capacity then points
-               else
-                 List.filteri (fun i _ -> i >= n - series_capacity) points
-             in
-             (name, Series points)
-           | Counter _ | Gauge _ | Histogram _ -> (name, m))
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b) in
-  let spans =
-    List.concat_map (fun b -> b.spans) buffers
-    |> List.sort (fun a b ->
-           compare (a.ts_ns, a.tid, a.depth) (b.ts_ns, b.tid, b.depth)) in
-  { metrics; spans }
+    ();
+  Hashtbl.fold (fun name m acc -> (name, m) :: acc) merged []
+  |> List.map (fun (name, m) ->
+         match m with
+         | Series points ->
+           let points = List.sort compare points in
+           (* Re-apply the retention cap to the merged series: keep the
+              last [series_capacity] points by x, so the merged view
+              obeys the same bound as any single domain. *)
+           let n = List.length points in
+           let points =
+             if n <= series_capacity then points
+             else List.filteri (fun i _ -> i >= n - series_capacity) points
+           in
+           (name, Series points)
+         | Counter _ | Gauge _ | Histogram _ -> (name, m))
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let compare_span a b =
+  let c = Int64.compare a.ts_ns b.ts_ns in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.tid b.tid in
+    if c <> 0 then c else Int.compare a.depth b.depth
+
+(* Each buffer's spans oldest first, so the stable sort keeps recording
+   order among spans that share a start time. *)
+let spans () =
+  fold_buffers (fun acc b -> List.rev_append b.spans [] :: acc) []
+  |> List.concat
+  |> List.sort compare_span
+
+let snapshot () =
+  let metrics = metrics () in
+  { metrics; spans = spans () }
 
 (* ------------------------------------------------------------------ *)
 (* S-expression metrics dump *)
@@ -402,6 +505,11 @@ let metrics_of_sexp sexp =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export *)
 
+let spans_dropped (snap : snapshot) =
+  match List.assoc_opt "obs.spans_dropped" snap.metrics with
+  | Some (Counter n) -> n
+  | Some (Gauge _ | Histogram _ | Series _) | None -> 0
+
 let trace_to_json (snap : snapshot) =
   let events =
     List.map
@@ -413,9 +521,14 @@ let trace_to_json (snap : snapshot) =
             ("ts", Json.Float (Int64.to_float s.ts_ns /. 1e3));
             ("dur", Json.Float (Int64.to_float s.dur_ns /. 1e3)) ])
       snap.spans in
+  let dropped =
+    match spans_dropped snap with
+    | 0 -> []
+    | n -> [ ("otherData", Json.Obj [ ("spans_dropped", Json.Int n) ]) ] in
   Json.Obj
-    [ ("traceEvents", Json.List events);
-      ("displayTimeUnit", Json.String "ms") ]
+    ([ ("traceEvents", Json.List events);
+       ("displayTimeUnit", Json.String "ms") ]
+     @ dropped)
 
 (* ------------------------------------------------------------------ *)
 (* File output *)

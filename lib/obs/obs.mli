@@ -18,25 +18,50 @@
     {1 Domain safety}
 
     Every domain records into a private buffer reached through
-    domain-local storage, so workers spawned by
-    {!Mcmap_util.Parallel.map_array} never contend on a lock in the
-    recording fast path. {!snapshot} merges all buffers (including
-    those of already-joined workers) with commutative and associative
-    per-kind merges — counters add, histograms merge pointwise, series
+    domain-local storage. Each buffer has one mutex, taken only on the
+    enabled path: by the buffer's own writers (a worker domain, or the
+    systhreads that share one domain) and by {!snapshot}. A worker
+    domain's lock is uncontended except against a snapshot, so workers
+    spawned by {!Mcmap_util.Parallel.map_array} do not contend with
+    each other. {!snapshot} is safe at any time from any thread, live
+    writers included. It merges all buffers (including those of
+    already-joined workers) with commutative and associative per-kind
+    merges — counters add, histograms merge pointwise, series
     concatenate and sort, gauges take the maximum — so the merged
     metrics are identical whether the work ran on 1 or N domains
     (provided the recorded multiset of observations is itself
-    deterministic, which pure parallel evaluation guarantees).
+    deterministic, which pure parallel evaluation guarantees). Span
+    nesting depth is tracked per domain, so concurrent spans from
+    systhreads sharing one domain may report interleaved depths.
+
+    When a domain exits, its buffer is folded into one shared buffer
+    for all exited domains (with the same merges; spans keep their
+    [tid]) and unlisted, so the number of buffers is bounded by the
+    live domains plus one, however many short-lived domains have
+    recorded.
+
+    {1 Retention}
+
+    Each buffer tail-keeps the newest 4096 points per series and the
+    newest 8192 spans; to keep appends amortised O(1) it may hold up to
+    twice that before truncating. {!snapshot} re-applies the series cap
+    to the merged, x-sorted series. A long-running recorder (the
+    [mcmap serve] daemon keeps two spans per request) therefore stays
+    bounded. Spans are never dropped silently: every truncation adds
+    to the counter [obs.spans_dropped], {!trace_to_json} reports it, and
+    [mcmap --trace] warns on stderr.
 
     {1 Cost when disabled}
 
     Recording is globally gated on one atomic flag (off by default);
-    a disabled call is a single load-and-branch, and instrumented hot
-    loops are expected to hoist [enabled ()] into a local so the
-    per-iteration cost is a predictable branch on an immutable bool.
+    a disabled call is a single load-and-branch that neither allocates
+    nor takes a lock, and instrumented hot loops are expected to hoist
+    [enabled ()] into a local so the per-iteration cost is a
+    predictable branch on an immutable bool.
 
-    [enable]/[reset]/[snapshot] must be called from the main domain
-    while no worker domains are running. *)
+    Only [enable] and [reset] keep a threading contract: call them from
+    one controlling thread at a time (normally the main domain), and
+    [reset] only while no other thread records. *)
 
 type metric =
   | Counter of int
@@ -100,7 +125,18 @@ val with_span : string -> (unit -> 'a) -> 'a
 (** {1 Export} *)
 
 val snapshot : unit -> snapshot
-(** Merge every domain's buffer into one consistent view. *)
+(** Merge every domain's buffer into one view; callable at any time
+    from any thread, while other threads record. Each buffer is read
+    atomically, so every counter in a later snapshot is at least its
+    value in an earlier one. *)
+
+val metrics : unit -> (string * metric) list
+(** The [metrics] half of {!snapshot} alone: no span is copied or
+    sorted. *)
+
+val spans_dropped : snapshot -> int
+(** The [obs.spans_dropped] counter: spans the retention cap dropped
+    before the snapshot was taken. *)
 
 val metrics_to_sexp : snapshot -> Mcmap_util.Sexp.t
 (** [(metrics (counter (name ...) (value ...)) ...)] — the format
@@ -111,7 +147,9 @@ val metrics_of_sexp : Mcmap_util.Sexp.t -> (snapshot, string) result
 
 val trace_to_json : snapshot -> Mcmap_util.Json.t
 (** Chrome trace-event JSON (complete "X" events, microsecond
-    timestamps) — loadable in chrome://tracing or Perfetto. *)
+    timestamps) — loadable in chrome://tracing or Perfetto. When the
+    retention cap dropped spans, [otherData.spans_dropped] says how
+    many. *)
 
 val write_metrics : ?snapshot:snapshot -> string -> unit
 (** Write the s-expression metrics dump to a file (defaults to a fresh

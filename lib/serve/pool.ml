@@ -1,55 +1,27 @@
 module Spec = Mcmap_spec.Spec
 module Evaluator = Mcmap_dse.Evaluator
-module Fingerprint = Mcmap_util.Fingerprint
 module Lru = Mcmap_util.Lru
-module Sexp = Mcmap_util.Sexp
-
-type entry = {
-  canonical : string;  (** collision guard: the full canonical text *)
-  session : Evaluator.t;
-}
+module Obs = Mcmap_obs.Obs
 
 type t = {
   lock : Mutex.t;
-  sessions : (string, entry) Lru.t;  (** keyed by fingerprint hex *)
+  sessions : (string, Evaluator.t) Lru.t;  (** keyed by the system text *)
   domains : int;
-  metrics : Metrics.t;
-  mutable hits : int;
-  mutable misses : int;
 }
 
-let create ?(capacity = 8) ?(domains = 1) ~metrics () =
+let create ?(capacity = 8) ?(domains = 1) () =
   if capacity < 1 then invalid_arg "Pool.create: capacity < 1";
   if domains < 1 then invalid_arg "Pool.create: domains < 1";
-  { lock = Mutex.create ();
-    sessions = Lru.create ~capacity ();
-    domains;
-    metrics;
-    hits = 0;
-    misses = 0 }
+  { lock = Mutex.create (); sessions = Lru.create ~capacity (); domains }
 
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let capacity t = Lru.capacity t.sessions
-
-let fingerprint_of canonical =
-  Fingerprint.to_hex (Fingerprint.string Fingerprint.empty canonical)
-
-let session t (system : Spec.system) =
-  let canonical = Spec.write_system system in
-  let key = fingerprint_of canonical in
-  match
-    with_lock t (fun () ->
-        match Lru.find t.sessions key with
-        | Some e when e.canonical = canonical ->
-          t.hits <- t.hits + 1;
-          Some e.session
-        | Some _ | None -> None)
-  with
+let session t ~text (system : Spec.system) =
+  match with_lock t (fun () -> Lru.find t.sessions text) with
   | Some session ->
-    Metrics.incr ~label:"hit" t.metrics "serve.pool";
+    Obs.incr ~label:"hit" "serve.pool";
     session
   | None ->
     (* Create outside the lock: session construction precomputes
@@ -61,29 +33,13 @@ let session t (system : Spec.system) =
       Evaluator.create ~domains:t.domains system.Spec.arch
         system.Spec.apps
     in
-    let evicted =
+    let evicted, size =
       with_lock t (fun () ->
           let before = Lru.evictions t.sessions in
-          t.misses <- t.misses + 1;
-          Lru.add t.sessions key { canonical; session };
-          Lru.evictions t.sessions - before)
+          Lru.add t.sessions text session;
+          (Lru.evictions t.sessions - before, Lru.length t.sessions))
     in
-    Metrics.incr ~label:"miss" t.metrics "serve.pool";
-    if evicted > 0 then
-      Metrics.incr ~by:evicted ~label:"evict" t.metrics "serve.pool";
-    Metrics.gauge t.metrics "serve.pool.size"
-      (float_of_int (with_lock t (fun () -> Lru.length t.sessions)));
+    Obs.incr ~label:"miss" "serve.pool";
+    if evicted > 0 then Obs.incr ~by:evicted ~label:"evict" "serve.pool";
+    Obs.gauge "serve.pool.size" (float_of_int size);
     session
-
-let stats t =
-  with_lock t (fun () ->
-      let field name v =
-        Sexp.List [ Sexp.Atom name; Sexp.Atom (string_of_int v) ]
-      in
-      Sexp.List
-        [ Sexp.Atom "pool";
-          field "size" (Lru.length t.sessions);
-          field "capacity" (Lru.capacity t.sessions);
-          field "hits" t.hits;
-          field "misses" t.misses;
-          field "evictions" (Lru.evictions t.sessions) ])

@@ -114,13 +114,20 @@ type response_body =
 
 type response = { r_id : int; r_body : response_body }
 
-let request_kind = function
-  | Ping -> "ping"
-  | Stats -> "stats"
-  | Shutdown -> "shutdown"
-  | Analyze _ -> "analyze"
-  | Lint_request _ -> "lint"
-  | Eval_population _ -> "eval-population"
+(* Each kind's metrics label and span name, both literals: the
+   recorder keeps a span's name with it, so a name built per request
+   would be retained with every span. *)
+let kind_names = function
+  | Ping -> ("ping", "serve.ping")
+  | Stats -> ("stats", "serve.stats")
+  | Shutdown -> ("shutdown", "serve.shutdown")
+  | Analyze _ -> ("analyze", "serve.analyze")
+  | Lint_request _ -> ("lint", "serve.lint")
+  | Eval_population _ -> ("eval-population", "serve.eval-population")
+
+let request_kind body = fst (kind_names body)
+
+let span_name body = snd (kind_names body)
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation.                                                      *)

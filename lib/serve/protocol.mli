@@ -96,6 +96,10 @@ val request_kind : request_body -> string
 (** Stable label for metrics attribution: ["ping"], ["stats"],
     ["shutdown"], ["analyze"], ["lint"], ["eval-population"]. *)
 
+val span_name : request_body -> string
+(** ["serve."] followed by {!request_kind}, as a literal (no
+    allocation per request). *)
+
 (** {1 Serialisation} *)
 
 val request_to_sexp : request -> Mcmap_util.Sexp.t

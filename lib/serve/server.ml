@@ -48,7 +48,6 @@ type job = { req : Protocol.request; conn : conn; enqueued_ns : int64 }
 
 type t = {
   cfg : config;
-  metrics : Metrics.t;
   pool : Pool.t;
   queue : job Bqueue.t;
   stopping : bool Atomic.t;
@@ -81,7 +80,7 @@ let respond t conn r_id r_body =
   ignore t
 
 let reject t conn r_id why reason =
-  Metrics.incr ~label:why t.metrics "serve.rejected";
+  Obs.incr ~label:why "serve.rejected";
   respond t conn r_id (Protocol.Rejected reason)
 
 (* ------------------------------------------------------------------ *)
@@ -91,15 +90,15 @@ let system_text forms =
   String.concat "\n" (List.map Sexp.to_string forms)
 
 (* The CLI's ingest gate, one [Lint.ingest] call per request: linted
-   unless the request opted out, built in the same pass. *)
-let ingest ~no_lint system plan =
-  Lint.ingest ~system_file:"system" ~plan_file:"plan" ~no_lint
-    (system_text system)
+   unless the request opted out, built in the same pass. [text] is the
+   system's [system_text], printed once per request. *)
+let ingest ~no_lint text plan =
+  Lint.ingest ~system_file:"system" ~plan_file:"plan" ~no_lint text
     (Option.map Sexp.to_string plan)
 
 (* The built system and plan, or why the request was refused. *)
-let build ~no_lint system plan =
-  match ingest ~no_lint system plan with
+let build ~no_lint text plan =
+  match ingest ~no_lint text plan with
   | _, Some built -> Ok built
   | diags, None ->
     (* a refusal always carries an error *)
@@ -124,7 +123,8 @@ let diag_of d =
 let work t ~no_lint body : Protocol.response_body =
   match body with
   | Protocol.Analyze { system; plan } -> (
-    match build ~no_lint system plan with
+    let text = system_text system in
+    match build ~no_lint text plan with
     | Error e -> Protocol.Error_response e
     | Ok (sys, plan) ->
       let plan =
@@ -132,16 +132,17 @@ let work t ~no_lint body : Protocol.response_body =
         | Some plan -> plan
         | None -> Sampler.balanced_plan ~seed:42 sys.Spec.arch sys.Spec.apps
       in
-      let session = Pool.session t.pool sys in
+      let session = Pool.session t.pool ~text sys in
       Protocol.Analysis
         (Protocol.analysis_of_eval (Evaluator.eval session plan)))
   | Protocol.Lint_request { system; plan } ->
-    let diags, _ = ingest ~no_lint:false system plan in
+    let diags, _ = ingest ~no_lint:false (system_text system) plan in
     Protocol.Lint_report
       { errors = Diagnostic.error_count diags;
         diags = List.map diag_of diags }
   | Protocol.Eval_population { system; plans } -> (
-    match build ~no_lint system None with
+    let text = system_text system in
+    match build ~no_lint text None with
     | Error e -> Protocol.Error_response e
     | Ok (sys, _) -> (
       (* population plans are built without the lint gate *)
@@ -161,7 +162,7 @@ let work t ~no_lint body : Protocol.response_body =
       | Error e -> Protocol.Error_response e
       | Ok (_, rev) ->
         let plans = Array.of_list (List.rev rev) in
-        let session = Pool.session t.pool sys in
+        let session = Pool.session t.pool ~text sys in
         let results = Evaluator.eval_population session plans in
         Protocol.Population
           (Array.map Protocol.analysis_of_eval results)))
@@ -178,7 +179,7 @@ let process t job =
   let kind = Protocol.request_kind job.req.Protocol.body in
   let waited_ns =
     Int64.to_int (Int64.sub (Obs.now_ns ()) job.enqueued_ns) in
-  Metrics.observe ~label:kind t.metrics "serve.queue_wait_ns" waited_ns;
+  Obs.observe ~label:kind "serve.queue_wait_ns" waited_ns;
   let deadline_ms =
     match job.req.Protocol.deadline_ms with
     | Some _ as d -> d
@@ -190,17 +191,16 @@ let process t job =
        (Printf.sprintf "deadline: waited %d ms of a %d ms budget"
           (waited_ns / 1_000_000) ms)
    | Some _ | None ->
-     Metrics.incr ~label:kind t.metrics "serve.served";
+     Obs.incr ~label:kind "serve.served";
      let body =
-       Obs.with_span ("serve." ^ kind) (fun () ->
-           Obs.incr ~label:kind "serve.request";
+       Obs.with_span (Protocol.span_name job.req.Protocol.body) (fun () ->
            try work t ~no_lint:job.req.Protocol.no_lint job.req.Protocol.body
            with e ->
              Protocol.Error_response
                ("evaluation failed: " ^ Printexc.to_string e))
      in
      respond t job.conn job.req.Protocol.id body;
-     Metrics.observe ~label:kind t.metrics "serve.latency_ns"
+     Obs.observe ~label:kind "serve.latency_ns"
        (Int64.to_int (Int64.sub (Obs.now_ns ()) job.enqueued_ns)));
   finish_job job.conn
 
@@ -209,8 +209,6 @@ let worker t () =
     match Bqueue.pop t.queue with
     | None -> ()
     | Some job ->
-      Metrics.gauge t.metrics "serve.queue.depth"
-        (float_of_int (Bqueue.length t.queue));
       process t job;
       loop ()
   in
@@ -224,10 +222,11 @@ let initiate_shutdown t =
     (* one byte on the self-pipe ends the acceptor's select *)
     ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1)
 
+(* The queue depth is set here only: gauges merge by max across
+   domains, so a depth last written by an idle worker would go stale. *)
 let stats_sexp t =
-  Metrics.gauge t.metrics "serve.queue.depth"
-    (float_of_int (Bqueue.length t.queue));
-  Metrics.to_sexp t.metrics
+  Obs.gauge "serve.queue.depth" (float_of_int (Bqueue.length t.queue));
+  Obs.metrics_to_sexp { Obs.metrics = Obs.metrics (); spans = [] }
 
 let enqueue t conn (req : Protocol.request) =
   if Atomic.get t.stopping then
@@ -236,9 +235,7 @@ let enqueue t conn (req : Protocol.request) =
     with_lock conn.lock (fun () -> conn.pending <- conn.pending + 1);
     let job = { req; conn; enqueued_ns = Obs.now_ns () } in
     match Bqueue.try_push t.queue job with
-    | `Ok ->
-      Metrics.gauge t.metrics "serve.queue.depth"
-        (float_of_int (Bqueue.length t.queue))
+    | `Ok -> ()
     | `Full ->
       with_lock conn.lock (fun () -> conn.pending <- conn.pending - 1);
       reject t conn req.id "queue-full"
@@ -250,9 +247,7 @@ let enqueue t conn (req : Protocol.request) =
   end
 
 let handle t conn (req : Protocol.request) =
-  Metrics.incr
-    ~label:(Protocol.request_kind req.body)
-    t.metrics "serve.request";
+  Obs.incr ~label:(Protocol.request_kind req.body) "serve.request";
   match req.body with
   | Protocol.Ping -> respond t conn req.id Protocol.Pong
   | Protocol.Stats ->
@@ -345,13 +340,11 @@ let run ?(on_ready = fun _ -> ()) cfg =
   in
   let listen_fd, actual_addr = bind_listen cfg.addr in
   let stop_r, stop_w = Unix.pipe () in
-  let metrics = Metrics.create () in
   let t =
     { cfg;
-      metrics;
       pool =
         Pool.create ~capacity:cfg.pool_capacity
-          ~domains:cfg.session_domains ~metrics ();
+          ~domains:cfg.session_domains ();
       queue = Bqueue.create ~capacity:cfg.queue_capacity;
       stopping = Atomic.make false;
       stop_w;
@@ -365,6 +358,10 @@ let run ?(on_ready = fun _ -> ()) cfg =
     try Sys.set_signal Sys.sigterm (Sys.Signal_handle stop)
     with Invalid_argument _ -> ()
   end;
+  (* The server records through Obs for its whole lifetime; it turns
+     the recorder off at shutdown only if it turned it on. *)
+  let owns_recorder = not (Obs.enabled ()) in
+  if owns_recorder then Obs.enable ();
   let workers =
     Array.init cfg.workers (fun _ -> Domain.spawn (worker t)) in
   on_ready actual_addr;
@@ -385,7 +382,7 @@ let run ?(on_ready = fun _ -> ()) cfg =
          in
          with_lock t.conns_lock (fun () ->
              t.conns := conn :: !(t.conns));
-         Metrics.incr t.metrics "serve.connections";
+         Obs.incr "serve.connections";
          readers := Thread.create (reader t conn) () :: !readers
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       accept_loop ()
@@ -413,6 +410,7 @@ let run ?(on_ready = fun _ -> ()) cfg =
             try Unix.close c.fd with Unix.Unix_error _ -> ()
           end))
     conns;
+  if owns_recorder then Obs.disable ();
   Unix.close listen_fd;
   Unix.close stop_r;
   Unix.close stop_w;

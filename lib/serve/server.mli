@@ -50,4 +50,9 @@ val run : ?on_ready:(Protocol.addr -> unit) -> config -> unit
     called once listening, with the bound address — for TCP port 0
     this carries the actual port, which is how tests serve on an
     ephemeral port.
+
+    The server records every [serve.*] metric through
+    {!Mcmap_obs.Obs}, which it turns on for its lifetime and off again
+    at shutdown only if it was the one that turned it on; a [stats]
+    request answers with every live metric ({!Mcmap_obs.Obs.metrics}).
     @raise Unix.Unix_error when the address cannot be bound. *)

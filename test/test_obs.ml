@@ -214,6 +214,112 @@ let test_series_capacity () =
     check Alcotest.int "short series keeps every point" 50 (List.length pts)
   | _ -> Alcotest.fail "short series missing"
 
+(* Spans keep at least the newest 8192 (the documented retention cap)
+   and at most twice that. 20,000 sequential spans cross the 2 x cap
+   truncation once and leave a partial refill: the survivors are the
+   newest ones in recording order, and the dropped ones are counted. *)
+let test_span_capacity () =
+  with_recorder @@ fun () ->
+  let cap = 8192 and n = 20_000 in
+  for i = 1 to n do
+    Obs.with_span (string_of_int i) ignore
+  done;
+  let snap = Obs.snapshot () in
+  let kept = List.length snap.Obs.spans in
+  check Alcotest.bool "cap <= kept < 2 cap" true (cap <= kept && kept < 2 * cap);
+  check
+    Alcotest.(list string)
+    "newest spans survive, in order"
+    (List.init kept (fun i -> string_of_int (n - kept + 1 + i)))
+    (List.map (fun s -> s.Obs.name) snap.Obs.spans);
+  check Alcotest.int "dropped spans counted" (n - kept)
+    (Obs.spans_dropped snap);
+  match Json.member "otherData" (Obs.trace_to_json snap) with
+  | Some data ->
+    check Alcotest.bool "trace reports the drop" true
+      (Json.member "spans_dropped" data = Some (Json.Int (n - kept)))
+  | None -> Alcotest.fail "trace lacks otherData"
+
+(* Exited domains do not pile up: 50 rounds of [Parallel.map_array] on
+   4 domains spawn 150 short-lived domains, each recording 300 spans.
+   Their buffers fold into one on exit, so the snapshot holds at most
+   two buffers' worth of spans (the main domain's and the exited
+   domains'), and the counters stay exact. *)
+let test_exited_domains_retire () =
+  with_recorder @@ fun () ->
+  let rounds = 50 and per_item = 300 and cap = 8192 in
+  for _ = 1 to rounds do
+    ignore
+      (Parallel.map_array ~domains:4
+         (fun () ->
+           for _ = 1 to per_item do
+             Obs.with_span "r" ignore;
+             Obs.incr "r.count"
+           done)
+         (Array.make 4 ()))
+  done;
+  let snap = Obs.snapshot () in
+  let total = rounds * 4 * per_item in
+  check Alcotest.int "exact counter" total
+    (match List.assoc_opt "r.count" snap.Obs.metrics with
+     | Some (Obs.Counter n) -> n
+     | _ -> 0);
+  let kept = List.length snap.Obs.spans in
+  check Alcotest.bool "bounded spans" true (kept < 2 * 2 * cap);
+  check Alcotest.int "every span kept or counted" total
+    (kept + Obs.spans_dropped snap)
+
+(* Snapshots are safe under live writers: four worker domains and four
+   systhreads sharing the main domain record while the main thread
+   snapshots in a loop. The writers keep adding keys, so their tables
+   grow and resize under the snapshots. No count ever decreases between
+   snapshots, and once every writer is joined the totals are exact. *)
+let test_snapshot_under_live_writers () =
+  with_recorder @@ fun () ->
+  let per_writer = 20_000 and writers = 8 in
+  let finished = Atomic.make 0 in
+  let record () =
+    for i = 1 to per_writer do
+      Obs.incr "live.c";
+      Obs.incr ~label:(string_of_int (i / 4)) "live.k";
+      Obs.observe "live.h" i;
+      (* let the main domain's threads interleave *)
+      if i mod 500 = 0 then Thread.yield ()
+    done;
+    Atomic.incr finished in
+  let domains = Array.init 4 (fun _ -> Domain.spawn record) in
+  let threads = Array.init 4 (fun _ -> Thread.create record ()) in
+  let counts snap =
+    List.fold_left
+      (fun (c, k, h) (name, m) ->
+        match m with
+        | Obs.Counter n when name = "live.c" -> (c + n, k, h)
+        | Obs.Counter n when String.starts_with ~prefix:"live.k~" name ->
+          (c, k + n, h)
+        | Obs.Histogram hist when name = "live.h" ->
+          (c, k, h + hist.Histogram.count)
+        | _ -> (c, k, h))
+      (0, 0, 0) snap.Obs.metrics in
+  let last = ref (0, 0, 0) and snapshots = ref 0 in
+  while Atomic.get finished < writers do
+    let ((c, k, h) as now) = counts (Obs.snapshot ()) in
+    let c0, k0, h0 = !last in
+    if c < c0 || k < k0 || h < h0 then
+      Alcotest.failf "a count went backwards: (%d, %d, %d) after (%d, %d, %d)"
+        c k h c0 k0 h0;
+    last := now;
+    incr snapshots;
+    Thread.yield ()
+  done;
+  Array.iter Domain.join domains;
+  Array.iter Thread.join threads;
+  let total = per_writer * writers in
+  let c, k, h = counts (Obs.snapshot ()) in
+  check Alcotest.int "exact counter" total c;
+  check Alcotest.int "exact labelled counters" total k;
+  check Alcotest.int "exact histogram count" total h;
+  check Alcotest.bool "snapshots taken while writing" true (!snapshots > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Span nesting *)
 
@@ -582,6 +688,12 @@ let suite =
     Alcotest.test_case "labelled metrics" `Quick test_labelled_metrics;
     Alcotest.test_case "series retention is bounded" `Quick
       test_series_capacity;
+    Alcotest.test_case "span retention is bounded" `Quick
+      test_span_capacity;
+    Alcotest.test_case "exited domains fold into one buffer" `Quick
+      test_exited_domains_retire;
+    Alcotest.test_case "snapshots under live writers" `Quick
+      test_snapshot_under_live_writers;
     Alcotest.test_case "span nesting is well-formed" `Quick
       test_span_nesting;
     Alcotest.test_case "metrics deterministic across domain counts"

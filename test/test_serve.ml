@@ -9,7 +9,7 @@ module Server = Mcmap_serve.Server
 module Client = Mcmap_serve.Client
 module Bqueue = Mcmap_serve.Bqueue
 module Pool = Mcmap_serve.Pool
-module Metrics = Mcmap_serve.Metrics
+module Obs = Mcmap_obs.Obs
 module Spec = Mcmap_spec.Spec
 module B = Mcmap_benchmarks
 module D = Mcmap_dse
@@ -305,34 +305,36 @@ let system_of name =
   let b = B.Registry.find_exn name in
   { Spec.arch = b.B.Benchmark.arch; apps = b.B.Benchmark.apps }
 
-let pool_counters sexp =
-  match sexp with
-  | Sexp.List (Sexp.Atom "pool" :: items) ->
-    let get k =
-      match Sexp.assoc_int k items with
-      | Ok v -> v
-      | Error e -> Alcotest.failf "pool stats: %s" e
-    in
-    (get "size", get "hits", get "misses", get "evictions")
-  | _ -> Alcotest.fail "pool stats shape"
+(* The metrics plane is process-global, so tests read counters as
+   deltas between two snapshots. *)
+let counter (snap : Obs.snapshot) name =
+  match List.assoc_opt name snap.Obs.metrics with
+  | Some (Obs.Counter n) -> n
+  | _ -> 0
+
+let delta before after name = counter after name - counter before name
 
 let test_pool_hit_miss_evict () =
-  let metrics = Metrics.create () in
-  let pool = Pool.create ~capacity:2 ~metrics () in
-  let cruise = system_of "cruise" in
-  let s1 = Pool.session pool cruise in
-  let s2 = Pool.session pool cruise in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let before = Obs.snapshot () in
+  let pool = Pool.create ~capacity:2 () in
+  let session name =
+    let system = system_of name in
+    Pool.session pool ~text:(Spec.write_system system) system in
+  let s1 = session "cruise" in
+  let s2 = session "cruise" in
   check Alcotest.bool "same session on hit" true (s1 == s2);
-  ignore (Pool.session pool (system_of "dt-med"));
-  ignore (Pool.session pool (system_of "synth-1"));
-  let size, hits, misses, evictions = pool_counters (Pool.stats pool) in
-  check Alcotest.int "bounded" 2 size;
-  check Alcotest.int "one hit" 1 hits;
-  check Alcotest.int "three misses" 3 misses;
-  check Alcotest.int "one eviction" 1 evictions;
+  ignore (session "dt-med");
+  ignore (session "synth-1");
+  let after = Obs.snapshot () in
+  let pool_delta label = delta before after ("serve.pool~" ^ label) in
+  check Alcotest.int "one hit" 1 (pool_delta "hit");
+  check Alcotest.int "three misses" 3 (pool_delta "miss");
+  check Alcotest.int "one eviction" 1 (pool_delta "evict");
   (* cruise was the LRU entry and must have been evicted: a fresh ask
      is a miss that builds a new session *)
-  let s3 = Pool.session pool cruise in
+  let s3 = session "cruise" in
   check Alcotest.bool "rebuilt after eviction" true (s1 != s3)
 
 (* ------------------------------------------------------------------ *)
@@ -450,7 +452,8 @@ let shutdown_server addr server =
    | { P.r_body = P.Shutting_down; _ } -> ()
    | _ -> Alcotest.fail "expected Shutting_down");
   Client.close c;
-  Domain.join server
+  Domain.join server;
+  check Alcotest.bool "recorder off after shutdown" false (Obs.enabled ())
 
 let cruise_forms () =
   let system = system_of "cruise" in
@@ -643,30 +646,108 @@ let test_serve_job_budget () =
   | { P.r_body = P.Pong; _ } -> ()
   | _ -> Alcotest.fail "daemon unusable after the rejected system"
 
+let stats_exn c =
+  match call_exn c (request c P.Stats) with
+  | { P.r_body = P.Stats_snapshot sexp; _ } -> (
+    (* the snapshot is an Obs metrics document mcmap stats can read *)
+    match Obs.metrics_of_sexp sexp with
+    | Ok snapshot -> snapshot
+    | Error e -> Alcotest.failf "metrics_of_sexp: %s" e)
+  | _ -> Alcotest.fail "expected Stats_snapshot"
+
 let test_serve_stats_over_protocol () =
   let addr, _path, server = start_server (fun c -> c) in
   Fun.protect ~finally:(fun () -> shutdown_server addr server)
   @@ fun () ->
   let c = connect_exn addr in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let before = stats_exn c in
   (match call_exn c (request c P.Ping) with
    | { P.r_body = P.Pong; _ } -> ()
    | _ -> Alcotest.fail "expected Pong");
-  match call_exn c (request c P.Stats) with
-  | { P.r_body = P.Stats_snapshot sexp; _ } ->
-    (* the snapshot is an Obs metrics document mcmap stats can read *)
-    (match Mcmap_obs.Obs.metrics_of_sexp sexp with
-     | Error e -> Alcotest.failf "metrics_of_sexp: %s" e
-     | Ok snapshot ->
-       let count name =
-         match List.assoc_opt name snapshot.Mcmap_obs.Obs.metrics with
-         | Some (Mcmap_obs.Obs.Counter n) -> n
-         | _ -> 0
-       in
-       check Alcotest.int "ping counted" 1 (count "serve.request~ping");
-       check Alcotest.int "stats counted" 1
-         (count "serve.request~stats"))
-  | _ -> Alcotest.fail "expected Stats_snapshot"
+  let after = stats_exn c in
+  check Alcotest.int "ping counted" 1
+    (delta before after "serve.request~ping");
+  check Alcotest.int "stats counted" 1
+    (delta before after "serve.request~stats")
+
+(* Four workers busy on cold analyze requests over distinct plans: a
+   stats request answered while they run shows the workers' evaluator
+   cache tiers and flat-engine counters, and after the last answer every
+   request was counted exactly once. *)
+let test_serve_stats_mid_flight () =
+  let b = B.Registry.find_exn "dt-large" in
+  let system = { Spec.arch = b.B.Benchmark.arch; apps = b.B.Benchmark.apps } in
+  let forms =
+    match Sexp.parse (Spec.write_system system) with
+    | Ok forms -> forms
+    | Error e -> Alcotest.failf "system forms: %s" e in
+  let n = 16 in
+  let plans =
+    Array.init n (fun i ->
+        plan_form system
+          (B.Sampler.plan ~seed:(i + 1) system.Spec.arch system.Spec.apps))
+  in
+  let addr, _path, server =
+    start_server (fun c -> { c with Server.workers = 4 }) in
+  Fun.protect ~finally:(fun () -> shutdown_server addr server)
+  @@ fun () ->
+  let ctl = connect_exn addr and work = connect_exn addr in
+  Fun.protect
+    ~finally:(fun () -> Client.close ctl; Client.close work)
+  @@ fun () ->
+  let before = stats_exn ctl in
+  Array.iter
+    (fun plan ->
+      let req =
+        request work ~no_lint:true
+          (P.Analyze { system = forms; plan = Some plan }) in
+      match Client.send work req with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "send: %s" e)
+    plans;
+  let recv () =
+    match Client.recv work with
+    | Ok { P.r_body = P.Analysis _; _ } -> ()
+    | Ok _ -> Alcotest.fail "expected an analysis"
+    | Error e -> Alcotest.failf "recv: %s" e in
+  (* one answer is in, the rest are still queued or evaluating *)
+  recv ();
+  let mid = stats_exn ctl in
+  check Alcotest.bool "evaluator.result~miss mid-flight" true
+    (delta before mid "evaluator.result~miss" > 0);
+  check Alcotest.bool "flat.analyses mid-flight" true
+    (delta before mid "flat.analyses" > 0);
+  for _ = 2 to n do recv () done;
+  let after = stats_exn ctl in
+  check Alcotest.int "analyze counted once per request" n
+    (delta before after "serve.request~analyze");
+  check Alcotest.int "every analyze served" n
+    (delta before after "serve.served~analyze")
+
+(* The disabled recorder is free: no allocation from the recording
+   calls, labelled or not, nor from a span around a non-allocating
+   thunk. This runs after the in-process servers above, so it also
+   holds them to leaving the recorder off once shut down. *)
+let nothing () = ()
+
+let test_obs_disabled_allocates_nothing () =
+  check Alcotest.bool "recorder off" false (Obs.enabled ());
+  let calls () =
+    for i = 1 to 1000 do
+      Obs.incr "c";
+      Obs.incr ~label:"hit" "c";
+      Obs.observe "h" i;
+      Obs.observe ~label:"cold" "h" i;
+      Obs.gauge "g" 1.;
+      Obs.gauge ~label:"g0" "g" 1.;
+      Obs.with_span "s" nothing
+    done in
+  calls ();
+  let before = Gc.minor_words () in
+  calls ();
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words for 7000 disabled calls" 0. words
 
 let suite =
   [ Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -699,4 +780,8 @@ let suite =
     Alcotest.test_case "serve stats over the protocol" `Quick
       test_serve_stats_over_protocol;
     Alcotest.test_case "serve ingest: job budget (MC022)" `Quick
-      test_serve_job_budget ]
+      test_serve_job_budget;
+    Alcotest.test_case "serve stats mid-flight: evaluator and flat" `Quick
+      test_serve_stats_mid_flight;
+    Alcotest.test_case "disabled recorder allocates nothing" `Quick
+      test_obs_disabled_allocates_nothing ]
