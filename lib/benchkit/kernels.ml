@@ -104,6 +104,32 @@ let noc_spec_text =
        Spec.write_system
          { Spec.arch = b.B.Benchmark.arch; apps = b.B.Benchmark.apps })
 
+(* [budget_edge]: the largest jobset the MC022 job budget admits on one
+   processor — periods 10 and 49990 give 4999 + 1 = 5000 jobs in one
+   hyperperiod — through [Flat.make] and Algorithm 1 on the flat engine.
+   Context construction once grew with the square of the job count and
+   took about a second here. *)
+let budget_edge_system ~non_preemptive =
+  Printf.sprintf
+    {|(architecture
+  (interconnect (bus (bandwidth 2) (latency 1)))
+  (processor (name p0) (type RISC) (static 0.3) (dynamic 2)
+    (fault-rate 1e-05) (speed 1) (policy %s)))
+(application (name fast) (period 10) (deadline 10) (droppable 1)
+  (task (name f) (wcet 2) (bcet 1) (detect 0) (vote 0)))
+(application (name slow) (period 49990) (deadline 49990) (droppable 1)
+  (task (name s) (wcet 100) (bcet 50) (detect 0) (vote 0)))
+|}
+    (if non_preemptive then "non-preemptive" else "preemptive")
+
+let budget_edge_jobset =
+  lazy
+    (match Spec.read_system (budget_edge_system ~non_preemptive:false) with
+     | Error e -> failwith e
+     | Ok { Spec.arch; apps } ->
+       let plan = B.Sampler.balanced_plan ~seed:42 arch apps in
+       S.Jobset.build (H.Happ.build arch apps plan))
+
 let cold_run engine () =
   let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
   let session = D.Evaluator.create ~engine arch apps in
@@ -185,7 +211,11 @@ let suite =
         ignore (D.Evaluator.eval_population session population));
     (* The lint gate in front of every analysis *)
     plain "lint/dt-large-noc" (fun () ->
-        ignore (Lint.lint_system (Lazy.force noc_spec_text))) ]
+        ignore (Lint.lint_system (Lazy.force noc_spec_text)));
+    (* Context build and Algorithm 1 at the job budget *)
+    plain "budget_edge" (fun () ->
+        let ctx = S.Flat.make (Lazy.force budget_edge_jobset) in
+        ignore (A.Wcrt.analyze_with (module S.Flat) ctx)) ]
 
 let names = List.map (fun k -> k.k_name) suite
 
@@ -363,6 +393,19 @@ let cold_work =
            sum "flat.fixpoint_iterations",
            sum "flat.recomputed_jobs" )))
 
+(* The budget edge, end to end in process: [Flat.make] plus Algorithm 1
+   on the flat engine within 100 ms. Building candidate lists pair by
+   pair took about a second; word-wide rows take a few tens of ms. *)
+let budget_edge_contract kernels =
+  match List.assoc_opt "budget_edge" kernels with
+  | Some { Schema.ns_per_run = Some ns; _ } ->
+    let max_ms = 100. in
+    let ms = ns /. 1e6 in
+    [ ( "budget_edge",
+        { Schema.ok = ms <= max_ms;
+          numbers = [ ("ms", ms); ("max_ms", max_ms) ] } ) ]
+  | Some _ | None -> []
+
 (* Scenario sharing: the fixpoints solved against the scenarios walked
    (every solved fixpoint plus every shared trigger scenario). An
    evaluator that solves one fixpoint per scenario reads a ratio of 1
@@ -455,14 +498,28 @@ let frame_decode_contract =
      words_contract "frame_decode_alloc" ~max_words:40_000. (fun () ->
          Protocol.request_of_string frame))
 
+let flat_cold_jobset =
+  lazy
+    (let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
+     S.Jobset.build (H.Happ.build arch apps plan))
+
+(* Minor allocation of one [Flat.make] on the [flat_cold] jobset. A
+   bitset record per job for relatedness and for candidates, and
+   per-pair classification, read 10.6k words; flat rows built from word
+   closures read about 4k. *)
+let flat_make_alloc_contract =
+  lazy
+    (let js = Lazy.force flat_cold_jobset in
+     words_contract "flat_make_alloc" ~max_words:9_000. (fun () ->
+         S.Flat.make js))
+
 (* Minor allocation of one [Flat.analyze_into] on the [flat_cold]
    jobset (the normal state's exec vector), after a warm-up call that
    grows the arena: the fixpoint itself must allocate nothing. Counted,
    so deterministic; the recorder is off. *)
 let flat_fixpoint_alloc_contract =
   lazy
-    (let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
-     let js = S.Jobset.build (H.Happ.build arch apps plan) in
+    (let js = Lazy.force flat_cold_jobset in
      let ctx = S.Flat.make js in
      let n = S.Jobset.n_jobs js in
      let exec = Array.make (2 * n) 0 in
@@ -499,6 +556,8 @@ let work_contract =
 
 let contracts ~flat_pairs kernels =
   flat_contract flat_pairs @ obs_contract kernels
+  @ budget_edge_contract kernels
   @ [ Lazy.force sharing_contract; Lazy.force cold_alloc_contract;
+      Lazy.force flat_make_alloc_contract;
       Lazy.force flat_fixpoint_alloc_contract; Lazy.force work_contract;
       Lazy.force lint_alloc_contract; Lazy.force frame_decode_contract ]

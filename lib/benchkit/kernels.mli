@@ -7,6 +7,14 @@
     Running the suite is expensive (roughly [n_kernels] seconds at full
     quota); [fast] shrinks the per-kernel quota for CI smoke runs. *)
 
+val budget_edge_system : non_preemptive:bool -> string
+(** The text of the [budget_edge] kernel's system: one processor
+    (preemptive, or non-preemptive when asked), two droppable one-task
+    applications with periods 10 and 49990, so one hyperperiod expands
+    to 4999 + 1 = 5000 jobs, the MC022 job budget. The kernel times
+    [Flat.make] plus Algorithm 1 on the flat engine over the preemptive
+    variant's jobset (balanced seed-42 plan). *)
+
 val names : string list
 (** Kernel names in suite order (the BENCH.json [kernels] keys). *)
 
@@ -38,6 +46,8 @@ val contracts :
       within 3 combined standard deviations also passes (the contract
       must not flake on timer noise).
 
+    - ["budget_edge"]: the [budget_edge] kernel runs within 100 ms.
+      Omitted when that kernel has no estimate.
     - ["scenario_sharing"]: one cold Flat-session evaluation of the
       [flat_cold] plan solves at most 0.75 fixpoints per scenario it
       walks (triggers with equal exec vectors share one fixpoint).
@@ -46,6 +56,9 @@ val contracts :
       [flat_cold] plan, after a warm-up evaluation that grows the flat
       arena, allocates at most 0.7 MB (10^6 bytes) on the minor heap.
       Counted in words, so it is always derived.
+    - ["flat_make_alloc"]: one [Flat.make] on the [flat_cold] jobset,
+      after a warm-up call, allocates at most 9k words on the minor
+      heap. Counted, so it is always derived.
     - ["flat_fixpoint_alloc"]: one [Flat.analyze_into] on the
       [flat_cold] jobset, after a warm-up call, allocates 0 minor
       words. Counted, so it is always derived.

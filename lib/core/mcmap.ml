@@ -32,7 +32,6 @@ module Util = struct
   module Parallel = Mcmap_util.Parallel
   module Fingerprint = Mcmap_util.Fingerprint
   module Lru = Mcmap_util.Lru
-  module Bitset = Mcmap_util.Bitset
   module Sexp = Mcmap_util.Sexp
   module Json = Mcmap_util.Json
   module Texttable = Mcmap_util.Texttable

@@ -40,7 +40,6 @@ module Util : sig
   module Parallel = Mcmap_util.Parallel
   module Fingerprint = Mcmap_util.Fingerprint
   module Lru = Mcmap_util.Lru
-  module Bitset = Mcmap_util.Bitset
   module Sexp = Mcmap_util.Sexp
   module Json = Mcmap_util.Json
   module Texttable = Mcmap_util.Texttable

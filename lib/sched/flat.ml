@@ -1,7 +1,6 @@
 module Arch = Mcmap_model.Arch
 module Proc = Mcmap_model.Proc
 module Obs = Mcmap_obs.Obs
-module Bitset = Mcmap_util.Bitset
 
 (* Structure-of-arrays twin of [Bounds]. The algorithm is the reference
    fixed point verbatim (same sweeps in the same topological order, same
@@ -22,17 +21,27 @@ type ctx = {
   pred_delay : int array;
   (* Interference candidates as one bitset row per job: the
      same-processor, non-precedence-related jobs of higher-or-equal
-     priority. Relatedness and priorities are static per jobset, so the
-     sweep only re-tests the dynamic parts (silence and window
-     overlap) — and it does so over [cand ∧ ¬paid] word-wise, so jobs
-     whose burst is already paid cost nothing to skip. *)
-  cand_mask : Bitset.t array;
-  words : int;  (* words per [cand_mask] row, and per arena charged row *)
+     priority. Rows are stored flat like the arena's charged rows (row
+     [j] is [cand.(j * words) .. cand.(j * words + words - 1)], job [k]
+     is bit [k mod 63] of word [k / 63]). Relatedness and priorities are
+     static per jobset, so the sweep only re-tests the dynamic parts
+     (silence and window overlap) — and it does so over [cand ∧ ¬paid]
+     word-wise, so jobs whose burst is already paid cost nothing to
+     skip. *)
+  cand : int array;
+  words : int;  (* words per [cand] row, and per arena charged row *)
+  (* Each job's static bound on its [wcet']: [max wcet critical_wcet],
+     which every scenario of Algorithm 1 stays within. *)
+  bound : int array;
   (* Blocking candidates: same-processor, non-related jobs of strictly
      lower priority on non-preemptive processors (always empty on
-     preemptive ones). *)
+     preemptive ones), in CSR form. Each slice is ordered by [bound]
+     descending, and [block_bound] is [bound] of the matching
+     [block_job], so the sweep can stop at the first blocker that cannot
+     beat the blocking found so far. *)
   block_off : int array;
   block_job : int array;
+  block_bound : int array;
   (* Successors (reverse precedence), for dirty propagation. *)
   succ_off : int array;
   succ_job : int array;
@@ -44,6 +53,30 @@ type ctx = {
   proc_off : int array;  (* length n_procs + 1 *)
   proc_jobs : int array;
 }
+
+(* Bitset rows hold 63 bits per word, the layout of the reference
+   engine's charged sets. *)
+let n_words n = (n + 62) / 63
+
+(* Index of the lowest set bit of a non-zero word, in constant time:
+   [x land (-x)] isolates the bit; multiplying it by a de Bruijn
+   constant leaves a distinct 6-bit pattern in the top bits of the
+   63-bit product for each of the 63 positions (bit 62, [min_int],
+   included), and a 64-byte table maps the pattern back. *)
+let debruijn = 0x03f79d71b4cb0a89
+
+let debruijn_index =
+  let t = Bytes.make 64 '\000' in
+  for i = 0 to 62 do
+    Bytes.set t (((1 lsl i) * debruijn) lsr 57) (Char.chr i)
+  done;
+  Bytes.unsafe_to_string t
+
+(* [low] has exactly one bit set. *)
+let[@inline] index_of_low low =
+  Char.code (String.unsafe_get debruijn_index ((low * debruijn) lsr 57))
+
+let lowest_index x = index_of_low (x land (-x))
 
 (* ------------------------------------------------------------------ *)
 (* Scratch arena: one per domain, reused across evaluations. Grows
@@ -61,13 +94,12 @@ type arena = {
   mutable a_min_finish : int array;
   mutable a_max_ready : int array;
   mutable a_max_finish : int array;
-  (* Charged-interferer sets as raw bitset words ({!Bitset}'s layout):
-     row [j] of an analysis of [n] jobs is [charged.(j * w) ..
-     charged.(j * w + w - 1)] with [w] the context's [words], and [paid]
-     is the working row. The sweep handles them with inline word loops
-     rather than {!Bitset} calls: each row is a handful of words, and a
-     cross-module call with a capacity check (a C call for [blit] and
-     [clear]) per row operation dominated the per-job cost. *)
+  (* Charged-interferer sets as raw bitset rows, laid out like
+     [ctx.cand]: row [j] of an analysis of [n] jobs is [charged.(j * w)
+     .. charged.(j * w + w - 1)] with [w] the context's [words], and
+     [paid] is the working row. The sweep handles them with inline word
+     loops: each row is a handful of words, and a cross-module call with
+     a capacity check per row operation dominated the per-job cost. *)
   mutable charged : int array;
   mutable paid : int array;
   (* Dirty flags for the delta sweeps (see [analyze]). *)
@@ -103,7 +135,7 @@ let arena_for n =
     a.a_max_finish <- Array.make n 0;
     (* Words per row grow with the job count, so [n] rows of [n]-job
        words bound the rows of any smaller analysis too. *)
-    let words = Array.length (Bitset.words (Bitset.create n)) in
+    let words = n_words n in
     a.charged <- Array.make (n * words) 0;
     a.paid <- Array.make words 0;
     a.dirty <- Bytes.make n '\000';
@@ -116,25 +148,62 @@ let scratch_capacity () = (Domain.DLS.get arena_key).cap
 (* ------------------------------------------------------------------ *)
 (* Context construction: flatten the jobset and resolve every static
    test of the reference inner loop ([related], priorities, the
-   non-preemptive policy) into candidate lists. *)
+   non-preemptive policy) into candidate rows and blocker lists, with
+   word operations only — no per-pair test. *)
+
+(* Row operations on flat [words]-stride bitset rows. *)
+let add_bit rows ~words j k =
+  let i = (j * words) + (k / 63) in
+  rows.(i) <- rows.(i) lor (1 lsl (k mod 63))
+
+let union_row rows ~words ~dst ~src =
+  let d = dst * words and s = src * words in
+  for w = 0 to words - 1 do
+    rows.(d + w) <- rows.(d + w) lor rows.(s + w)
+  done
+
+(* Precedence relatedness, as in [Bounds.make]: [k] is related to [j]
+   iff it is [j], an ancestor or a descendant of [j]. Ancestor rows are
+   OR-ed forward along the topological order and descendant rows
+   backward along it, so each edge costs one pass over a row; [desc]
+   comes back as scratch of the same size. *)
+let relatedness js ~n ~words =
+  let topo = js.Jobset.topo in
+  let related = Array.make (n * words) 0 and desc = Array.make (n * words) 0 in
+  for t = 0 to n - 1 do
+    let j = topo.(t) in
+    add_bit related ~words j j;
+    Array.iter
+      (fun (p, _) -> union_row related ~words ~dst:j ~src:p)
+      js.Jobset.preds.(j)
+  done;
+  for t = n - 1 downto 0 do
+    let j = topo.(t) in
+    add_bit desc ~words j j;
+    Array.iter
+      (fun (s, _) -> union_row desc ~words ~dst:j ~src:s)
+      js.Jobset.succs.(j)
+  done;
+  for i = 0 to (n * words) - 1 do
+    related.(i) <- related.(i) lor desc.(i)
+  done;
+  (related, desc)
+
+(* [ids] sorted by [key], ascending, ties by id. *)
+let sorted_by key ids =
+  let order = Array.copy ids in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare (key a) (key b) in
+      if c <> 0 then c else Int.compare a b)
+    order;
+  order
 
 let make ?horizon js =
   let n = Jobset.n_jobs js in
   let jobs = js.Jobset.jobs in
-  (* Precedence relatedness, as in [Bounds.make]: ancestors by a forward
-     closure along the topological order, then symmetrised — here as
-     bitset rows, so the closure unions whole words. *)
-  let related = Array.init n (fun _ -> Bitset.create n) in
-  Array.iter
-    (fun j ->
-      Bitset.add related.(j) j;
-      Array.iter
-        (fun (p, _) -> Bitset.union_into ~dst:related.(j) related.(p))
-        js.Jobset.preds.(j))
-    js.Jobset.topo;
-  for j = 0 to n - 1 do
-    Bitset.iter (fun k -> Bitset.add related.(k) j) related.(j)
-  done;
+  let words = n_words n in
+  let related, cand = relatedness js ~n ~words in
   let horizon =
     match horizon with
     | Some h -> h
@@ -145,12 +214,16 @@ let make ?horizon js =
           0 jobs in
       (4 * js.Jobset.hyperperiod) + max_deadline in
   let arch = js.Jobset.happ.Mcmap_hardening.Happ.arch in
+  let n_procs = Arch.n_procs arch in
   let non_preemptive =
-    Array.init (Arch.n_procs arch) (fun p ->
+    Array.init n_procs (fun p ->
         match (Arch.proc arch p).Proc.policy with
         | Proc.Non_preemptive_fp -> true
         | Proc.Preemptive_fp -> false) in
   let release = Array.map (fun (j : Job.t) -> j.Job.release) jobs in
+  let priority = Array.map (fun (j : Job.t) -> j.Job.priority) jobs in
+  let bound =
+    Array.map (fun (j : Job.t) -> max j.Job.wcet j.Job.critical_wcet) jobs in
   (* CSR precedence. *)
   let pred_off = Array.make (n + 1) 0 in
   for j = 0 to n - 1 do
@@ -166,40 +239,81 @@ let make ?horizon js =
         pred_delay.(pred_off.(j) + i) <- delay)
       js.Jobset.preds.(j)
   done;
-  (* Candidate partition: interference candidates as bitset rows
-     (iterated word-wise against [paid] in the sweep — membership order
-     is immaterial because pay-once adds are independent and the
-     interference term is a plain sum), blocking candidates in CSR form
-     (counted, then filled in [by_proc] order). *)
-  let cand_mask = Array.init n (fun _ -> Bitset.create n) in
+  (* Candidate rows: walk each processor's jobs by priority, growing
+     that processor's priority prefix one tie group at a time; each job
+     of the group gets the prefix (ties included) minus its related row.
+     [cand] is the descendant scratch, every row of which is rewritten
+     here because [by_proc] partitions the jobs. Membership order is
+     immaterial to the sweep: pay-once adds are independent and the
+     interference term is a plain sum. *)
+  let prefix = Array.make words 0 in
+  Array.iter
+    (fun ids ->
+      let order = sorted_by (Array.get priority) ids in
+      Array.fill prefix 0 words 0;
+      let m = Array.length order in
+      let i = ref 0 in
+      while !i < m do
+        let g = !i in
+        let pr = priority.(order.(g)) in
+        while !i < m && priority.(order.(!i)) = pr do
+          add_bit prefix ~words 0 order.(!i);
+          incr i
+        done;
+        for t = g to !i - 1 do
+          let row = order.(t) * words in
+          for w = 0 to words - 1 do
+            cand.(row + w) <- prefix.(w) land lnot related.(row + w)
+          done
+        done
+      done)
+    js.Jobset.by_proc;
+  (* Blocking candidates. On a non-preemptive processor [k] blocks the
+     members of its candidate row of strictly higher priority (exactly
+     the jobs that hold [k] unrelated and lower). One pass over those
+     rows counts each job's blockers; a second pass, over each
+     processor's jobs by descending [bound], appends [k] to the slices of
+     the jobs it blocks, so every slice comes out ordered without a
+     per-job sort. The fill advances [block_off.(j)] as [j]'s cursor,
+     and the shift below restores the offsets. *)
   let block_off = Array.make (n + 1) 0 in
-  let classify j k =
-    (* 0 = skipped, 1 = interference candidate, 2 = blocking candidate *)
-    if k = j || Bitset.mem related.(j) k then 0
-    else if jobs.(k).Job.priority <= jobs.(j).Job.priority then 1
-    else if non_preemptive.(jobs.(j).Job.proc) then 2
-    else 0 in
+  let blocked ~fill k =
+    let row = k * words in
+    for wi = 0 to words - 1 do
+      let x = ref cand.(row + wi) in
+      while !x <> 0 do
+        let low = !x land (- !x) in
+        x := !x lxor low;
+        let j = (wi * 63) + index_of_low low in
+        if priority.(j) < priority.(k) then
+          match fill with
+          | None -> block_off.(j + 1) <- block_off.(j + 1) + 1
+          | Some (block_job, block_bound) ->
+            let c = block_off.(j) in
+            block_job.(c) <- k;
+            block_bound.(c) <- bound.(k);
+            block_off.(j) <- c + 1
+      done
+    done in
+  Array.iteri
+    (fun p ids ->
+      if non_preemptive.(p) then Array.iter (blocked ~fill:None) ids)
+    js.Jobset.by_proc;
   for j = 0 to n - 1 do
-    let nb = ref 0 in
-    Array.iter
-      (fun k ->
-        match classify j k with
-        | 1 -> Bitset.add cand_mask.(j) k
-        | 2 -> incr nb
-        | _ -> ())
-      js.Jobset.by_proc.(jobs.(j).Job.proc);
-    block_off.(j + 1) <- block_off.(j) + !nb
+    block_off.(j + 1) <- block_off.(j + 1) + block_off.(j)
   done;
   let block_job = Array.make (max 1 block_off.(n)) 0 in
-  for j = 0 to n - 1 do
-    let b = ref block_off.(j) in
-    Array.iter
-      (fun k -> if classify j k = 2 then begin
-          block_job.(!b) <- k;
-          incr b
-        end)
-      js.Jobset.by_proc.(jobs.(j).Job.proc)
+  let block_bound = Array.make (max 1 block_off.(n)) 0 in
+  let fill = Some (block_job, block_bound) in
+  Array.iteri
+    (fun p ids ->
+      if non_preemptive.(p) then
+        Array.iter (blocked ~fill) (sorted_by (fun k -> - bound.(k)) ids))
+    js.Jobset.by_proc;
+  for j = n - 1 downto 1 do
+    block_off.(j) <- block_off.(j - 1)
   done;
+  block_off.(0) <- 0;
   (* Reverse CSR: successors, for dirty propagation only (unordered). *)
   let succ_off = Array.make (n + 1) 0 in
   for e = 0 to n_edges - 1 do
@@ -218,7 +332,6 @@ let make ?horizon js =
       cursor.(p) <- cursor.(p) + 1
     done
   done;
-  let n_procs = Arch.n_procs arch in
   let proc_of = Array.map (fun (j : Job.t) -> j.Job.proc) jobs in
   let proc_off = Array.make (n_procs + 1) 0 in
   for p = 0 to n_procs - 1 do
@@ -230,49 +343,71 @@ let make ?horizon js =
       (fun i k -> proc_jobs.(proc_off.(p) + i) <- k)
       js.Jobset.by_proc.(p)
   done;
-  let words = Array.length (Bitset.words (Bitset.create n)) in
   { js; n; horizon; release; topo = js.Jobset.topo;
-    pred_off; pred_job; pred_delay; cand_mask; words; block_off;
-    block_job; succ_off; succ_job; proc_of; proc_off; proc_jobs }
+    pred_off; pred_job; pred_delay; cand; words; bound; block_off;
+    block_job; block_bound; succ_off; succ_job; proc_of; proc_off;
+    proc_jobs }
 
 let jobset ctx = ctx.js
+
+let interference_sets ctx j =
+  let row = j * ctx.words in
+  let cands = ref [] in
+  for k = ctx.n - 1 downto 0 do
+    if ctx.cand.(row + (k / 63)) land (1 lsl (k mod 63)) <> 0 then
+      cands := k :: !cands
+  done;
+  let lo = ctx.block_off.(j) in
+  let blockers = Array.sub ctx.block_job lo (ctx.block_off.(j + 1) - lo) in
+  (!cands, Array.to_list blockers)
 
 (* ------------------------------------------------------------------ *)
 (* The fixed point, in two steps: a fill step writes the scenario's
    execution bounds into the arena ([fill_hook] from a per-job hook,
    [fill_vector] from an interleaved vector), then [sweep] — shared by
    both entries, so they cannot drift apart — runs the fixed point on
-   the arena and leaves every per-job bound there. *)
+   the arena and leaves every per-job bound there.
+
+   Both fill steps also report whether every [wcet'] is within its
+   job's static [bound]: only then may the sweep cut a blocker scan
+   short, so an arbitrary exec hook stays exact. *)
 
 let fill_hook ctx a exec =
-  let bc = a.bc and wc = a.wc in
+  let bc = a.bc and wc = a.wc and bound = ctx.bound in
+  let within = ref true in
   Array.iter
     (fun (j : Job.t) ->
       let b, w = exec j in
       if b < 0 || b > w then
         invalid_arg "Flat.analyze: invalid execution bounds";
+      if w > bound.(j.Job.id) then within := false;
       bc.(j.Job.id) <- b;
       wc.(j.Job.id) <- w)
-    ctx.js.Jobset.jobs
+    ctx.js.Jobset.jobs;
+  !within
 
 let fill_vector ctx a (exec : int array) =
   if Array.length exec < 2 * ctx.n then
     invalid_arg "Flat.analyze_into: exec vector shorter than 2 * jobs";
-  let bc = a.bc and wc = a.wc in
+  let bc = a.bc and wc = a.wc and bound = ctx.bound in
+  let within = ref true in
   for j = 0 to ctx.n - 1 do
     let b = Array.unsafe_get exec (2 * j)
     and w = Array.unsafe_get exec ((2 * j) + 1) in
     if b < 0 || b > w then
       invalid_arg "Flat.analyze_into: invalid execution bounds";
+    if w > Array.unsafe_get bound j then within := false;
     Array.unsafe_set bc j b;
     Array.unsafe_set wc j w
-  done
+  done;
+  !within
 
 (* Mirrors [Bounds.analyze] sweep for sweep; scalar accumulators are
    hoisted refs and all indices are in-bounds by construction, so the
-   body performs no allocation and no redundant checks. Returns the
-   [converged] flag. *)
-let sweep ~max_iterations ctx a =
+   body performs no allocation and no redundant checks. [within] is the
+   fill step's verdict on the static bounds. Returns the [converged]
+   flag. *)
+let sweep ~max_iterations ~within ctx a =
   let n = ctx.n in
   let bc = a.bc and wc = a.wc in
   let min_start = a.a_min_start and min_finish = a.a_min_finish in
@@ -284,8 +419,10 @@ let sweep ~max_iterations ctx a =
   let pred_off = ctx.pred_off
   and pred_job = ctx.pred_job
   and pred_delay = ctx.pred_delay in
-  let cand_mask = ctx.cand_mask in
-  let block_off = ctx.block_off and block_job = ctx.block_job in
+  let cand = ctx.cand in
+  let block_off = ctx.block_off
+  and block_job = ctx.block_job
+  and block_bound = ctx.block_bound in
   (* Best case: interference-free forward pass; silent predecessors
      (wcet' = 0) contribute no data (cf. the reference). *)
   let acc = ref 0 in
@@ -446,52 +583,52 @@ let sweep ~max_iterations ctx a =
       let mf_j = Array.unsafe_get max_finish j in
       let ms_j = Array.unsafe_get min_start j in
       (* Unpaid candidates only: walk the set bits of [cand ∧ ¬paid]
-         word by word. Each word is snapshotted before its bits are
-         visited, so setting a bit of [paid] below (in the word already
-         snapshotted, never a later one) cannot disturb the iteration.
-         As the fixed point progresses, [paid] rows fill up and this
-         walk shrinks, whereas the reference rescans its full candidate
-         list every sweep. *)
-      let cm = Bitset.words (Array.unsafe_get cand_mask j) in
-      if rec_on then n_cand_words := !n_cand_words + Array.length cm;
-      for wi = 0 to Array.length cm - 1 do
+         word by word, lowest first, each in constant time. Each word is
+         snapshotted before its bits are visited, so setting a bit of
+         [paid] below (in the word already snapshotted, never a later
+         one) cannot disturb the iteration. As the fixed point
+         progresses, [paid] rows fill up and this walk shrinks, whereas
+         the reference rescans its full candidate list every sweep. *)
+      let crow = j * nw in
+      if rec_on then n_cand_words := !n_cand_words + nw;
+      for wi = 0 to nw - 1 do
         let x =
-          ref (Array.unsafe_get cm wi land lnot (Array.unsafe_get paid wi)) in
-        if !x <> 0 then begin
-          let base = wi * 63 in
-          let bit = ref 0 in
-          while !x <> 0 do
-            while !x land 0xFF = 0 do
-              x := !x lsr 8;
-              bit := !bit + 8
-            done;
-            while !x land 1 = 0 do
-              x := !x lsr 1;
-              incr bit
-            done;
-            let k = base + !bit in
-            let w = Array.unsafe_get wc k in
-            (* Half-open execution-window overlap, then pay-once. *)
-            if w > 0
-               && Array.unsafe_get min_start k < mf_j
-               && ms_j < Array.unsafe_get max_finish k then begin
-              interference := !interference + w;
-              Array.unsafe_set paid wi
-                (Array.unsafe_get paid wi lor (1 lsl !bit))
-            end;
-            x := !x lsr 1;
-            incr bit
-          done
-        end
+          ref
+            (Array.unsafe_get cand (crow + wi)
+             land lnot (Array.unsafe_get paid wi)) in
+        let base = wi * 63 in
+        while !x <> 0 do
+          let low = !x land (- !x) in
+          x := !x lxor low;
+          let k = base + index_of_low low in
+          let w = Array.unsafe_get wc k in
+          (* Half-open execution-window overlap, then pay-once. *)
+          if w > 0
+             && Array.unsafe_get min_start k < mf_j
+             && ms_j < Array.unsafe_get max_finish k then begin
+            interference := !interference + w;
+            Array.unsafe_set paid wi (Array.unsafe_get paid wi lor low)
+          end
+        done
       done;
-      for c = Array.unsafe_get block_off j to Array.unsafe_get block_off (j + 1) - 1 do
-        let k = Array.unsafe_get block_job c in
-        let w = Array.unsafe_get wc k in
-        if w > !blocking
-           && w > 0
-           && Array.unsafe_get min_start k < mf_j
-           && ms_j < Array.unsafe_get max_finish k then
-          blocking := w
+      (* Blockers by descending static bound: once a blocker's bound is
+         at most the blocking found so far, neither it nor any later
+         one can raise it — provided every [wcet'] is within its bound,
+         which [within] says. *)
+      let c = ref (Array.unsafe_get block_off j) in
+      let c1 = Array.unsafe_get block_off (j + 1) in
+      while !c < c1 do
+        if within && Array.unsafe_get block_bound !c <= !blocking then c := c1
+        else begin
+          let k = Array.unsafe_get block_job !c in
+          let w = Array.unsafe_get wc k in
+          if w > !blocking
+             && w > 0
+             && Array.unsafe_get min_start k < mf_j
+             && ms_j < Array.unsafe_get max_finish k then
+            blocking := w;
+          incr c
+        end
       done;
       (* [paid] now holds this job's charged set: compare it with the
          stored row and copy it over in one pass. *)
@@ -573,8 +710,8 @@ let sweep ~max_iterations ctx a =
 let analyze ?(max_iterations = Bounds.default_max_iterations) ctx ~exec =
   let n = ctx.n in
   let a = arena_for n in
-  fill_hook ctx a exec;
-  let converged = sweep ~max_iterations ctx a in
+  let within = fill_hook ctx a exec in
+  let converged = sweep ~max_iterations ~within ctx a in
   let bounds =
     Array.init n (fun j ->
         { Bounds.min_start = a.a_min_start.(j);
@@ -588,7 +725,7 @@ let analyze_into ?(max_iterations = Bounds.default_max_iterations) ctx
   if Array.length max_finish < n then
     invalid_arg "Flat.analyze_into: max_finish shorter than the jobset";
   let a = arena_for n in
-  fill_vector ctx a exec;
-  let converged = sweep ~max_iterations ctx a in
+  let within = fill_vector ctx a exec in
+  let converged = sweep ~max_iterations ~within ctx a in
   Array.blit a.a_max_finish 0 max_finish 0 n;
   converged

@@ -10,14 +10,17 @@
       preallocated flat [int] arrays (CSR adjacency, no tuples, no
       per-job records touched inside the sweep);
     - the statically-known interference structure is resolved at
-      {!make} time: for each job, the same-processor non-related
-      higher-or-equal-priority candidates (and, on non-preemptive
-      processors, the lower-priority blocking candidates) are
-      precomputed, so the sweep never re-tests precedence relatedness
-      or priorities;
+      {!make} time with word operations only: precedence relatedness
+      as ancestor and descendant closures over bitset rows, each job's
+      interference candidates as its processor's priority prefix minus
+      its related row, and (on non-preemptive processors) its
+      lower-priority blocking candidates ordered by static bound, so
+      the sweep never re-tests relatedness or priorities and can stop
+      a blocker scan early;
     - charged-interferer sets are rows of bitset words in a per-domain
       scratch arena that is reused across evaluations, handled with
-      inline word loops — the fixed-point iteration allocates nothing.
+      inline word loops and a constant-time lowest-bit index — the
+      fixed-point iteration allocates nothing.
 
     The contract is exact agreement: for every jobset, [exec] hook,
     [?horizon] and [?max_iterations], {!analyze} returns a
@@ -38,6 +41,19 @@ val make : ?horizon:int -> Jobset.t -> ctx
     [4 * hyperperiod + max abs_deadline] over the jobs. *)
 
 val jobset : ctx -> Jobset.t
+
+val interference_sets : ctx -> int -> int list * int list
+(** [interference_sets ctx j] is job [j]'s static interference
+    structure as [make] resolved it: its interference candidates
+    (same-processor, precedence-unrelated, priority higher or equal),
+    ascending, and its blocking candidates (on a non-preemptive
+    processor, the unrelated same-processor jobs of strictly lower
+    priority) in the order the sweep scans them: by
+    [max wcet critical_wcet], descending. For tests. *)
+
+val lowest_index : int -> int
+(** The index (0–62) of the lowest set bit of a non-zero [int], in
+    constant time; the sweep's candidate walk uses the same lookup. *)
 
 val analyze :
   ?max_iterations:int -> ctx -> exec:(Job.t -> int * int) -> Bounds.result

@@ -335,6 +335,17 @@ let test_contract_derivation () =
    so they are derived without any timing. *)
 let test_counted_contracts () =
   let contracts = Kernels.contracts ~flat_pairs:[] [] in
+  (* One [Flat.make] on the DT-large jobset: per-job bitset records and
+     per-pair classification read 10.6k words. *)
+  (match List.assoc_opt "flat_make_alloc" contracts with
+   | Some c ->
+     check Alcotest.bool "flat make allocation contract holds" true
+       c.Schema.ok;
+     check
+       Alcotest.(option (float 0.))
+       "flat make budget" (Some 9_000.)
+       (List.assoc_opt "max_words" c.Schema.numbers)
+   | None -> Alcotest.fail "flat make contract not derived");
   (match List.assoc_opt "flat_fixpoint_alloc" contracts with
    | Some c ->
      check Alcotest.bool "flat fixpoint allocation contract holds" true
@@ -379,6 +390,24 @@ let test_text_plane_alloc () =
       | None -> Alcotest.failf "%s not derived" name)
     [ ("lint_gate_alloc", 100_000.); ("frame_decode_alloc", 40_000.) ]
 
+(* The budget-edge contract reads its kernel's estimate: within 100 ms
+   passes, the second a pair-by-pair context build took fails, and no
+   estimate derives no contract. *)
+let test_budget_edge_contract () =
+  let verdict ns =
+    match
+      List.assoc_opt "budget_edge"
+        (Kernels.contracts ~flat_pairs:[]
+           [ ("budget_edge", kernel ?ns_per_run:ns ~mean:1. ~stddev:0. ()) ])
+    with
+    | Some c -> Some c.Schema.ok
+    | None -> None in
+  check Alcotest.(option bool) "30 ms passes" (Some true) (verdict (Some 30e6));
+  check Alcotest.(option bool) "1 s fails" (Some false) (verdict (Some 1e9));
+  check Alcotest.(option bool) "no estimate, no contract" None (verdict None);
+  check Alcotest.bool "absent kernel, no contract" false
+    (List.mem_assoc "budget_edge" (Kernels.contracts ~flat_pairs:[] []))
+
 let suite =
   [ Alcotest.test_case "BENCH.json v2 round trip" `Quick
       test_schema_roundtrip;
@@ -399,4 +428,6 @@ let suite =
     Alcotest.test_case "lint gate allocation contract holds" `Quick
       test_text_plane_alloc;
     Alcotest.test_case "counted contracts hold" `Quick
-      test_counted_contracts ]
+      test_counted_contracts;
+    Alcotest.test_case "budget edge contract" `Quick
+      test_budget_edge_contract ]

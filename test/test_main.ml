@@ -7,6 +7,7 @@ let () =
       ("reliability", Test_reliability.suite);
       ("campaign", Test_campaign.suite);
       ("sched", Test_sched.suite);
+      ("flat_make", Test_flat_make.suite);
       ("analysis", Test_analysis.suite);
       ("sim", Test_sim.suite);
       ("dse", Test_dse.suite);

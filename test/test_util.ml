@@ -9,8 +9,6 @@ module Heap = Mcmap_util.Heap
 module Json = Mcmap_util.Json
 module Fingerprint = Mcmap_util.Fingerprint
 module Lru = Mcmap_util.Lru
-module Bitset = Mcmap_util.Bitset
-module IntSet = Set.Make (Int)
 
 module Int_heap = Heap.Make (Int)
 
@@ -708,93 +706,6 @@ let prop_fingerprint_accumulator =
         (List.fold_left apply_new Fingerprint.empty ops))
 
 (* ------------------------------------------------------------------ *)
-(* Bitset. Capacities straddle the 63-bit word boundary on purpose so
-   every law exercises both the single- and multi-word paths. *)
-
-let bitset_input =
-  QCheck.(
-    map
-      (fun (cap_seed, raw) ->
-        let capacity = 1 + (cap_seed mod 130) in
-        (capacity, List.map (fun i -> i mod capacity) raw))
-      (pair (int_range 0 1000)
-         (list_of_size (Gen.int_range 0 40) (int_range 0 10000))))
-
-let bitset_of capacity members =
-  let t = Bitset.create capacity in
-  List.iter (Bitset.add t) members;
-  t
-
-let bitset_elements t =
-  let seen = ref [] in
-  Bitset.iter (fun i -> seen := i :: !seen) t;
-  List.rev !seen
-
-let prop_bitset_add_mem =
-  QCheck.Test.make ~name:"bitset add/mem agree with IntSet model"
-    ~count:300 bitset_input
-    (fun (capacity, members) ->
-      let t = bitset_of capacity members in
-      let model = IntSet.of_list members in
-      List.for_all
-        (fun i -> Bitset.mem t i = IntSet.mem i model)
-        (List.init capacity Fun.id))
-
-let prop_bitset_union =
-  QCheck.Test.make ~name:"bitset union_into agrees with IntSet model"
-    ~count:300
-    QCheck.(pair bitset_input (list_of_size (Gen.int_range 0 40)
-                                 (int_range 0 10000)))
-    (fun ((capacity, xs), raw_ys) ->
-      let ys = List.map (fun i -> i mod capacity) raw_ys in
-      let u = bitset_of capacity xs and b = bitset_of capacity ys in
-      Bitset.union_into ~dst:u b;
-      bitset_elements u
-      = IntSet.elements (IntSet.union (IntSet.of_list xs) (IntSet.of_list ys))
-      && bitset_elements b = IntSet.elements (IntSet.of_list ys))
-
-let prop_bitset_iter_order =
-  QCheck.Test.make
-    ~name:"bitset iter visits members in ascending order" ~count:300
-    bitset_input
-    (fun (capacity, members) ->
-      bitset_elements (bitset_of capacity members)
-      = IntSet.elements (IntSet.of_list members))
-
-let prop_bitset_words =
-  QCheck.Test.make
-    ~name:"bitset words match mem; high bits stay zero" ~count:300
-    bitset_input
-    (fun (capacity, members) ->
-      let t = bitset_of capacity members in
-      let words = Bitset.words t in
-      (* representation invariant the flat kernel's word-level
-         difference walk relies on *)
-      let ok = ref (Array.length words = (capacity + 62) / 63) in
-      Array.iteri
-        (fun w word ->
-          for bit = 0 to 62 do
-            let i = (w * 63) + bit in
-            let set = word land (1 lsl bit) <> 0 in
-            if set <> (i < capacity && Bitset.mem t i) then ok := false
-          done)
-        words;
-      !ok)
-
-let test_bitset_mismatch_and_ranges () =
-  let a = Bitset.create 10 and b = Bitset.create 11 in
-  Alcotest.check_raises "union_into"
-    (Invalid_argument "Bitset.union_into: capacity mismatch") (fun () ->
-      Bitset.union_into ~dst:a b);
-  Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Bitset.create: negative capacity") (fun () ->
-      ignore (Bitset.create (-1)));
-  check Alcotest.int "empty set has no words" 0
-    (Array.length (Bitset.words (Bitset.create 0)));
-  check Alcotest.bool "empty set has empty elements" true
-    (bitset_elements (Bitset.create 0) = [])
-
-(* ------------------------------------------------------------------ *)
 (* Lru *)
 
 let test_lru_eviction () =
@@ -901,12 +812,6 @@ let suite =
       test_fingerprint_combinators;
     Alcotest.test_case "fingerprint: unordered" `Quick
       test_fingerprint_unordered;
-    qtest prop_bitset_add_mem;
-    qtest prop_bitset_union;
-    qtest prop_bitset_iter_order;
-    qtest prop_bitset_words;
-    Alcotest.test_case "bitset: mismatches and ranges" `Quick
-      test_bitset_mismatch_and_ranges;
     Alcotest.test_case "lru: eviction order" `Quick test_lru_eviction;
     Alcotest.test_case "lru: disabled and edge cases" `Quick
       test_lru_edge_cases;
