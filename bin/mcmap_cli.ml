@@ -98,22 +98,10 @@ let bench_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
 
-let ga_config ?(domains = 1) ?(eval_cache = 4096)
-    ?(engine = D.Evaluator.Flat) population offspring generations seed =
+let ga_config ?(domains = 1) ?(eval_cache = 4096) population offspring
+    generations seed =
   { D.Ga.default_config with
-    D.Ga.population; offspring; generations; seed; domains; eval_cache;
-    engine }
-
-let engine_arg =
-  let engine_conv =
-    Arg.enum [ ("flat", D.Evaluator.Flat); ("reference", D.Evaluator.Reference) ]
-  in
-  Arg.(value & opt engine_conv D.Evaluator.Flat
-       & info [ "engine" ]
-           ~doc:"Algorithm 1 fixed-point engine: $(b,flat) (default, the \
-                 zero-allocation flat kernel) or $(b,reference) (the \
-                 original record-based analysis). Both produce identical \
-                 results; reference exists as the differential oracle.")
+    D.Ga.population; offspring; generations; seed; domains; eval_cache }
 
 let population_arg =
   Arg.(value & opt int 40 & info [ "population" ] ~doc:"GA archive size.")
@@ -289,7 +277,7 @@ let simulate_cmd =
           $ trace_arg $ metrics_arg $ flight_arg)
 
 let explore_run bench_name population offspring generations seed domains
-    eval_cache engine quiet no_lint trace metrics flight =
+    eval_cache quiet no_lint trace metrics flight =
   with_obs trace metrics flight @@ fun () ->
   match find_benchmark bench_name with
   | Error e -> prerr_endline e; 1
@@ -304,8 +292,8 @@ let explore_run bench_name population offspring generations seed domains
     | ds, None -> prerr_endline (refusal ~no_lint ds); 1
     | _, Some _ ->
       let config =
-        ga_config ~domains ~eval_cache ~engine population offspring
-          generations seed in
+        ga_config ~domains ~eval_cache population offspring generations
+          seed in
       let on_generation (p : D.Explore.progress) =
         if not quiet then
           Printf.printf
@@ -352,7 +340,6 @@ let explore_cmd =
                  & info [ "eval-cache" ]
                      ~doc:"Evaluator-session result-cache capacity \
                            (0 disables caching).")
-          $ engine_arg
           $ Arg.(value & flag
                  & info [ "quiet" ]
                      ~doc:"Suppress the per-generation progress lines.")

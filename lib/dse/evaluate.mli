@@ -37,12 +37,11 @@ val power_of_plan :
   Mcmap_model.Appset.t ->
   Mcmap_hardening.Plan.t ->
   float
-(** The power objective alone (no scheduling analysis).
-
-    Deprecated as an optimisation-loop entry point: it rebuilds the
-    hardened application set per call. Inside loops, create an
-    [Evaluator] session and use [Evaluator.power], which reuses cached
-    hardened graphs; this shim remains for one-shot callers. *)
+(** The power objective alone (no scheduling analysis), from a fresh
+    hardened application set: the reference that the
+    [evaluator-agreement] oracle, the tests and perfbench's check path
+    hold [Evaluator.power] to, bit for bit. Optimisation loops call
+    [Evaluator.power], which reuses cached hardened graphs. *)
 
 val service_of_plan :
   Mcmap_model.Appset.t -> Mcmap_hardening.Plan.t -> float
@@ -71,9 +70,8 @@ val evaluate :
     candidates; pass [false] to halve analysis cost when the statistic is
     not needed.
 
-    Deprecated as an optimisation-loop entry point: every call starts
-    from nothing. Inside loops, create an [Evaluator] session once and
-    call [Evaluator.eval] — same result (exactly, field for field), with
-    memoisation across near-identical candidates. This free function
-    remains as the reference implementation (the [evaluator-agreement]
-    check oracle holds the session to it) and for one-shot callers. *)
+    Every call starts from nothing and shares no cache or code path
+    with an [Evaluator] session, which makes it the independent
+    reference of the [evaluator-agreement] oracle: [lib/check], the
+    tests and perfbench's check path hold [Evaluator.eval] to it field
+    for field. Optimisation loops call [Evaluator.eval]. *)

@@ -35,10 +35,10 @@ type engine =
   | Flat  (** {!Mcmap_sched.Flat} — the zero-allocation flat kernel *)
 (** Which Algorithm 1 fixed-point implementation the session runs. Both
     return equal results on every input — the [flat-agreement] check
-    oracle enforces exact agreement — so the choice affects speed only:
-    [Flat] (the default) is the structure-of-arrays kernel, [Reference]
-    keeps the original {!Mcmap_sched.Bounds} engine as the differential
-    baseline. *)
+    oracle enforces exact agreement — so the choice affects speed only.
+    Every user path runs [Flat] (the default), the structure-of-arrays
+    kernel; [Reference] keeps the original {!Mcmap_sched.Bounds} engine
+    for the oracles, the [flat_vs_reference] kernel and the tests. *)
 
 val create :
   ?cache_capacity:int ->

@@ -22,15 +22,13 @@ type config = {
   selector : selector;
   domains : int;
   eval_cache : int;
-  engine : Evaluator.engine;
 }
 
 let default_config =
   { population = 40; offspring = 40; generations = 40;
     mutation_rate = 0.05; seed = 1; force_no_dropping = false;
     check_rescue = true; max_iterations = Bounds.default_max_iterations;
-    selector = Spea2_selector; domains = 1; eval_cache = 4096;
-    engine = Evaluator.Flat }
+    selector = Spea2_selector; domains = 1; eval_cache = 4096 }
 
 type generation_stats = {
   generation : int;
@@ -103,8 +101,7 @@ let optimize ?on_generation config arch apps =
      the changed components. *)
   let session =
     Evaluator.create ~cache_capacity:config.eval_cache
-      ~domains:config.domains ~engine:config.engine
-      ~check_rescue:config.check_rescue
+      ~domains:config.domains ~check_rescue:config.check_rescue
       ~max_iterations:config.max_iterations arch apps in
   let decode_candidate (genome, candidate_rng) =
     Decode.decode candidate_rng

@@ -34,10 +34,6 @@ type config = {
   eval_cache : int;
       (** result-cache capacity of the run's {!Evaluator} session
           (default 4096); 0 disables caching *)
-  engine : Evaluator.engine;
-      (** Algorithm 1 fixed-point implementation (default
-          {!Evaluator.Flat}); results are engine-independent, only
-          speed differs *)
 }
 
 val default_config : config

@@ -116,11 +116,6 @@ let parse input =
     ~atom:(fun _ _ a -> Atom a)
     ~list:(fun _ _ items -> List items)
 
-let rec strip (e : Loc.sexp) =
-  match e.Loc.v with
-  | Loc.Atom a -> Atom a
-  | Loc.List items -> List (List.map strip items)
-
 let parse_one input =
   match parse input with
   | Ok [ e ] -> Ok e
@@ -219,25 +214,9 @@ let conv name of_string key items =
      | None ->
        Error (Format.asprintf "field (%s %s): expected %s" key v name))
 
-let conv_opt name of_string key items =
-  match assoc_atom_opt key items with
-  | Error _ as err -> err
-  | Ok None -> Ok None
-  | Ok (Some v) ->
-    (match of_string v with
-     | Some x -> Ok (Some x)
-     | None ->
-       Error (Format.asprintf "field (%s %s): expected %s" key v name))
-
 let assoc_int key items = conv "an integer" int_of_string_opt key items
 
 let assoc_float key items = conv "a number" float_of_string_opt key items
-
-let assoc_int_opt key items =
-  conv_opt "an integer" int_of_string_opt key items
-
-let assoc_float_opt key items =
-  conv_opt "a number" float_of_string_opt key items
 
 let fields key items =
   List.filter_map

@@ -36,10 +36,6 @@ val parse : string -> (t list, string) result
 val parse_loc : string -> (Loc.sexp list, string) result
 (** Like {!parse} but keeps source positions on every node. *)
 
-val strip : Loc.sexp -> t
-(** Forget the positions. [parse] is [parse_loc] composed with
-    [strip]. *)
-
 val parse_one : string -> (t, string) result
 (** Parse exactly one expression (and nothing else but whitespace). *)
 
@@ -59,10 +55,6 @@ val assoc_atom : string -> t list -> (string, string) result
 val assoc_int : string -> t list -> (int, string) result
 
 val assoc_float : string -> t list -> (float, string) result
-
-val assoc_int_opt : string -> t list -> (int option, string) result
-
-val assoc_float_opt : string -> t list -> (float option, string) result
 
 val assoc_atom_opt : string -> t list -> (string option, string) result
 

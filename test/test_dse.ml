@@ -538,6 +538,35 @@ let test_evaluator_diverged_scenario () =
         (stats.Evaluator.scenarios_absorbed > 0))
     [ (Evaluator.Flat, "flat"); (Evaluator.Reference, "reference") ]
 
+(* `mcmap explore` at its defaults on cruise and dt-med, with every
+   archive entry of every generation re-evaluated on one reference-engine
+   session: the flat engine's fronts are the reference's, entry by
+   entry. *)
+let test_explore_flat_equals_reference () =
+  let config = { Ga.default_config with Ga.seed = 42 } in
+  List.iter
+    (fun name ->
+      let bench = Mcmap_benchmarks.Registry.find_exn name in
+      let arch = bench.Mcmap_benchmarks.Benchmark.arch
+      and apps = bench.Mcmap_benchmarks.Benchmark.apps in
+      let reference = Evaluator.create ~engine:Evaluator.Reference arch apps in
+      let checked = ref 0 in
+      let on_generation generation archive =
+        Array.iter
+          (fun (_, (e : Evaluate.t)) ->
+            incr checked;
+            if not
+                 (Mcmap_check.Oracles.evaluations_equal
+                    (Evaluator.eval reference e.Evaluate.plan) e)
+            then
+              Alcotest.failf "%s: generation %d: flat and reference differ"
+                name generation)
+          archive in
+      ignore (Ga.optimize ~on_generation config arch apps);
+      check Alcotest.int (name ^ ": entries checked")
+        (config.Ga.generations * config.Ga.population) !checked)
+    [ "cruise"; "dt-med" ]
+
 let test_evaluator_power_matches () =
   let sys = Test_gen.random_system 33 in
   let arch = sys.Test_gen.arch and apps = sys.Test_gen.apps in
@@ -619,6 +648,8 @@ let suite =
       test_evaluator_matches_fresh;
     Alcotest.test_case "evaluator: a diverged scenario absorbs" `Quick
       test_evaluator_diverged_scenario;
+    Alcotest.test_case "explore: flat fronts equal the reference" `Quick
+      test_explore_flat_equals_reference;
     Alcotest.test_case "evaluator: power shim" `Quick
       test_evaluator_power_matches;
     Alcotest.test_case "evaluator: population determinism" `Quick
