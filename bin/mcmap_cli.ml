@@ -715,11 +715,9 @@ let render_metrics_snapshot snapshot =
       | Some h -> Some h.Histogram.sum
       | None -> None in
     (match (hsum "wcrt.scenarios", hsum "wcrt.fixpoints",
-            hsum "wcrt.scenarios_absorbed",
-            List.assoc_opt "evaluator.scenarios_shared" counters,
-            List.assoc_opt "evaluator.scenarios_absorbed" counters) with
-     | None, None, None, None, None -> ()
-     | scenarios, fixpoints, absorbed, shared, evaluator_absorbed ->
+            hsum "wcrt.scenarios_absorbed") with
+     | None, None, None -> ()
+     | scenarios, fixpoints, absorbed ->
        section "scenario sharing:";
        (match (scenarios, fixpoints) with
         | Some walked, Some solved ->
@@ -731,17 +729,7 @@ let render_metrics_snapshot snapshot =
          (Printf.printf
             "  Algorithm 1: %d trigger scenarios absorbed by a diverged \
              one\n")
-         absorbed;
-       Option.iter
-         (Printf.printf
-            "  evaluator: %d trigger scenarios reused an equal exec \
-             vector's fixpoint\n")
-         shared;
-       Option.iter
-         (Printf.printf
-            "  evaluator: %d trigger scenarios absorbed by a diverged \
-             one\n")
-         evaluator_absorbed);
+         absorbed);
     List.iter
       (fun (name, points) ->
         section (Printf.sprintf "series %s:" name);

@@ -20,11 +20,7 @@ type report = {
    critical window of the trigger. *)
 (* A non-triggering job only sees the trigger through two scalars: the
    earliest time the fault can occur ([min_start] of the trigger) and the
-   latest time it can surface ([max_finish]). The evaluator session
-   exploits this: a trigger in another processor component is fully
-   summarised by that pair, so scenario analyses can be memoised per
-   component and shared between all external triggers whose pairs give
-   equal [summary_key]s. *)
+   latest time it can surface ([max_finish]). *)
 let external_exec ~base ~min_start ~max_finish
     (nb : Bounds.job_bounds array) (w : Job.t) =
   if nb.(w.Job.id).Bounds.max_finish < min_start then
@@ -40,62 +36,6 @@ let external_exec ~base ~min_start ~max_finish
   else if w.Job.passive then (0, w.Job.wcet) (* may be invoked *)
   else (w.Job.bcet, w.Job.critical_wcet)
 
-(* [external_exec] reads the summary (min_start, max_finish) only
-   through three job sets: the jobs certainly done before the fault
-   (normal max_finish < min_start), the dropped-set jobs certainly
-   started after it surfaces (normal min_start > max_finish), and the
-   dropped-set jobs released before the earliest restore (the
-   hyperperiod boundary after min_start). Each set only grows or only
-   shrinks as min_start or max_finish rises, so two summaries giving
-   sets of equal size give the same set; the three sizes therefore
-   determine the exec vector. The sizes are at most the job count, so
-   packing them in radix [n + 1] is injective. *)
-type summary_index = {
-  si_base : int;
-  si_finishes : int array;  (* sorted normal max_finish of every job *)
-  si_dropped_starts : int array;  (* sorted normal min_start, dropped set *)
-  si_dropped_releases : int array;  (* sorted releases, dropped set *)
-}
-
-let summary_index (js : Jobset.t) (normal : Bounds.result) =
-  let nb = normal.Bounds.bounds in
-  let sorted f jobs =
-    let a = Array.map f jobs in
-    Array.sort Int.compare a;
-    a in
-  let dropped =
-    Array.of_list
-      (List.filter
-         (fun (w : Job.t) -> w.Job.in_dropped_set)
-         (Array.to_list js.Jobset.jobs)) in
-  { si_base = js.Jobset.base_hyperperiod;
-    si_finishes =
-      sorted (fun (w : Job.t) -> nb.(w.Job.id).Bounds.max_finish)
-        js.Jobset.jobs;
-    si_dropped_starts =
-      sorted (fun (w : Job.t) -> nb.(w.Job.id).Bounds.min_start) dropped;
-    si_dropped_releases = sorted (fun (w : Job.t) -> w.Job.release) dropped }
-
-(* The number of entries of the sorted array [a] below [x]. *)
-let count_below (a : int array) x =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) < x then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let summary_key index ~min_start ~max_finish =
-  let radix = Array.length index.si_finishes + 1 in
-  let done_before = count_below index.si_finishes min_start in
-  let started_after =
-    Array.length index.si_dropped_starts
-    - count_below index.si_dropped_starts (max_finish + 1) in
-  let released_before =
-    count_below index.si_dropped_releases
-      (((min_start / index.si_base) + 1) * index.si_base) in
-  done_before + (radix * (started_after + (radix * released_before)))
-
 let scenario_exec ~base (nb : Bounds.job_bounds array) (v : Job.t)
     (w : Job.t) =
   if w.Job.id = v.Job.id then begin
@@ -110,9 +50,6 @@ let scenario_exec ~base (nb : Bounds.job_bounds array) (v : Job.t)
 
 type 'ctx engine = (module Mcmap_sched.Fixpoint.ENGINE with type ctx = 'ctx)
 
-(* The scenario steps take the hyperperiod from the context's jobset
-   ([Jobset.restrict] keeps it), so a component context replays exactly
-   the scenarios of the full one. *)
 let normal (type c) ((module E) : c engine) ?max_iterations ctx =
   E.analyze ?max_iterations ctx ~exec:Bounds.nominal_exec
 
@@ -122,14 +59,17 @@ let trigger_scenario (type c) ((module E) : c engine) ?max_iterations ctx
   E.analyze ?max_iterations ctx
     ~exec:(scenario_exec ~base normal.Bounds.bounds v)
 
-(* [external_exec ~base ~min_start ~max_finish nb] for every job,
-   written into [vec] as interleaved [(bcet', wcet')] pairs: the same
-   chronology cases in one direct pass over the jobs, with no closure and
-   no per-job tuple. The first case is inlined [Bounds.nominal_exec]
-   (passive spares silent). The [flat-agreement] oracle checks the
-   vector path against the closure path through report equality. *)
-let fill_external_vector ~base (nb : Bounds.job_bounds array)
-    (jobs : Job.t array) ~min_start ~max_finish vec =
+(* [scenario_exec ~base nb v] for every job, written into [vec] as
+   interleaved [(bcet', wcet')] pairs: the same chronology cases in one
+   direct pass over the jobs, with no closure and no per-job tuple, then
+   [v]'s own entry overwritten by the fault case. The first case is
+   inlined [Bounds.nominal_exec] (passive spares silent). The
+   [flat-agreement] oracle checks the vector path against the closure
+   path through report equality. *)
+let fill_scenario_vector ~base (nb : Bounds.job_bounds array)
+    (jobs : Job.t array) (v : Job.t) vec =
+  let min_start = nb.(v.Job.id).Bounds.min_start
+  and max_finish = nb.(v.Job.id).Bounds.max_finish in
   let earliest_restore = ((min_start / base) + 1) * base in
   for i = 0 to Array.length jobs - 1 do
     let w = Array.unsafe_get jobs i in
@@ -145,15 +85,7 @@ let fill_external_vector ~base (nb : Bounds.job_bounds array)
       else (w.Job.bcet, w.Job.critical_wcet) in
     vec.(2 * id) <- bcet;
     vec.((2 * id) + 1) <- wcet
-  done
-
-(* [scenario_exec ~base nb v] for every job: the external vector of
-   [v]'s summary, with [v]'s own entry overwritten by the fault case. *)
-let fill_scenario_vector ~base (nb : Bounds.job_bounds array)
-    (jobs : Job.t array) (v : Job.t) vec =
-  fill_external_vector ~base nb jobs
-    ~min_start:nb.(v.Job.id).Bounds.min_start
-    ~max_finish:nb.(v.Job.id).Bounds.max_finish vec;
+  done;
   let id = v.Job.id in
   if v.Job.passive then begin
     vec.(2 * id) <- 0;
@@ -163,14 +95,6 @@ let fill_scenario_vector ~base (nb : Bounds.job_bounds array)
     vec.(2 * id) <- v.Job.bcet;
     vec.((2 * id) + 1) <- v.Job.critical_wcet
   end
-
-let external_scenario_into (type c) ((module E) : c engine) ?max_iterations
-    ctx ~normal ~min_start ~max_finish finishes =
-  let js = E.jobset ctx in
-  let vec = Array.make (2 * Jobset.n_jobs js) 0 in
-  fill_external_vector ~base:js.Jobset.base_hyperperiod normal.Bounds.bounds
-    js.Jobset.jobs ~min_start ~max_finish vec;
-  E.analyze_into ?max_iterations ctx ~exec:vec ~max_finish:finishes
 
 (* Exec vectors compared by value: equal vectors are equal fixpoint
    inputs. The hash reads every entry (the polymorphic one would stop

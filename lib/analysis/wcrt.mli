@@ -61,7 +61,7 @@ val analyze : ?max_iterations:int -> Mcmap_sched.Bounds.ctx -> report
 (** [analyze_with (module Bounds)]: the independent reference. *)
 
 (** {1 Scenario steps} — what {!analyze_with} folds, and what the
-    evaluator session composes per processor component. *)
+    oracles hold its shared walk to. *)
 
 val normal :
   'ctx engine -> ?max_iterations:int -> 'ctx -> Mcmap_sched.Bounds.result
@@ -117,56 +117,6 @@ val trigger_scenarios :
     [Diverged i], where [i] is that trigger's index. It does not stand
     in for the later triggers' own outcomes: those were never solved,
     and the [i + 1] triggers walked cost the fixpoints counted. *)
-
-val graph_verdicts :
-  Mcmap_sched.Job.t array array -> int array -> Verdict.t array
-(** [graph_verdicts response finishes]: per entry of [response] (one
-    graph's response jobs), the worst response time over those jobs
-    under the per-job [finishes] — {!Mcmap_sched.Bounds.graph_wcrt} of
-    a converged result, with the response jobs looked up once. *)
-
-val external_scenario_into :
-  'ctx engine ->
-  ?max_iterations:int ->
-  'ctx ->
-  normal:Mcmap_sched.Bounds.result ->
-  min_start:int ->
-  max_finish:int ->
-  int array ->
-  bool
-(** The scenario of a trigger outside the context's jobset, through the
-    engine's reducing entry: writes each job's worst finish into the
-    array (at least one entry per job) and returns [converged]. A
-    non-triggering job sees the trigger only through its normal-state
-    [min_start]/[max_finish] ({!external_exec}), so that pair summarises
-    a remote trigger exactly. *)
-
-type summary_index
-(** What {!summary_key} needs of one context's normal-state result:
-    sorted normal-state finishes and the dropped-set starts and
-    releases. *)
-
-val summary_index :
-  Mcmap_sched.Jobset.t -> Mcmap_sched.Bounds.result -> summary_index
-
-val summary_key : summary_index -> min_start:int -> max_finish:int -> int
-(** A compact exact key for {!external_scenario_into}: summaries with equal
-    keys give equal {!external_exec} vectors, hence equal scenarios. It
-    packs the sizes of the three job sets the summary selects (done
-    before [min_start]; dropped-set jobs starting after [max_finish];
-    dropped-set jobs released before the hyperperiod boundary after
-    [min_start]). *)
-
-val external_exec :
-  base:int ->
-  min_start:int ->
-  max_finish:int ->
-  Mcmap_sched.Bounds.job_bounds array ->
-  Mcmap_sched.Job.t ->
-  int * int
-(** [external_exec ~base ~min_start ~max_finish nb w]: the execution
-    bounds of job [w] in the scenario of a trigger that is not [w],
-    known only by its normal-state summary. *)
 
 val scenario_exec :
   base:int ->

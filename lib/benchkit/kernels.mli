@@ -50,8 +50,10 @@ val contracts :
       Omitted when that kernel has no estimate.
     - ["scenario_sharing"]: one cold Flat-session evaluation of the
       [flat_cold] plan solves at most 0.75 fixpoints per scenario it
-      walks (triggers with equal exec vectors share one fixpoint).
-      Counted, not timed, so it is always derived.
+      walks (triggers with equal exec vectors share one fixpoint), read
+      from the [wcrt.fixpoints] and [wcrt.scenarios] histograms with the
+      normal state counted once on each side. Counted, not timed, so it
+      is always derived.
     - ["cold_eval_alloc"]: one cold Flat-session evaluation of the
       [flat_cold] plan, after a warm-up evaluation that grows the flat
       arena, allocates at most 0.7 MB (10^6 bytes) on the minor heap.
@@ -73,5 +75,9 @@ val contracts :
       DT-large [analyze] frame (the [flat_cold] plan with its system,
       about 13 KB), after a warm-up run, allocates at most 40k words on
       the minor heap. Counted, so it is always derived.
+    - ["session_retained"]: one Flat session on one domain, after
+      evaluating the [flat_cold] plan and the [eval_population]
+      kernel's 16 plans, keeps at most 120k words reachable
+      ([Obj.reachable_words]). Counted, so it is always derived.
 
     Timed contracts whose measurements are missing are omitted. *)

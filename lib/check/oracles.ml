@@ -648,7 +648,7 @@ let check_lint (sys : Gen.system) =
 (* (i) Evaluator sessions: cached/incremental evaluation must equal the
    fresh reference exactly — field for field, bit for bit on floats —
    along random mutation chains that exercise every cache layer: drop
-   toggles (scheduling + service), rebinds (component invalidation) and
+   toggles (scheduling + service), rebinds (hardened-graph rows) and
    technique/replica-arity edits (hardened-graph and reliability rows). *)
 
 module Evaluator = Mcmap_dse.Evaluator
@@ -960,8 +960,8 @@ let check_flat_agreement (sys : Gen.system) =
       (Ok ())
       [ 1; base ] in
   (* Full-evaluation level: one session per engine walks the same
-     mutation chain; restricted component jobsets, scenario memoisation
-     and external-trigger summaries all sit on the engine under test. *)
+     mutation chain; every cache tier and the session's Algorithm 1 run
+     sit on the engine under test. *)
   let ref_session = Evaluator.create ~engine:Evaluator.Reference arch apps in
   let flat_session = Evaluator.create ~engine:Evaluator.Flat arch apps in
   let rng = Prng.create (sys.Gen.seed + 104729) in
@@ -986,111 +986,6 @@ let check_flat_agreement (sys : Gen.system) =
       else chain (step + 1) (mutate_plan rng arch apps plan)
     end in
   chain 0 sys.Gen.plan
-
-(* ------------------------------------------------------------------ *)
-(* (l) Summary key: [Wcrt.summary_key] is exact, i.e. summaries with
-   equal keys give equal external exec vectors. The evaluation oracles
-   cannot see a key that merges too much: a dropped-set job's (0, 0)
-   versus (0, wcet) choice in a remote trigger's scenario rarely reaches
-   a verdict of a random system. So this oracle compares the vectors
-   themselves. Probes come in pairs one tick apart across each threshold
-   the vector reads — a job's normal finish (against min_start), a
-   dropped-set job's normal start (against max_finish), a hyperperiod
-   boundary (the earliest restore) — so a key that missed one of the
-   three job sets would join two probes whose vectors differ. Each
-   system is probed as planned and with every droppable graph dropped,
-   over one and two hyperperiods (releases past the first boundary make
-   the restore set matter). *)
-
-let summary_key_jobset label js =
-  let normal = Bounds.analyze (Bounds.make js) ~exec:Bounds.nominal_exec in
-  if not normal.Bounds.converged then Ok (0, 0)
-  else begin
-    let nb = normal.Bounds.bounds in
-    let base = js.Jobset.base_hyperperiod in
-    let index = Wcrt.summary_index js normal in
-    let seen = Hashtbl.create 64 in
-    let checked = ref 0 and shared = ref 0 in
-    let exception Mismatch of string in
-    let probe ms mf =
-      let ms = max 0 ms and mf = max 0 mf in
-      let vector =
-        Array.map
-          (Wcrt.external_exec ~base ~min_start:ms ~max_finish:mf nb)
-          js.Jobset.jobs in
-      let key = Wcrt.summary_key index ~min_start:ms ~max_finish:mf in
-      incr checked;
-      match Hashtbl.find_opt seen key with
-      | None -> Hashtbl.add seen key (ms, mf, vector)
-      | Some (ms0, mf0, v0) ->
-        if (ms0, mf0) <> (ms, mf) then incr shared;
-        if v0 <> vector then
-          raise
-            (Mismatch
-               (Printf.sprintf
-                  "summary key: %s: summaries (%d, %d) and (%d, %d) share \
-                   key %d but their exec vectors differ"
-                  label ms0 mf0 ms mf key)) in
-    let jobs = js.Jobset.jobs in
-    let dropped =
-      List.filter (fun (w : Job.t) -> w.Job.in_dropped_set)
-        (Array.to_list jobs) in
-    let rng = Prng.create (Array.length jobs) in
-    let any_job () = jobs.(Prng.int rng (Array.length jobs)) in
-    let any_ms () = nb.((any_job ()).Job.id).Bounds.min_start in
-    let any_mf () = nb.((any_job ()).Job.id).Bounds.max_finish in
-    match
-      Array.iter
-        (fun (w : Job.t) ->
-          let b = nb.(w.Job.id) in
-          probe b.Bounds.min_start b.Bounds.max_finish;
-          let mf = any_mf () in
-          probe b.Bounds.max_finish mf;
-          probe (b.Bounds.max_finish + 1) mf)
-        jobs;
-      List.iter
-        (fun (w : Job.t) ->
-          let s = nb.(w.Job.id).Bounds.min_start in
-          List.iter
-            (fun ms ->
-              probe ms (s - 1);
-              probe ms s)
-            [ 0; any_ms () ])
-        dropped;
-      for k = 1 to (js.Jobset.hyperperiod / base) + 1 do
-        let mf = any_mf () in
-        probe ((k * base) - 1) mf;
-        probe (k * base) mf
-      done
-    with
-    | () -> Ok (!checked, !shared)
-    | exception Mismatch msg -> Error msg
-  end
-
-(* The probes of one system, summed: (probes made, probes whose key an
-   earlier, different summary already had). *)
-let summary_key_probes (sys : Gen.system) =
-  let arch = sys.Gen.arch and apps = sys.Gen.apps in
-  let all_dropped =
-    List.fold_left
-      (fun plan g -> Plan.with_dropped plan ~graph:g true)
-      sys.Gen.plan (Appset.droppable_graphs apps) in
-  List.fold_left
-    (fun acc (name, plan) ->
-      let happ = Happ.build arch apps plan in
-      List.fold_left
-        (fun acc hyperperiods ->
-          let* checked, shared = acc in
-          let* c, s =
-            summary_key_jobset
-              (Printf.sprintf "%s, %d hyperperiods" name hyperperiods)
-              (Jobset.build ~hyperperiods happ) in
-          Ok (checked + c, shared + s))
-        acc [ 1; 2 ])
-    (Ok (0, 0))
-    [ ("as planned", sys.Gen.plan); ("all dropped", all_dropped) ]
-
-let check_summary_key sys = Result.map ignore (summary_key_probes sys)
 
 (* ------------------------------------------------------------------ *)
 (* (k) Interconnect backends: a bus and its degenerate mesh are the
@@ -1269,19 +1164,10 @@ let bus_noc_equivalence =
        and the flat engine";
     check = check_bus_noc_equivalence }
 
-let summary_key =
-  { name = "summary-key";
-    doc =
-      "external-trigger summaries with equal Wcrt.summary_key give equal \
-       exec vectors, probed one tick either side of every threshold the \
-       vector reads, as planned and with every droppable graph dropped, \
-       over one and two hyperperiods";
-    check = check_summary_key }
-
 let all =
   [ soundness; reliability_agreement; campaign_agreement;
     hardening_monotonic; wcet_monotonic; dropping_improves; pareto_front;
     lint_soundness; evaluator_agreement; flat_agreement;
-    bus_noc_equivalence; summary_key ]
+    bus_noc_equivalence ]
 
 let find name = List.find_opt (fun o -> o.name = name) all

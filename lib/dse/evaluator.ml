@@ -6,7 +6,6 @@ module Plan = Mcmap_hardening.Plan
 module Technique = Mcmap_hardening.Technique
 module Happ = Mcmap_hardening.Happ
 module Reliability = Mcmap_reliability.Analysis
-module Job = Mcmap_sched.Job
 module Jobset = Mcmap_sched.Jobset
 module Bounds = Mcmap_sched.Bounds
 module Flat = Mcmap_sched.Flat
@@ -124,20 +123,18 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
 (* Cross-domain sharing audit (the discipline [mcmap serve] and
    [eval_population] rely on):
 
-   - Every LRU tier ([results], [sched], [components], [rows],
-     [rates]), the per-entry [ce_external] tables, the stat counters
-     and [last_ok] are mutated only under [lock] — including the
-     hit-counter bumps, which share the critical section of the lookup
-     that observed the hit (a bump outside it loses updates when
+   - Every LRU tier ([results], [sched], [rows], [rates]), the stat
+     counters and [last_ok] are mutated only under [lock] — including
+     the hit-counter bumps, which share the critical section of the
+     lookup that observed the hit (a bump outside it loses updates when
      domains race).
-   - Cached values ([Evaluate.t], [centry], hardened graphs, rates)
+   - Cached values ([Evaluate.t], [sched_info], hardened graphs, rates)
      are immutable once published, so a value evicted while another
      domain still holds it stays valid — eviction only drops the
      cache's reference.
-   - The analysis contexts captured by [centry] are shared across domains
-     without the lock, which is safe for both engines: [Bounds.ctx]
-     is read-only during [analyze] (scratch is allocated per call) and
-     [Flat.ctx]'s scratch lives in a per-domain arena (Domain.DLS).
+   - Analysis contexts are built per sched-tier miss and never shared:
+     [Flat.ctx]'s scratch lives in a per-domain arena (Domain.DLS), so
+     concurrent analyses on different domains do not meet.
    - Two domains missing the same key may compute the same entry
      twice; results are bit-identical, the last insert wins, and the
      loser's entry dies with its holder — duplicated work, never
@@ -157,47 +154,11 @@ type sched_info = {
   ok : bool;  (* every required verdict meets its deadline *)
 }
 
-(* Memoised analysis of one processor-connected component: the restricted
-   jobset's normal-state fixed point, the verdicts of every internal
-   trigger's scenario (triggers with equal exec vectors share one
-   fixpoint, and a diverged one ends the walk, see
-   {!Wcrt.trigger_scenarios}), and a lazily-grown table of external-trigger
-   scenarios. A remote fault is visible here only through the trigger's
-   (min_start, max_finish) summary (see {!Wcrt.external_scenario_into}); the
-   table is keyed by {!Wcrt.summary_key}, which maps summaries that give
-   the same scenario to one key. A scenario's verdicts are aligned with
-   [ce_graphs]; [None] marks a diverged external scenario. *)
-type centry = {
-  ce_solve_external :
-    min_start:int -> max_finish:int -> Verdict.t array option;
-      (* [Wcrt.external_scenario_into] on this component's engine
-         context, reduced to verdicts over the graphs' response jobs
-         (looked up once per entry, so each outcome is a max-fold) *)
-  ce_graphs : int array;  (* ascending source graph indices *)
-  ce_normal : Bounds.result;
-  ce_normal_verdicts : Verdict.t array;
-  ce_summaries : (int * int) array;  (* per trigger: (min_start, max_finish) *)
-  ce_internal : Verdict.t array Wcrt.scenarios;
-      (* per trigger, physically shared between triggers with equal exec
-         vectors; [Solved [||]] if normal diverged. [Diverged] poisons
-         every plan the component is part of: that trigger's full
-         scenario diverges. *)
-  ce_index : Wcrt.summary_index;
-  ce_external : (int, Verdict.t array option) Hashtbl.t;
-      (* keyed by [Wcrt.summary_key] *)
-}
-
 type stats = {
   hits : int;
   misses : int;
   sched_hits : int;
   sched_misses : int;
-  component_hits : int;
-  component_misses : int;
-  external_scenarios : int;
-  fixpoints : int;
-  scenarios_shared : int;
-  scenarios_absorbed : int;
   evictions : int;
 }
 
@@ -215,7 +176,6 @@ type t = {
   n_graphs : int;
   deadlines : int array;
   rel_bounds : float option array;
-  horizon : int;  (* full-jobset divergence horizon, plan-independent *)
   lock : Mutex.t;
   population_lock : Mutex.t;
       (* serialises eval_population: each call spawns its own domain
@@ -225,19 +185,12 @@ type t = {
          serve] relies on (its pool keeps one lock per session). *)
   results : (Fingerprint.t, Evaluate.t) Lru.t;
   sched : (Fingerprint.t, sched_info) Lru.t;
-  components : (Fingerprint.t, centry) Lru.t;
   rows : (Fingerprint.t, Happ.hgraph) Lru.t;
   rates : (Fingerprint.t, float) Lru.t;
   mutable n_hits : int;
   mutable n_misses : int;
   mutable n_sched_hits : int;
   mutable n_sched_misses : int;
-  mutable n_component_hits : int;
-  mutable n_component_misses : int;
-  mutable n_external : int;
-  mutable n_fixpoints : int;
-  mutable n_shared : int;
-  mutable n_absorbed : int;
   mutable last_ok : bool option;
       (* previous eval's schedulable bit, for verdict-flip events *)
 }
@@ -252,9 +205,9 @@ let with_lock t f =
     Mutex.unlock t.lock;
     raise e
 
-let create ?(cache_capacity = 4096) ?(component_capacity = 64)
-    ?(domains = 1) ?(engine = Flat) ?(check_rescue = true)
-    ?(max_iterations = Bounds.default_max_iterations) arch apps =
+let create ?(cache_capacity = 4096) ?(domains = 1) ?(engine = Flat)
+    ?(check_rescue = true) ?(max_iterations = Bounds.default_max_iterations)
+    arch apps =
   if domains < 1 then invalid_arg "Evaluator.create: domains < 1";
   if cache_capacity < 0 then
     invalid_arg "Evaluator.create: negative cache capacity";
@@ -269,33 +222,16 @@ let create ?(cache_capacity = 4096) ?(component_capacity = 64)
     Mcmap_model.Interconnect.fingerprint
       (Fingerprint.int Fingerprint.empty (Arch.n_procs arch))
       arch.Arch.interconnect in
-  let base = Appset.hyperperiod apps in
-  (* The full jobset's horizon ([Bounds.make]'s default: 4 hyperperiods
-     plus the latest absolute deadline) is plan-independent — per graph
-     the latest release is [H - period] — so every restricted analysis
-     can be run against the same cap and diverge exactly when the full
-     analysis would. *)
-  let horizon =
-    let max_deadline = ref 0 in
-    for g = 0 to n_graphs - 1 do
-      let graph = Appset.graph apps g in
-      if Graph.n_tasks graph > 0 then
-        max_deadline :=
-          max !max_deadline (base - graph.Graph.period + graph.Graph.deadline)
-    done;
-    (4 * base) + !max_deadline in
   { arch; apps; salt; engine; check_rescue; max_iterations; domains;
     n_graphs; deadlines;
-    rel_bounds; horizon; lock = Mutex.create ();
+    rel_bounds; lock = Mutex.create ();
     population_lock = Mutex.create ();
     results = Lru.create ~capacity:cache_capacity ();
     sched = Lru.create ~capacity:cache_capacity ();
-    components = Lru.create ~capacity:component_capacity ();
     rows = Lru.create ~capacity:(4 * (cache_capacity + 1)) ();
     rates = Lru.create ~capacity:(4 * (cache_capacity + 1)) ();
     n_hits = 0; n_misses = 0; n_sched_hits = 0; n_sched_misses = 0;
-    n_component_hits = 0; n_component_misses = 0; n_external = 0;
-    n_fixpoints = 0; n_shared = 0; n_absorbed = 0; last_ok = None }
+    last_ok = None }
 
 (* Cache-tier attribution: one labelled counter family per tier
    ("evaluator.<tier>~hit|miss|evict|collision"), and — when the flight
@@ -390,292 +326,24 @@ let violations_of t plan keys =
   !acc
 
 (* ------------------------------------------------------------------ *)
-(* Scheduling: processor-component decomposition of Algorithm 1.       *)
+(* Scheduling: Algorithm 1 on the whole jobset.                        *)
 
-(* Partition source graphs into classes connected by processor sharing:
-   interference is per-processor and precedence per-graph, so each class
-   analyses independently of the others (given trigger summaries). *)
-let components_of t (happ : Happ.t) =
-  let n_procs = Arch.n_procs t.arch in
-  let parent = Array.init n_procs Fun.id in
-  let rec find p = if parent.(p) = p then p else find parent.(p) in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then parent.(max ra rb) <- min ra rb in
-  let anchor = Array.make t.n_graphs (-1) in
-  Array.iteri
-    (fun gi hg ->
-      Array.iter
-        (fun (ht : Happ.htask) ->
-          if anchor.(gi) < 0 then anchor.(gi) <- ht.Happ.proc
-          else union anchor.(gi) ht.Happ.proc)
-        hg.Happ.tasks)
-    happ.Happ.graphs;
-  (* Group graphs by root processor, keeping ascending graph order;
-     task-less graphs become singleton components. *)
-  let buckets = Hashtbl.create 16 in
-  let order = ref [] in
-  for gi = t.n_graphs - 1 downto 0 do
-    let key = if anchor.(gi) < 0 then -1 - gi else find anchor.(gi) in
-    (match Hashtbl.find_opt buckets key with
-     | Some members -> Hashtbl.replace buckets key (gi :: members)
-     | None ->
-       Hashtbl.replace buckets key [ gi ];
-       order := key :: !order)
-  done;
-  (* [order] lists roots by ascending minimal member graph. *)
-  List.map
-    (fun key -> Array.of_list (Hashtbl.find buckets key))
-    (List.sort
-       (fun a b ->
-         compare
-           (List.hd (Hashtbl.find buckets a))
-           (List.hd (Hashtbl.find buckets b)))
-       !order)
-  |> Array.of_list
+(* [Wcrt.analyze_with] on the session's engine, with the default
+   horizon (four hyperperiods plus the latest absolute deadline, which
+   is plan-independent). Both engines agree field for field — the
+   [flat-agreement] oracle enforces it — so the engine changes
+   wall-clock only, never results. *)
+let analyze (type c) ((module E) as engine : c Wcrt.engine) t happ =
+  Wcrt.analyze_with engine ~max_iterations:t.max_iterations
+    (E.make (Jobset.build happ))
 
-(* The component cache key: every job field, every precedence edge and
-   the topological order, absorbed into one accumulator. *)
-let structure_fp rjs =
-  let module F = Fingerprint in
-  let acc = F.start F.empty in
-  F.absorb_int acc (Jobset.n_jobs rjs);
-  Array.iter
-    (fun (j : Job.t) ->
-      F.absorb_int acc j.Job.graph;
-      F.absorb_int acc j.Job.task;
-      F.absorb_int acc j.Job.instance;
-      F.absorb_int acc j.Job.release;
-      F.absorb_int acc j.Job.abs_deadline;
-      F.absorb_int acc j.Job.proc;
-      F.absorb_int acc j.Job.priority;
-      F.absorb_int acc j.Job.bcet;
-      F.absorb_int acc j.Job.wcet;
-      F.absorb_int acc j.Job.critical_wcet;
-      F.absorb_int acc j.Job.reexec_k;
-      F.absorb_int acc j.Job.recovery;
-      F.absorb_bool acc j.Job.passive;
-      F.absorb_bool acc j.Job.voter;
-      F.absorb_int acc j.Job.origin;
-      F.absorb_bool acc j.Job.droppable;
-      F.absorb_bool acc j.Job.in_dropped_set)
-    rjs.Jobset.jobs;
-  Array.iter
-    (fun edges ->
-      F.absorb_int acc (Array.length edges);
-      for e = 0 to Array.length edges - 1 do
-        let p, delay = edges.(e) in
-        F.absorb_int acc p;
-        F.absorb_int acc delay
-      done)
-    rjs.Jobset.preds;
-  F.absorb_int_array acc rjs.Jobset.topo;
-  F.finish acc
-
-let response_jobs_for rjs graphs =
-  Array.map
-    (fun g -> Array.of_list (Jobset.response_jobs rjs ~graph:g))
-    graphs
-
-(* A fresh component entry: [Wcrt.normal] and [Wcrt.trigger_scenarios]
-   on the session's engine, both engines behind one signature
-   (they agree field for field — the [flat-agreement] oracle enforces
-   it — so the engine changes wall-clock only, never results). Also
-   returns the fixpoints solved, the trigger scenarios that reused one,
-   and the triggers left unsolved after a diverged one. *)
-let solve_component (type c) (engine : c Wcrt.engine) t rjs graphs =
-  let (module E) = engine in
-  let max_iterations = t.max_iterations in
-  let ctx = E.make ~horizon:t.horizon rjs in
-  let response = response_jobs_for rjs graphs in
-  let normal = Wcrt.normal engine ~max_iterations ctx in
-  let triggers = Array.of_list (Jobset.triggers rjs) in
-  let internal, fixpoints =
-    if normal.Bounds.converged then
-      Wcrt.trigger_scenarios engine ~max_iterations ctx ~normal
-        (Wcrt.graph_verdicts response)
-    else (Wcrt.Solved [||], 0) in
-  let walked, absorbed =
-    match internal with
-    | Wcrt.Solved outcomes -> (Array.length outcomes, 0)
-    | Wcrt.Diverged i -> (i + 1, Array.length triggers - i - 1) in
-  let n = Jobset.n_jobs rjs in
-  let entry =
-    { ce_solve_external =
-        (fun ~min_start ~max_finish ->
-          let finishes = Array.make n 0 in
-          if
-            Wcrt.external_scenario_into engine ~max_iterations ctx ~normal
-              ~min_start ~max_finish finishes
-          then Some (Wcrt.graph_verdicts response finishes)
-          else None);
-      ce_graphs = graphs; ce_normal = normal;
-      (* read only when every component's normal state converged *)
-      ce_normal_verdicts =
-        Wcrt.graph_verdicts response
-          (Array.map
-             (fun (b : Bounds.job_bounds) -> b.Bounds.max_finish)
-             normal.Bounds.bounds);
-      ce_summaries =
-        Array.map
-          (fun (v : Job.t) ->
-            ( normal.Bounds.bounds.(v.Job.id).Bounds.min_start,
-              normal.Bounds.bounds.(v.Job.id).Bounds.max_finish ))
-          triggers;
-      ce_internal = internal;
-      ce_index = Wcrt.summary_index rjs normal;
-      ce_external = Hashtbl.create 16 } in
-  (entry, 1 + fixpoints, walked - fixpoints, absorbed)
-
-let centry_for t js graphs =
-  let rjs = Jobset.restrict js ~graphs in
-  let key = structure_fp rjs in
-  match
-    with_lock t (fun () ->
-        let found = Lru.find t.components key in
-        if found <> None then t.n_component_hits <- t.n_component_hits + 1;
-        found)
-  with
-  | Some entry ->
-    tier_event "evaluator.component" Flight.Cache_hit "memo";
-    entry
-  | None ->
-    tier_event "evaluator.component" Flight.Cache_miss "resolve";
-    let entry, fixpoints, shared, absorbed =
-      match t.engine with
-      | Reference -> solve_component (module Bounds) t rjs graphs
-      | Flat -> solve_component (module Flat) t rjs graphs in
-    if Obs.enabled () then begin
-      Obs.incr ~by:shared "evaluator.scenarios_shared";
-      Obs.incr ~by:absorbed "evaluator.scenarios_absorbed"
-    end;
-    with_lock t (fun () ->
-        t.n_component_misses <- t.n_component_misses + 1;
-        t.n_fixpoints <- t.n_fixpoints + fixpoints;
-        t.n_shared <- t.n_shared + shared;
-        t.n_absorbed <- t.n_absorbed + absorbed;
-        tier_add "evaluator.component" t.components key entry);
-    entry
-
-(* The scenario of a trigger outside this component; memoised per entry
-   on [Wcrt.summary_key], so all external triggers with equal keys share
-   one fixed-point run. Racing domains may compute the same outcome
-   twice — results are equal, the first insert wins. *)
-let external_outcome t entry (ms, mf) =
-  let key = Wcrt.summary_key entry.ce_index ~min_start:ms ~max_finish:mf in
-  match with_lock t (fun () -> Hashtbl.find_opt entry.ce_external key) with
-  | Some o -> o
-  | None ->
-    let o = entry.ce_solve_external ~min_start:ms ~max_finish:mf in
-    if Obs.enabled () then Obs.incr "evaluator.external_scenarios";
-    with_lock t (fun () ->
-        t.n_external <- t.n_external + 1;
-        t.n_fixpoints <- t.n_fixpoints + 1;
-        if not (Hashtbl.mem entry.ce_external key) then
-          Hashtbl.add entry.ce_external key o);
-    o
-
-(* Reassemble the full Algorithm 1 verdicts from per-component pieces.
-   Exactness relies on three facts established in DESIGN.md §11: the
-   restricted sweeps replay the full Gauss-Seidel sweeps verbatim (same
-   job order, same horizon, same iteration cap), a remote trigger acts
-   on a component only through its (min_start, max_finish) summary, and
-   divergence anywhere must poison the whole scenario exactly as the
-   full analysis's [converged = false] does. A poisoned scenario decides
-   every verdict ([Unbounded] absorbs under [Verdict.max]; dropped-set
-   graphs keep their normal verdicts), so the first one ends the walk:
-   a component entry whose internal walk diverged, or the first diverged
-   external scenario. *)
 let compute_sched t (happ : Happ.t) =
-  let js = Jobset.build happ in
-  let comps = components_of t happ in
-  let entries = Array.map (fun graphs -> centry_for t js graphs) comps in
-  let required = Array.make t.n_graphs Verdict.Unbounded in
-  if
-    Array.exists
-      (fun e -> not e.ce_normal.Bounds.converged)
-      entries
-  then
-    (* The full normal-state analysis would not converge: every graph is
-       unbounded and no trigger scenario is examined. *)
-    { required; ok = false }
-  else begin
-    Array.iter
-      (fun entry ->
-        Array.iteri
-          (fun k g -> required.(g) <- entry.ce_normal_verdicts.(k))
-          entry.ce_graphs)
-      entries;
-    let fold verdicts entry =
-      Array.iteri
-        (fun k g ->
-          (* Dropped-set graphs owe their deadline only in the normal
-             state (cf. [Wcrt.analyze]). *)
-          if not (Happ.graph_in_dropped_set happ g) then
-            required.(g) <- Verdict.max required.(g) verdicts.(k))
-        entry.ce_graphs in
-    let triggers =
-      Array.fold_left (fun n e -> n + Array.length e.ce_summaries) 0 entries
-    in
-    (* [Some walked] when a diverged scenario decided the verdicts after
-       [walked] triggers (the deciding one included), [None] when every
-       trigger was folded. *)
-    let decided =
-      let exception Decided of int in
-      try
-        let internals =
-          Array.map
-            (fun e ->
-              match e.ce_internal with
-              | Wcrt.Solved outcomes -> outcomes
-              | Wcrt.Diverged _ -> raise_notrace (Decided 0))
-            entries in
-        let walked = ref 0 in
-        Array.iteri
-          (fun ci entry ->
-            Array.iteri
-              (fun ti summary ->
-                incr walked;
-                Array.iteri
-                  (fun cj other ->
-                    if cj = ci then fold internals.(ci).(ti) entry
-                    else
-                      match external_outcome t other summary with
-                      | Some verdicts -> fold verdicts other
-                      | None -> raise_notrace (Decided !walked))
-                  entries)
-              entry.ce_summaries)
-          entries;
-        None
-      with Decided walked -> Some walked in
-    (match decided with
-     | None -> ()
-     | Some walked ->
-       for g = 0 to t.n_graphs - 1 do
-         if not (Happ.graph_in_dropped_set happ g) then
-           required.(g) <- Verdict.Unbounded
-       done;
-       let absorbed = triggers - walked in
-       if Obs.enabled () then begin
-         Obs.incr ~by:absorbed "evaluator.scenarios_absorbed";
-         (* Which walk decided: a poisoned internal walk (no trigger
-            walked here), an external scenario, or an external scenario
-            of the last trigger (nothing left to absorb). *)
-         Obs.incr
-           ~label:
-             (if walked = 0 then "internal"
-              else if walked = triggers then "external_last"
-              else "external")
-           "evaluator.absorbed"
-       end;
-       with_lock t (fun () -> t.n_absorbed <- t.n_absorbed + absorbed));
-    let ok = ref true in
-    Array.iteri
-      (fun g verdict ->
-        if not (Verdict.within verdict t.deadlines.(g)) then ok := false)
-      required;
-    { required; ok = !ok }
-  end
+  let report =
+    match t.engine with
+    | Reference -> analyze (module Bounds) t happ
+    | Flat -> analyze (module Flat) t happ in
+  let required = report.Wcrt.required_wcrt in
+  { required; ok = Array.for_all2 Verdict.within required t.deadlines }
 
 let sched_of t fp (happ : Happ.t Lazy.t) =
   match
@@ -825,26 +493,6 @@ let stats t =
   with_lock t (fun () ->
       { hits = t.n_hits; misses = t.n_misses; sched_hits = t.n_sched_hits;
         sched_misses = t.n_sched_misses;
-        component_hits = t.n_component_hits;
-        component_misses = t.n_component_misses;
-        external_scenarios = t.n_external;
-        fixpoints = t.n_fixpoints; scenarios_shared = t.n_shared;
-        scenarios_absorbed = t.n_absorbed;
         evictions =
           Lru.evictions t.results + Lru.evictions t.sched
-          + Lru.evictions t.components + Lru.evictions t.rows
-          + Lru.evictions t.rates })
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<v>evaluator: %d hits / %d misses (%.1f%% hit rate)@,\
-     sched: %d hits / %d misses; components: %d hits / %d misses@,\
-     external scenarios: %d; fixpoints: %d (%d scenarios shared, %d \
-     absorbed by a divergence); evictions: %d@]"
-    s.hits s.misses
-    (100.
-     *. float_of_int s.hits
-     /. float_of_int (max 1 (s.hits + s.misses)))
-    s.sched_hits s.sched_misses s.component_hits s.component_misses
-    s.external_scenarios s.fixpoints s.scenarios_shared s.scenarios_absorbed
-    s.evictions
+          + Lru.evictions t.rows + Lru.evictions t.rates })

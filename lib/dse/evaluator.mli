@@ -2,26 +2,23 @@
     exploration (DESIGN.md §11).
 
     A session [create arch apps] precomputes everything plan-independent
-    — deadlines, reliability bounds, the application hyperperiod and the
-    analysis horizon — and memoises everything plan-dependent behind
-    canonical 128-bit fingerprints:
+    — deadlines and reliability bounds — and memoises everything
+    plan-dependent behind canonical 128-bit fingerprints:
 
     - a bounded LRU of full evaluation results keyed by the plan
       fingerprint (crossover/mutation duplicates and GA re-elites are
       near-free), guarded by structural plan equality against collisions;
+    - a bounded LRU of scheduling verdicts keyed by the same
+      fingerprint, which the rescue re-check of a plan's no-drop twin
+      shares with the twin's own evaluation;
     - hardened graphs and reliability rates keyed per decision row, so a
-      mutation touching one graph rebuilds only that graph's image;
-    - Algorithm 1 analyses decomposed by processor-connected components
-      and keyed by the restricted job structure, so a mutation touching
-      one component only re-solves the components whose job multisets
-      changed; a component's triggers with equal exec vectors share
-      one fixpoint, and triggers in other components are summarised by
-      their (min_start, max_finish) pair and memoised per component on
-      [Wcrt.summary_key], which maps summaries giving the same scenario
-      to one key;
-    - a diverged trigger scenario decides every verdict, so the first
-      one (inside a component, or among a plan's external scenarios)
-      ends the scenario walk.
+      mutation touching one graph rebuilds only that graph's image.
+
+    A scheduling miss runs Algorithm 1 once on the whole jobset
+    ([Mcmap_sched.Jobset.build], the engine's [make], then
+    [Mcmap_analysis.Wcrt.analyze_with]): the same scenario driver as
+    [mcmap analyze], so triggers with equal exec vectors share one
+    fixpoint and the first diverged trigger scenario ends the walk.
 
     Every cached path reproduces [Evaluate.evaluate] {e exactly} — field
     for field, bit for bit on floats — which the [evaluator-agreement]
@@ -42,7 +39,6 @@ type engine =
 
 val create :
   ?cache_capacity:int ->
-  ?component_capacity:int ->
   ?domains:int ->
   ?engine:engine ->
   ?check_rescue:bool ->
@@ -52,9 +48,7 @@ val create :
   t
 (** [cache_capacity] (default 4096) bounds the result and scheduling
     LRUs; 0 disables caching (every call analyses afresh — useful for
-    measuring). [component_capacity] (default 64) bounds the
-    per-component analysis cache, whose entries hold job sets and
-    precedence matrices and are therefore larger. [domains] (default 1)
+    measuring). [domains] (default 1)
     parallelises {!eval_population}. [engine] (default {!Flat}) selects
     the fixed-point implementation. [check_rescue] and [max_iterations]
     are the session-wide analysis options previously restated at every
@@ -74,9 +68,9 @@ val eval : t -> Mcmap_hardening.Plan.t -> Evaluate.t
 
     Domain safety: safe to call concurrently from any number of
     domains. Every cache tier is guarded by one session lock, cached
-    values are immutable once published, and the shared analysis
-    contexts are either read-only ([Reference]) or keep their scratch
-    in per-domain arenas ([Flat]); racing domains can at worst duplicate
+    values are immutable once published, and each analysis builds its
+    own context, whose [Flat] scratch lives in a per-domain arena;
+    racing domains can at worst duplicate
     work, never diverge (audited in [evaluator.ml], exercised by the
     concurrent-access test). Not safe from multiple systhreads that
     share one domain while the {!Mcmap_obs.Flight} recorder is armed —
@@ -104,11 +98,6 @@ val fingerprint : Mcmap_hardening.Plan.t -> Mcmap_util.Fingerprint.t
     result — a voter binding under a voterless technique — are excluded,
     so such plans share cache entries. *)
 
-val structure_fp : Mcmap_sched.Jobset.t -> Mcmap_util.Fingerprint.t
-(** The component cache key: a positional fingerprint of every job
-    field, every precedence edge and the topological order of a
-    (restricted) jobset. *)
-
 val canonical_equal : Mcmap_hardening.Plan.t -> Mcmap_hardening.Plan.t -> bool
 (** Structural equality modulo canonically-ignored coordinates: the
     equivalence whose classes {!fingerprint} keys, used as the collision
@@ -119,36 +108,14 @@ type stats = {
   misses : int;  (** full fresh evaluations *)
   sched_hits : int;  (** scheduling-info cache hits *)
   sched_misses : int;
-  component_hits : int;  (** per-component analysis reuses *)
-  component_misses : int;
-  external_scenarios : int;
-      (** external-trigger scenarios solved (each shared by all
-          trigger summaries with an equal [Wcrt.summary_key]) *)
-  fixpoints : int;
-      (** engine fixpoints solved: one normal state per solved
-          component, one per distinct internal trigger exec vector, one
-          per external scenario *)
-  scenarios_shared : int;
-      (** internal trigger scenarios answered by an equal exec vector's
-          fixpoint instead of a new one; scenarios walked =
-          [fixpoints + scenarios_shared] *)
-  scenarios_absorbed : int;
-      (** trigger scenarios left unsolved because a diverged scenario
-          had already decided every verdict: internal triggers after a
-          component's first diverged one, and, per plan reassembled,
-          the triggers not walked after a component poisoned by such a
-          divergence or after the first diverged external scenario *)
   evictions : int;  (** total LRU evictions over all session caches *)
 }
 
 val stats : t -> stats
-(** Counters since [create]. The same events are mirrored to
-    {!Mcmap_obs.Obs} counters ([evaluator.hits], [evaluator.misses],
-    [evaluator.sched_hits], [evaluator.sched_misses],
-    [evaluator.component_hits], [evaluator.component_misses],
-    [evaluator.external_scenarios], [evaluator.scenarios_shared],
-    [evaluator.scenarios_absorbed]) and
-    spans ([evaluator.eval],
-    [evaluator.eval_population]) when the recorder is enabled. *)
-
-val pp_stats : Format.formatter -> stats -> unit
+(** Counters since [create]. With the recorder enabled the same events
+    are mirrored to {!Mcmap_obs.Obs} counters, one labelled family per
+    cache tier ([evaluator.<tier>~hit|miss|evict|collision] for the
+    [result], [sched], [rows] and [rates] tiers), and to the spans
+    [evaluator.eval] and [evaluator.eval_population]; a scheduling miss
+    also records Algorithm 1's own [wcrt.*] metrics and its
+    [jobset.build], [flat.make] and [wcrt.analyze] spans. *)

@@ -44,9 +44,9 @@ type ctx
 
 val make : ?horizon:int -> Jobset.t -> ctx
 (** Default horizon: [4 * hyperperiod + max abs_deadline] over the jobs.
-    Pass [?horizon] explicitly when analysing a restricted jobset
-    ({!Jobset.restrict}) that must diverge at exactly the same cap as the
-    full analysis it stands in for. *)
+    Pass a smaller [?horizon] to truncate the analysis, as the
+    [flat-agreement] oracle does to hold both engines' divergence to
+    each other. *)
 
 val jobset : ctx -> Jobset.t
 

@@ -200,6 +200,7 @@ let sorted_by key ids =
   order
 
 let make ?horizon js =
+  Obs.with_span "flat.make" @@ fun () ->
   let n = Jobset.n_jobs js in
   let jobs = js.Jobset.jobs in
   let words = n_words n in

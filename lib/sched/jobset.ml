@@ -1,5 +1,6 @@
 module Happ = Mcmap_hardening.Happ
 module Arch = Mcmap_model.Arch
+module Obs = Mcmap_obs.Obs
 
 type t = {
   happ : Happ.t;
@@ -13,6 +14,7 @@ type t = {
 }
 
 let build ?priority_order ?(hyperperiods = 1) happ =
+  Obs.with_span "jobset.build" @@ fun () ->
   if hyperperiods < 1 then invalid_arg "Jobset.build: hyperperiods < 1";
   let apps = happ.Happ.apps in
   let arch = happ.Happ.arch in
@@ -120,90 +122,6 @@ let build ?priority_order ?(hyperperiods = 1) happ =
     topo }
 
 let n_jobs t = Array.length t.jobs
-
-(* The sub-jobset of the jobs with [newid.(j) >= 0] ([m] of them),
-   exactly as the full build would order it: jobs keep their relative
-   order (so Gauss-Seidel sweeps visit them in the same sequence),
-   edges/processor buckets/topological order are filtered in place,
-   and priorities are renumbered densely — the
-   analysis only ever compares priorities of same-processor jobs, and a
-   restriction closed under processor sharing contains every such
-   comparand, so dense renumbering preserves all comparisons while making
-   the result independent of the task counts of absent graphs. *)
-let restrict_copy t ~newid ~m =
-  let n = Array.length t.jobs in
-  let old_of = Array.make m (-1) in
-  for j = 0 to n - 1 do
-    if newid.(j) >= 0 then old_of.(newid.(j)) <- j
-  done;
-  (* Dense priority ranks: same-task jobs share a rank, distinct tasks
-     keep their strict order. *)
-  let module Iset = Set.Make (Int) in
-  let prios =
-    Array.fold_left
-      (fun acc j -> Iset.add t.jobs.(j).Job.priority acc)
-      Iset.empty old_of in
-  let rank = Hashtbl.create 64 in
-  List.iteri (fun i p -> Hashtbl.replace rank p i) (Iset.elements prios);
-  let remap (p, delay) =
-    let p' = newid.(p) in
-    assert (p' >= 0);
-    (p', delay) in
-  let jobs =
-    Array.init m (fun k ->
-        let job = t.jobs.(old_of.(k)) in
-        { job with Job.id = k;
-          priority = Hashtbl.find rank job.Job.priority }) in
-  let preds = Array.init m (fun k -> Array.map remap t.preds.(old_of.(k))) in
-  let succs = Array.init m (fun k -> Array.map remap t.succs.(old_of.(k))) in
-  let by_proc =
-    Array.map
-      (fun ids ->
-        let kept =
-          Array.to_list ids
-          |> List.filter_map (fun j ->
-                 if newid.(j) >= 0 then Some newid.(j) else None) in
-        Array.of_list kept)
-      t.by_proc in
-  let topo =
-    let kept =
-      Array.to_list t.topo
-      |> List.filter_map (fun j ->
-             if newid.(j) >= 0 then Some newid.(j) else None) in
-    Array.of_list kept in
-  { happ = t.happ; hyperperiod = t.hyperperiod;
-    base_hyperperiod = t.base_hyperperiod; jobs; preds; succs; by_proc;
-    topo }
-
-(* The empty restriction ([graphs = [||]]) needs no special case: every
-   derived structure below filters down to empty, which is exactly the
-   advertised boundary behaviour (and what the analyses expect — their
-   sweeps are vacuous and converge on the first pass). A restriction
-   that keeps every job is [t] itself: ids are already positions, edges,
-   buckets and topological order stay as they are, and the priorities
-   of a built jobset are [Priority.assign]'s ranks, dense over the tasks
-   (every task has at least one job), so the dense renumbering is the
-   identity. *)
-let restrict t ~graphs =
-  let n_graphs = Happ.n_graphs t.happ in
-  let keep_graph = Array.make n_graphs false in
-  Array.iter
-    (fun g ->
-      if g < 0 || g >= n_graphs then invalid_arg "Jobset.restrict";
-      keep_graph.(g) <- true)
-    graphs;
-  let n = Array.length t.jobs in
-  let newid = Array.make n (-1) in
-  let count = ref 0 in
-  for j = 0 to n - 1 do
-    if keep_graph.(t.jobs.(j).Job.graph) then begin
-      newid.(j) <- !count;
-      incr count
-    end
-  done;
-  let m = !count in
-  if m = n then t
-  else restrict_copy t ~newid ~m
 
 let job t i = t.jobs.(i)
 

@@ -33,25 +33,6 @@ val build :
     {!Priority.Criticality_first} for the ablation order); precedences
     carry {!Mcmap_model.Arch.comm_delay} costs. *)
 
-val restrict : t -> graphs:int array -> t
-(** The sub-jobset of the given source graphs, with job ids renumbered
-    contiguously and priorities renumbered densely, everything else
-    (relative job order, edges, processor buckets, topological order,
-    [happ], horizons) preserved. When [graphs] is closed under processor
-    sharing — no member graph shares a processor with a non-member — the
-    restriction analyses exactly like the same jobs inside the full set:
-    interference is per-processor and precedence per-graph, so the
-    evaluator session memoises per-component analyses keyed by the
-    restricted structure. Priorities stay comparable because the analysis
-    only compares same-processor jobs, all of which are kept together.
-    An empty [graphs] is legal (trivially closed) and yields the empty
-    jobset — zero jobs, empty buckets and topological order — on which
-    both analysis engines converge immediately with no bounds. A
-    [graphs] that keeps every job returns the jobset itself (ids,
-    edges, buckets and order are unchanged, and a built jobset's
-    priorities are already dense).
-    @raise Invalid_argument on an out-of-range graph index. *)
-
 val n_jobs : t -> int
 
 val job : t -> int -> Job.t

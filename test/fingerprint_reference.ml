@@ -1,13 +1,11 @@
 (* A literal copy of the fingerprint code the accumulator core replaced:
    one allocating [absorb] per value, folded combinator by combinator,
-   and the evaluator's plan and structure keys written on top of it. The
-   tests hold today's [Fingerprint] and [Evaluator] keys to these values
+   and the evaluator's plan key written on top of it. The tests hold
+   today's [Fingerprint] and [Evaluator] keys to these values
    bit for bit, so no cache key moved when the core changed. *)
 
 module Plan = Mcmap_hardening.Plan
 module Technique = Mcmap_hardening.Technique
-module Job = Mcmap_sched.Job
-module Jobset = Mcmap_sched.Jobset
 
 type t = { lo : int64; hi : int64 }
 
@@ -95,35 +93,3 @@ let plan_fingerprint (plan : Plan.t) =
         acc := unordered_add !acc (int (int empty drop_gene_tag) gi))
     plan.Plan.dropped;
   combine (int empty (Array.length plan.Plan.dropped)) !acc
-
-let structure_fp rjs =
-  let fp = ref (int empty (Jobset.n_jobs rjs)) in
-  Array.iter
-    (fun (j : Job.t) ->
-      let f = !fp in
-      let f = int f j.Job.graph in
-      let f = int f j.Job.task in
-      let f = int f j.Job.instance in
-      let f = int f j.Job.release in
-      let f = int f j.Job.abs_deadline in
-      let f = int f j.Job.proc in
-      let f = int f j.Job.priority in
-      let f = int f j.Job.bcet in
-      let f = int f j.Job.wcet in
-      let f = int f j.Job.critical_wcet in
-      let f = int f j.Job.reexec_k in
-      let f = int f j.Job.recovery in
-      let f = bool f j.Job.passive in
-      let f = bool f j.Job.voter in
-      let f = int f j.Job.origin in
-      let f = bool f j.Job.droppable in
-      let f = bool f j.Job.in_dropped_set in
-      fp := f)
-    rjs.Jobset.jobs;
-  Array.iter
-    (fun edges ->
-      fp := int !fp (Array.length edges);
-      Array.iter (fun (p, delay) -> fp := int (int !fp p) delay) edges)
-    rjs.Jobset.preds;
-  fp := int_array !fp rjs.Jobset.topo;
-  !fp

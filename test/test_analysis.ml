@@ -346,26 +346,6 @@ let test_diverged_scenario_absorbs () =
     (diverged "reference" (walk (module Bounds) rctx))
     (diverged "flat" (walk (module Mcmap_sched.Flat) fctx))
 
-(* [Wcrt.summary_key] is exact: summaries with equal keys give equal
-   external exec vectors. The probes are the [summary-key] check
-   oracle's (one tick either side of every threshold the vector reads);
-   over these systems some distinct summaries must actually share a
-   key, or the probes would test nothing. *)
-let test_summary_key_exact () =
-  let checked = ref 0 and shared = ref 0 in
-  for seed = 0 to 59 do
-    match Mcmap_check.Oracles.summary_key_probes (Test_gen.random_system seed)
-    with
-    | Ok (c, s) ->
-      checked := !checked + c;
-      shared := !shared + s
-    | Error msg -> Alcotest.failf "seed %d: %s" seed msg
-  done;
-  check Alcotest.bool
-    (Printf.sprintf "distinct summaries shared a key (%d of %d probes)"
-       !shared !checked)
-    true (!shared > 0)
-
 let suite =
   [ Alcotest.test_case "verdict: operations" `Quick test_verdict_ops;
     Alcotest.test_case "wcrt: report shape" `Quick test_report_shape;
@@ -382,8 +362,6 @@ let suite =
       `Quick test_shared_scenarios_exact;
     Alcotest.test_case "wcrt: a diverged scenario absorbs the rest" `Quick
       test_diverged_scenario_absorbs;
-    Alcotest.test_case "wcrt: summary key is exact" `Quick
-      test_summary_key_exact;
     qtest prop_wcrt_at_least_normal;
     qtest prop_naive_is_safe;
     qtest prop_required_below_wcrt ]

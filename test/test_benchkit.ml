@@ -302,7 +302,14 @@ let test_contract_derivation () =
        (List.assoc_opt "scenarios" c.Schema.numbers);
      (match List.assoc_opt "fixpoints" c.Schema.numbers with
       | Some f -> check Alcotest.bool "fewer fixpoints" true (f < 68.)
-      | None -> Alcotest.fail "fixpoints not recorded")
+      | None -> Alcotest.fail "fixpoints not recorded");
+     (* an evaluator that solves one fixpoint per scenario reads 68 of
+        68, above the bound *)
+     (match List.assoc_opt "max_ratio" c.Schema.numbers with
+      | Some bound ->
+        check Alcotest.bool "one fixpoint per scenario fails" true
+          (68. /. 68. > bound)
+      | None -> Alcotest.fail "max_ratio not recorded")
    | None -> Alcotest.fail "sharing contract not derived");
   (* Counted in minor words: a cold evaluation with allocation-free
      keys stays under 0.7 MB. *)
@@ -355,16 +362,32 @@ let test_counted_contracts () =
        "zero words" (Some 0.)
        (List.assoc_opt "minor_words" c.Schema.numbers)
    | None -> Alcotest.fail "flat fixpoint contract not derived");
-  match List.assoc_opt "cold_eval_work" contracts with
+  (match List.assoc_opt "cold_eval_work" contracts with
+   | Some c ->
+     check Alcotest.bool "cold evaluation work contract holds" true
+       c.Schema.ok;
+     List.iter
+       (fun name ->
+         match List.assoc_opt name c.Schema.numbers with
+         | Some n -> check Alcotest.bool (name ^ " counted") true (n > 0.)
+         | None -> Alcotest.failf "%s not recorded" name)
+       [ "sweeps"; "recomputed_jobs" ]
+   | None -> Alcotest.fail "cold evaluation work contract not derived");
+  (* What a session keeps after 17 DT-large plans, counted: a session
+     that cached each processor component's engine context and
+     external-scenario table read 338.8k words. *)
+  match List.assoc_opt "session_retained" contracts with
   | Some c ->
-    check Alcotest.bool "cold evaluation work contract holds" true c.Schema.ok;
-    List.iter
-      (fun name ->
-        match List.assoc_opt name c.Schema.numbers with
-        | Some n -> check Alcotest.bool (name ^ " counted") true (n > 0.)
-        | None -> Alcotest.failf "%s not recorded" name)
-      [ "sweeps"; "recomputed_jobs" ]
-  | None -> Alcotest.fail "cold evaluation work contract not derived"
+    check Alcotest.bool "session retained contract holds" true c.Schema.ok;
+    check
+      Alcotest.(option (float 0.))
+      "session retained budget" (Some 120_000.)
+      (List.assoc_opt "max_words" c.Schema.numbers);
+    (match List.assoc_opt "words" c.Schema.numbers with
+     | Some w ->
+       check Alcotest.bool "some words measured" true (w > 0.)
+     | None -> Alcotest.fail "words not recorded")
+  | None -> Alcotest.fail "session retained contract not derived"
 
 (* The text plane's allocation is counted, not timed: one
    [Lint.lint_system] on the shipped DT-large NoC spec stays under 100k

@@ -580,15 +580,18 @@ let test_explore_records_metrics () =
    | Obs.Counter n ->
      check Alcotest.bool "evaluator sched analyses counted" true (n > 0)
    | _ -> Alcotest.fail "evaluator.sched~miss is not a counter");
-  match metric "evaluator.scenarios_shared" with
-  | Obs.Counter n ->
-    check Alcotest.bool "shared trigger scenarios counted" true (n >= 0)
-  | _ -> Alcotest.fail "evaluator.scenarios_shared is not a counter"
+  (* a sched-tier miss runs Algorithm 1, which observes its scenario
+     walk *)
+  match metric "wcrt.fixpoints" with
+  | Obs.Histogram h ->
+    check Alcotest.bool "Algorithm 1 analyses observed" true
+      (h.Histogram.count > 0)
+  | _ -> Alcotest.fail "wcrt.fixpoints is not a histogram"
 
 (* Scenario sharing is visible: Algorithm 1 observes the fixpoints it
-   solved beside the trigger scenarios it walked, and the evaluator
-   counts the internal trigger scenarios that reused a fixpoint — the
-   same numbers its stats report. *)
+   solved beside the trigger scenarios it walked, and a fresh session
+   evaluation, which runs the same Algorithm 1, observes the same
+   numbers. *)
 let test_scenario_sharing_metrics () =
   with_recorder @@ fun () ->
   let bench = B.Registry.find_exn "dt-large" in
@@ -596,46 +599,41 @@ let test_scenario_sharing_metrics () =
   let plan = B.Sampler.balanced_plan ~seed:42 arch apps in
   let js =
     Mcmap_sched.Jobset.build (Mcmap_hardening.Happ.build arch apps plan) in
+  let observed () =
+    let snap = Obs.snapshot () in
+    let histogram_sum name =
+      match List.assoc_opt name snap.Obs.metrics with
+      | Some (Obs.Histogram h) -> h.Histogram.sum
+      | Some _ | None -> Alcotest.failf "histogram %S missing" name in
+    let counter name =
+      match List.assoc_opt name snap.Obs.metrics with
+      | Some (Obs.Counter n) -> n
+      | Some _ | None -> Alcotest.failf "counter %S missing" name in
+    Obs.reset ();
+    ( histogram_sum "wcrt.scenarios",
+      histogram_sum "wcrt.fixpoints",
+      counter "flat.analyses" ) in
   let report =
     Mcmap_analysis.Wcrt.analyze_with (module Mcmap_sched.Flat)
       (Mcmap_sched.Flat.make js) in
-  let session = D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
-  ignore (D.Evaluator.eval session plan);
-  let stats = D.Evaluator.stats session in
-  let snap = Obs.snapshot () in
-  let histogram_sum name =
-    match List.assoc_opt name snap.Obs.metrics with
-    | Some (Obs.Histogram h) -> h.Histogram.sum
-    | Some _ | None -> Alcotest.failf "histogram %S missing" name in
-  let counter name =
-    match List.assoc_opt name snap.Obs.metrics with
-    | Some (Obs.Counter n) -> n
-    | Some _ | None -> Alcotest.failf "counter %S missing" name in
-  let scenarios = histogram_sum "wcrt.scenarios" in
-  let fixpoints = histogram_sum "wcrt.fixpoints" in
+  let (scenarios, fixpoints, analyses) as direct = observed () in
   check Alcotest.int "wcrt.scenarios counts triggers"
     report.Mcmap_analysis.Wcrt.scenarios scenarios;
   check Alcotest.bool "wcrt.fixpoints below wcrt.scenarios" true
     (fixpoints < scenarios);
-  check Alcotest.int "evaluator.scenarios_shared = stats"
-    stats.D.Evaluator.scenarios_shared
-    (counter "evaluator.scenarios_shared");
-  (* one component: its normal state plus the same distinct trigger
-     vectors Algorithm 1 solved *)
-  check Alcotest.int "session fixpoints" (1 + fixpoints)
-    stats.D.Evaluator.fixpoints;
-  check Alcotest.int "shared + solved = walked" scenarios
-    (stats.D.Evaluator.scenarios_shared + fixpoints);
-  (* every flat.analyses run is a counted fixpoint: Algorithm 1's
-     normal state and trigger fixpoints, then the session's *)
-  check Alcotest.int "flat.analyses"
-    (1 + fixpoints + stats.D.Evaluator.fixpoints)
-    (counter "flat.analyses")
+  (* every flat.analyses run is a counted fixpoint: the normal state and
+     the trigger fixpoints *)
+  check Alcotest.int "flat.analyses" (1 + fixpoints) analyses;
+  let session = D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
+  ignore (D.Evaluator.eval session plan);
+  check
+    Alcotest.(triple int int int)
+    "a session evaluation observes the same walk" direct (observed ())
 
 (* Triggers left unsolved after a divergence are visible: DT-large's
-   sampler plan of seed 15 diverges at one trigger scenario, Algorithm 1
-   observes the triggers after it as absorbed, and the evaluator's
-   counter matches its stats. Absorbed triggers are not shared ones. *)
+   sampler plan of seed 15 diverges at one trigger scenario, and
+   Algorithm 1 observes the triggers after it as absorbed, both when run
+   directly and inside a fresh session evaluation. *)
 let test_scenarios_absorbed_metrics () =
   with_recorder @@ fun () ->
   let bench = B.Registry.find_exn "dt-large" in
@@ -653,25 +651,60 @@ let test_scenarios_absorbed_metrics () =
     | Mcmap_analysis.Wcrt.Diverged i, _ -> i
     | Mcmap_analysis.Wcrt.Solved _, _ -> Alcotest.fail "no trigger diverged"
   in
+  let triggers = List.length (Mcmap_sched.Jobset.triggers js) in
+  let check_absorbed what =
+    (match
+       List.assoc_opt "wcrt.scenarios_absorbed" (Obs.snapshot ()).Obs.metrics
+     with
+     | Some (Obs.Histogram h) ->
+       check Alcotest.int
+         (what ^ ": wcrt.scenarios_absorbed: triggers after the stop")
+         (triggers - stopped - 1) h.Histogram.sum
+     | Some _ | None ->
+       Alcotest.failf "%s: histogram wcrt.scenarios_absorbed missing" what);
+    Obs.reset () in
   Obs.reset ();
   ignore (Mcmap_analysis.Wcrt.analyze_with (module Mcmap_sched.Flat) ctx);
+  check_absorbed "Algorithm 1";
   let session = D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
   ignore (D.Evaluator.eval session plan);
-  let stats = D.Evaluator.stats session in
-  let snap = Obs.snapshot () in
-  let triggers = List.length (Mcmap_sched.Jobset.triggers js) in
-  (match List.assoc_opt "wcrt.scenarios_absorbed" snap.Obs.metrics with
-   | Some (Obs.Histogram h) ->
-     check Alcotest.int "wcrt.scenarios_absorbed: triggers after the stop"
-       (triggers - stopped - 1) h.Histogram.sum
-   | Some _ | None -> Alcotest.fail "histogram wcrt.scenarios_absorbed missing");
-  (match List.assoc_opt "evaluator.scenarios_absorbed" snap.Obs.metrics with
-   | Some (Obs.Counter n) ->
-     check Alcotest.int "evaluator.scenarios_absorbed = stats"
-       stats.D.Evaluator.scenarios_absorbed n;
-     check Alcotest.bool "some absorbed" true (n > 0)
-   | Some _ | None ->
-     Alcotest.fail "counter evaluator.scenarios_absorbed missing")
+  check_absorbed "session"
+
+(* The stages of the one Algorithm 1 path are spanned: [jobset.build],
+   [flat.make] and [wcrt.analyze] are recorded by [Mcmap.analyze_plan]
+   and, nested under [evaluator.eval], by a fresh session evaluation. *)
+let test_algorithm1_stage_spans () =
+  with_recorder @@ fun () ->
+  let bench = B.Registry.find_exn "dt-med" in
+  let arch = bench.B.Benchmark.arch and apps = bench.B.Benchmark.apps in
+  let plan = B.Sampler.balanced_plan ~seed:42 arch apps in
+  let stages = [ "jobset.build"; "flat.make"; "wcrt.analyze" ] in
+  let spans () =
+    let spans = (Obs.snapshot ()).Obs.spans in
+    Obs.reset ();
+    spans in
+  let find what spans name =
+    match List.find_opt (fun (sp : Obs.span) -> sp.Obs.name = name) spans with
+    | Some sp -> sp
+    | None -> Alcotest.failf "%s: span %S missing" what name in
+  ignore (Mcmap.analyze_plan arch apps plan);
+  let recorded = spans () in
+  List.iter (fun name -> ignore (find "analyze_plan" recorded name)) stages;
+  let session = D.Evaluator.create arch apps in
+  ignore (D.Evaluator.eval session plan);
+  let recorded = spans () in
+  let outer = find "eval" recorded "evaluator.eval" in
+  List.iter
+    (fun name ->
+      let sp = find "eval" recorded name in
+      check Alcotest.bool (name ^ " nests under evaluator.eval") true
+        (sp.Obs.depth > outer.Obs.depth
+        && Int64.compare sp.Obs.ts_ns outer.Obs.ts_ns >= 0
+        && Int64.compare
+             (Int64.add sp.Obs.ts_ns sp.Obs.dur_ns)
+             (Int64.add outer.Obs.ts_ns outer.Obs.dur_ns)
+           <= 0))
+    stages
 
 let suite =
   [ Alcotest.test_case "histogram bucket boundaries" `Quick
@@ -714,5 +747,7 @@ let suite =
       test_scenario_sharing_metrics;
     Alcotest.test_case "scenarios absorbed by a divergence are counted"
       `Quick test_scenarios_absorbed_metrics;
+    Alcotest.test_case "Algorithm 1 stages are spanned" `Quick
+      test_algorithm1_stage_spans;
     Alcotest.test_case "explore records advertised metrics" `Slow
       test_explore_records_metrics ]
