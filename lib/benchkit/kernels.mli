@@ -75,6 +75,11 @@ val contracts :
       DT-large [analyze] frame (the [flat_cold] plan with its system,
       about 13 KB), after a warm-up run, allocates at most 40k words on
       the minor heap. Counted, so it is always derived.
+    - ["warm_analyze_alloc"]: one warm [analyze] body of the
+      ["frame_decode_alloc"] frame, answered by
+      {!Mcmap_serve.Server.work} on a pool that already holds its
+      system and has evaluated its plan, allocates at most 100k words
+      on the minor heap. Counted, so it is always derived.
     - ["session_retained"]: one Flat session on one domain, after
       evaluating the [flat_cold] plan and the [eval_population]
       kernel's 16 plans, keeps at most 120k words reachable

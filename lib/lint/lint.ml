@@ -812,34 +812,40 @@ let check_plan ?file (sys : Spec.system) input =
 
 let lint_plan ?file sys input = fst (check_plan ?file sys input)
 
-(* Without the gate: parse and build only, the first failure becoming
-   the one diagnostic. *)
-let build_only ?system_file ?plan_file system_text plan_text =
-  match Result.bind (Spec.parse_system system_text) Spec.build_system with
-  | Error e -> ([ diag_of_error ?file:system_file ~code:"MC000" e ], None)
-  | Ok sys -> (
-    match plan_text with
-    | None -> ([], Some (sys, None))
-    | Some text -> (
-      match Result.bind (Spec.parse_plan text) (Spec.build_plan sys) with
-      | Error e -> ([ diag_of_error ?file:plan_file ~code:"MC100" e ], None)
-      | Ok plan -> ([], Some (sys, Some plan))))
+(* The system half of the gate: linted, or with [no_lint] parsed and
+   built only, the first failure becoming the one diagnostic. *)
+let ingest_system ?file ~no_lint text =
+  if not no_lint then lint_system ?file text
+  else
+    match Result.bind (Spec.parse_system text) Spec.build_system with
+    | Ok sys -> ([], Some sys)
+    | Error e -> ([ diag_of_error ?file ~code:"MC000" e ], None)
+
+(* A plan against a built system, likewise. *)
+let plan_against ?file ~no_lint sys text =
+  if not no_lint then check_plan ?file sys text
+  else
+    match Result.bind (Spec.parse_plan text) (Spec.build_plan sys) with
+    | Ok plan -> ([], Some plan)
+    | Error e -> ([ diag_of_error ?file ~code:"MC100" e ], None)
+
+let ingest_plan ?file ~no_lint (sys_ds, sys) plan_text =
+  let plan_ds, plan =
+    match sys, plan_text with
+    | _, None -> ([], Some None)
+    | Some sys, Some text ->
+      let ds, plan = plan_against ?file ~no_lint sys text in
+      (ds, Option.map Option.some plan)
+    | None, Some _ -> ([], None) in
+  let ds = sys_ds @ plan_ds in
+  match sys, plan with
+  | Some sys, Some plan when D.error_count ds = 0 -> (ds, Some (sys, plan))
+  | _ -> (ds, None)
 
 let ingest ?system_file ?plan_file ~no_lint system_text plan_text =
-  if no_lint then build_only ?system_file ?plan_file system_text plan_text
-  else
-    let sys_ds, sys = lint_system ?file:system_file system_text in
-    let plan_ds, plan =
-      match sys, plan_text with
-      | _, None -> ([], Some None)
-      | Some sys, Some text ->
-        let ds, plan = check_plan ?file:plan_file sys text in
-        (ds, Option.map Option.some plan)
-      | None, Some _ -> ([], None) in
-    let ds = sys_ds @ plan_ds in
-    match sys, plan with
-    | Some sys, Some plan when D.error_count ds = 0 -> (ds, Some (sys, plan))
-    | _ -> (ds, None)
+  ingest_plan ?file:plan_file ~no_lint
+    (ingest_system ?file:system_file ~no_lint system_text)
+    plan_text
 
 let lint_pair ?system_file ?plan_file system_text plan_text =
   fst

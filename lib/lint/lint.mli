@@ -44,7 +44,39 @@ val ingest :
     The built system and plan come back exactly when no diagnostic has
     error severity. A system over [Spec.job_budget] never builds, so
     no choice of [no_lint] gets one past [MC022]. [system_file] and
-    [plan_file] name the texts in the diagnostics. *)
+    [plan_file] name the texts in the diagnostics.
+
+    [ingest] is its two halves in turn:
+    [ingest_plan ?file:plan_file ~no_lint
+       (ingest_system ?file:system_file ~no_lint system_text) plan_text].
+    The CLI, {!lint_files} and a cold serve request run both; [mcmap
+    serve] keeps the system half of each served system text in its
+    session pool and runs only {!ingest_plan} when the text is pooled. *)
+
+val ingest_system :
+  ?file:string ->
+  no_lint:bool ->
+  string ->
+  Diagnostic.t list * Mcmap_spec.Spec.system option
+(** The system half of {!ingest}: {!lint_system} with
+    [~no_lint:false]; with [~no_lint:true], parsing and building only,
+    the first build error as the one diagnostic. The result depends on
+    the text (and [file]) alone, so a caller may keep it and pass it to
+    {!ingest_plan} for any number of plans. *)
+
+val ingest_plan :
+  ?file:string ->
+  no_lint:bool ->
+  Diagnostic.t list * Mcmap_spec.Spec.system option ->
+  string option ->
+  Diagnostic.t list
+  * (Mcmap_spec.Spec.system * Mcmap_hardening.Plan.t option) option
+(** The plan half of {!ingest}, given the system half's result for the
+    same [no_lint]: the plan text is linted against the built system
+    (or with [~no_lint:true] only parsed and built), and the system
+    half's diagnostics come first in the result. Nothing is built when
+    any diagnostic of either half has error severity, so a system with
+    lint errors is refused whatever the plan. *)
 
 val lint_system :
   ?file:string -> string -> Diagnostic.t list * Mcmap_spec.Spec.system option

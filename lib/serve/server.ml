@@ -2,7 +2,6 @@ module Wire = Mcmap_util.Wire
 module Sexp = Mcmap_util.Sexp
 module Obs = Mcmap_obs.Obs
 module Spec = Mcmap_spec.Spec
-module Lint = Mcmap_lint.Lint
 module Diagnostic = Mcmap_lint.Diagnostic
 module Evaluator = Mcmap_dse.Evaluator
 module Sampler = Mcmap_benchmarks.Sampler
@@ -89,62 +88,53 @@ let reject t conn r_id why reason =
 let system_text forms =
   String.concat "\n" (List.map Sexp.to_string forms)
 
-(* The CLI's ingest gate, one [Lint.ingest] call per request: linted
-   unless the request opted out, built in the same pass. [text] is the
-   system's [system_text], printed once per request. *)
-let ingest ~no_lint text plan =
-  Lint.ingest ~system_file:"system" ~plan_file:"plan" ~no_lint text
-    (Option.map Sexp.to_string plan)
-
-(* The built system and plan, or why the request was refused. *)
-let build ~no_lint text plan =
-  match ingest ~no_lint text plan with
-  | _, Some built -> Ok built
-  | diags, None ->
-    (* a refusal always carries an error *)
-    let errors =
-      List.filter
-        (fun d -> Diagnostic.effective_severity d = Diagnostic.Error)
-        diags in
-    let first = List.hd errors and n = List.length errors in
-    Error
-      (if no_lint then Format.asprintf "%a" Diagnostic.pp_human first
-       else
-         Printf.sprintf
-           "%d lint error%s — first: [%s] %s (pass (no-lint) to bypass)" n
-           (if n = 1 then "" else "s")
-           first.Diagnostic.code first.Diagnostic.message)
+(* Why the request was refused: a refusal always carries an error. *)
+let refusal ~no_lint diags =
+  let errors =
+    List.filter
+      (fun d -> Diagnostic.effective_severity d = Diagnostic.Error)
+      diags in
+  let first = List.hd errors and n = List.length errors in
+  if no_lint then Format.asprintf "%a" Diagnostic.pp_human first
+  else
+    Printf.sprintf
+      "%d lint error%s — first: [%s] %s (pass (no-lint) to bypass)" n
+      (if n = 1 then "" else "s")
+      first.Diagnostic.code first.Diagnostic.message
 
 let diag_of d =
   { Protocol.d_code = d.Diagnostic.code;
     d_severity = Diagnostic.severity_to_string d.Diagnostic.severity;
     d_message = d.Diagnostic.message }
 
-let work t ~no_lint body : Protocol.response_body =
+(* The CLI's ingest gate through the pool: linted unless the request
+   opted out, with the system half kept per system text. *)
+let ingest pool ~no_lint system plan =
+  Pool.ingest pool ~no_lint ~text:(system_text system)
+    (Option.map Sexp.to_string plan)
+
+let work pool ~no_lint body : Protocol.response_body =
   match body with
   | Protocol.Analyze { system; plan } -> (
-    let text = system_text system in
-    match build ~no_lint text plan with
-    | Error e -> Protocol.Error_response e
-    | Ok (sys, plan) ->
+    match ingest pool ~no_lint system plan with
+    | diags, None -> Protocol.Error_response (refusal ~no_lint diags)
+    | _, Some (session, sys, plan) ->
       let plan =
         match plan with
         | Some plan -> plan
         | None -> Sampler.balanced_plan ~seed:42 sys.Spec.arch sys.Spec.apps
       in
-      let session = Pool.session t.pool ~text sys in
       Protocol.Analysis
         (Protocol.analysis_of_eval (Evaluator.eval session plan)))
   | Protocol.Lint_request { system; plan } ->
-    let diags, _ = ingest ~no_lint:false (system_text system) plan in
+    let diags, _ = ingest pool ~no_lint:false system plan in
     Protocol.Lint_report
       { errors = Diagnostic.error_count diags;
         diags = List.map diag_of diags }
   | Protocol.Eval_population { system; plans } -> (
-    let text = system_text system in
-    match build ~no_lint text None with
-    | Error e -> Protocol.Error_response e
-    | Ok (sys, _) -> (
+    match ingest pool ~no_lint system None with
+    | diags, None -> Protocol.Error_response (refusal ~no_lint diags)
+    | _, Some (session, sys, _) -> (
       (* population plans are built without the lint gate *)
       let parsed =
         List.fold_left
@@ -162,7 +152,6 @@ let work t ~no_lint body : Protocol.response_body =
       | Error e -> Protocol.Error_response e
       | Ok (_, rev) ->
         let plans = Array.of_list (List.rev rev) in
-        let session = Pool.session t.pool ~text sys in
         let results = Evaluator.eval_population session plans in
         Protocol.Population
           (Array.map Protocol.analysis_of_eval results)))
@@ -194,7 +183,9 @@ let process t job =
      Obs.incr ~label:kind "serve.served";
      let body =
        Obs.with_span (Protocol.span_name job.req.Protocol.body) (fun () ->
-           try work t ~no_lint:job.req.Protocol.no_lint job.req.Protocol.body
+           try
+             work t.pool ~no_lint:job.req.Protocol.no_lint
+               job.req.Protocol.body
            with e ->
              Protocol.Error_response
                ("evaluation failed: " ^ Printexc.to_string e))

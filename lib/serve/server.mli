@@ -44,6 +44,16 @@ type config = {
 
 val default_config : Protocol.addr -> config
 
+val work :
+  Pool.t -> no_lint:bool -> Protocol.request_body -> Protocol.response_body
+(** The work plane's answer to one [analyze], [lint] or
+    [eval-population] body, as a worker computes it once the request is
+    off the queue: ingest through the pool (the system half from the
+    pooled entry, the plan half per request; [lint] bodies are always
+    linted), then evaluation on the pooled session. Refusals are
+    [Error_response]s. A control-plane body answers an internal
+    [Error_response]; {!run} never queues one. *)
+
 val run : ?on_ready:(Protocol.addr -> unit) -> config -> unit
 (** Bind, serve, block until shutdown, release every resource (the
     socket file of a Unix-domain address is unlinked). [on_ready] is

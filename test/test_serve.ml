@@ -11,6 +11,8 @@ module Bqueue = Mcmap_serve.Bqueue
 module Pool = Mcmap_serve.Pool
 module Obs = Mcmap_obs.Obs
 module Spec = Mcmap_spec.Spec
+module Lint = Mcmap_lint.Lint
+module Diagnostic = Mcmap_lint.Diagnostic
 module B = Mcmap_benchmarks
 module D = Mcmap_dse
 
@@ -106,6 +108,77 @@ let test_wire_truncated () =
       match Wire.read_frame r with
       | Error Wire.Eof -> ()
       | Ok _ | Error _ -> Alcotest.fail "expected Eof")
+
+(* The framed DT-large [analyze] request: the DT-large system and its
+   balanced seed-42 plan, header included. *)
+let dt_large_frame () =
+  let b = B.Registry.find_exn "dt-large" in
+  let system = { Spec.arch = b.B.Benchmark.arch; apps = b.B.Benchmark.apps } in
+  let parse text =
+    match Sexp.parse text with Ok f -> f | Error e -> Alcotest.fail e in
+  let plan =
+    B.Sampler.balanced_plan ~seed:42 system.Spec.arch system.Spec.apps in
+  let payload =
+    P.request_to_string
+      { P.id = 1; deadline_ms = None; no_lint = false;
+        body =
+          P.Analyze
+            { system = parse (Spec.write_system system);
+              plan = Some (List.hd (parse (Spec.write_plan system plan))) } }
+  in
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int (String.length payload));
+  (Bytes.to_string header, payload)
+
+(* What [read_frame] makes of [bytes] followed by end of stream; an
+   exception is a failure of its own. *)
+let read_after bytes =
+  with_pipe @@ fun r w ->
+  let n = String.length bytes in
+  (* the writer may block on a full pipe: write from a thread *)
+  let writer =
+    Thread.create
+      (fun () ->
+        let rec go off =
+          if off < n then go (off + Unix.write_substring w bytes off (n - off))
+        in
+        go 0;
+        Unix.close w)
+      () in
+  let got =
+    try Ok (Wire.read_frame r)
+    with e -> Error (Printexc.to_string e) in
+  Thread.join writer;
+  got
+
+let test_wire_too_short () =
+  let header, payload = dt_large_frame () in
+  let frame = header ^ payload in
+  for len = 0 to String.length frame - 1 do
+    match read_after (String.sub frame 0 len), len with
+    | Ok (Error Wire.Eof), 0 -> ()
+    | Ok (Error (Wire.Truncated n)), _ when len > 0 ->
+      if n <> len then Alcotest.failf "prefix %d: Truncated %d" len n
+    | Ok r, _ ->
+      Alcotest.failf "prefix %d: %s" len
+        (match r with
+         | Ok _ -> "a frame"
+         | Error e -> Wire.read_error_to_string e)
+    | Error e, _ -> Alcotest.failf "prefix %d raised %s" len e
+  done
+
+let test_wire_too_long () =
+  let _, payload = dt_large_frame () in
+  let n = String.length payload in
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int (n + 1));
+  match read_after (Bytes.to_string header ^ payload) with
+  | Ok (Error (Wire.Truncated got)) ->
+    check Alcotest.int "bytes read before the end" (4 + n) got
+  | Ok (Ok _) -> Alcotest.fail "read a frame one byte short"
+  | Ok (Error e) -> Alcotest.failf "expected Truncated: %s"
+                      (Wire.read_error_to_string e)
+  | Error e -> Alcotest.failf "raised %s" e
 
 (* ------------------------------------------------------------------ *)
 (* Bqueue *)
@@ -305,6 +378,17 @@ let system_of name =
   let b = B.Registry.find_exn name in
   { Spec.arch = b.B.Benchmark.arch; apps = b.B.Benchmark.apps }
 
+let cruise_forms () =
+  let system = system_of "cruise" in
+  match Sexp.parse (Spec.write_system system) with
+  | Ok forms -> (system, forms)
+  | Error e -> Alcotest.failf "system forms: %s" e
+
+let plan_form system plan =
+  match Sexp.parse_one (Spec.write_plan system plan) with
+  | Ok f -> f
+  | Error e -> Alcotest.failf "plan form: %s" e
+
 (* The metrics plane is process-global, so tests read counters as
    deltas between two snapshots. *)
 let counter (snap : Obs.snapshot) name =
@@ -320,8 +404,12 @@ let test_pool_hit_miss_evict () =
   let before = Obs.snapshot () in
   let pool = Pool.create ~capacity:2 () in
   let session name =
-    let system = system_of name in
-    Pool.session pool ~text:(Spec.write_system system) system in
+    match
+      Pool.ingest pool ~no_lint:true
+        ~text:(Spec.write_system (system_of name)) None
+    with
+    | _, Some (session, _, _) -> session
+    | _, None -> Alcotest.failf "%s refused" name in
   let s1 = session "cruise" in
   let s2 = session "cruise" in
   check Alcotest.bool "same session on hit" true (s1 == s2);
@@ -336,6 +424,237 @@ let test_pool_hit_miss_evict () =
      is a miss that builds a new session *)
   let s3 = session "cruise" in
   check Alcotest.bool "rebuilt after eviction" true (s1 != s3)
+
+(* The cold path a pooled answer must equal: one [Lint.ingest] of both
+   texts per request and a fresh session, with the server's refusal
+   wording. *)
+let cold_body ~no_lint body =
+  let ingest ~no_lint system plan =
+    Lint.ingest ~system_file:"system" ~plan_file:"plan" ~no_lint
+      (String.concat "\n" (List.map Sexp.to_string system))
+      (Option.map Sexp.to_string plan) in
+  let refused diags =
+    let errors =
+      List.filter
+        (fun d -> Diagnostic.effective_severity d = Diagnostic.Error)
+        diags in
+    let first = List.hd errors and n = List.length errors in
+    P.Error_response
+      (if no_lint then Format.asprintf "%a" Diagnostic.pp_human first
+       else
+         Printf.sprintf
+           "%d lint error%s — first: [%s] %s (pass (no-lint) to bypass)" n
+           (if n = 1 then "" else "s")
+           first.Diagnostic.code first.Diagnostic.message) in
+  let session (sys : Spec.system) =
+    D.Evaluator.create sys.Spec.arch sys.Spec.apps in
+  match body with
+  | P.Analyze { system; plan } -> (
+    match ingest ~no_lint system plan with
+    | diags, None -> refused diags
+    | _, Some (sys, plan) ->
+      let plan =
+        match plan with
+        | Some plan -> plan
+        | None -> B.Sampler.balanced_plan ~seed:42 sys.Spec.arch sys.Spec.apps
+      in
+      P.Analysis (P.analysis_of_eval (D.Evaluator.eval (session sys) plan)))
+  | P.Lint_request { system; plan } ->
+    let diags, _ = ingest ~no_lint:false system plan in
+    P.Lint_report
+      { errors = Diagnostic.error_count diags;
+        diags =
+          List.map
+            (fun d ->
+              { P.d_code = d.Diagnostic.code;
+                d_severity = Diagnostic.severity_to_string d.Diagnostic.severity;
+                d_message = d.Diagnostic.message })
+            diags }
+  | P.Eval_population { system; plans } -> (
+    match ingest ~no_lint system None with
+    | diags, None -> refused diags
+    | _, Some (sys, _) ->
+      let read form =
+        match Spec.read_plan sys (Sexp.to_string form) with
+        | Ok plan -> plan
+        | Error e -> Alcotest.failf "population plan: %s" e in
+      let plans = Array.of_list (List.map read plans) in
+      P.Population
+        (Array.map P.analysis_of_eval
+           (D.Evaluator.eval_population (session sys) plans)))
+  | P.Ping | P.Stats | P.Shutdown -> Alcotest.fail "control body"
+
+let wire_of r_body = P.response_to_string { P.r_id = 0; r_body }
+
+(* [body] answered through [pool] as a worker answers it, checked
+   byte-equal to the cold path and to be a pool hit or a miss. *)
+let served pool ~no_lint ~hit body =
+  let before = Obs.snapshot () in
+  let got = wire_of (Server.work pool ~no_lint body) in
+  let after = Obs.snapshot () in
+  let what = if hit then "hit" else "miss" in
+  check Alcotest.int ("a pool " ^ what) 1
+    (delta before after ("serve.pool~" ^ what));
+  check Alcotest.int "one pool lookup" 1
+    (delta before after "serve.pool~hit" + delta before after "serve.pool~miss");
+  check Alcotest.string "equals the cold path"
+    (wire_of (cold_body ~no_lint body)) got;
+  got
+
+(* A fresh pool: the first answer is a miss, the second a hit, both
+   byte-equal. *)
+let miss_then_hit ~no_lint body =
+  let pool = Pool.create () in
+  let first = served pool ~no_lint ~hit:false body in
+  check Alcotest.string "hit equals miss" first
+    (served pool ~no_lint ~hit:true body)
+
+let with_recorder f =
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable f
+
+let file_forms name =
+  match Spec.read_file (Filename.concat "lint" name) with
+  | Error e -> Alcotest.fail e
+  | Ok text -> (
+    match (Sexp.parse text, Spec.read_system text) with
+    | Ok forms, Ok system -> (system, forms)
+    | Error e, _ | _, Error e -> Alcotest.failf "%s: %s" name e)
+
+let is_analysis wire =
+  match P.response_of_string wire with
+  | Ok { P.r_body = P.Analysis _; _ } -> true
+  | Ok _ | Error _ -> false
+
+let is_refusal wire =
+  match P.response_of_string wire with
+  | Ok { P.r_body = P.Error_response _; _ } -> true
+  | Ok _ | Error _ -> false
+
+let test_pool_clean_system () =
+  with_recorder @@ fun () ->
+  let system, forms = cruise_forms () in
+  let plans =
+    List.init 3 (fun i ->
+        plan_form system
+          (B.Sampler.balanced_plan ~seed:(i + 1) system.Spec.arch
+             system.Spec.apps)) in
+  let plan = List.hd plans in
+  List.iter
+    (fun no_lint ->
+      miss_then_hit ~no_lint (P.Analyze { system = forms; plan = Some plan });
+      miss_then_hit ~no_lint (P.Analyze { system = forms; plan = None });
+      miss_then_hit ~no_lint (P.Eval_population { system = forms; plans }))
+    [ false; true ];
+  miss_then_hit ~no_lint:false
+    (P.Lint_request { system = forms; plan = Some plan });
+  miss_then_hit ~no_lint:false (P.Lint_request { system = forms; plan = None })
+
+(* MC203.mcmap draws a system warning (MC203); every plan for its one
+   processor overloads it (MC201 errors). *)
+let test_pool_lint_warnings () =
+  with_recorder @@ fun () ->
+  let system, forms = file_forms "MC203.mcmap" in
+  let plan =
+    plan_form system
+      (B.Sampler.balanced_plan ~seed:1 system.Spec.arch system.Spec.apps) in
+  let pool = Pool.create () in
+  let lint = P.Lint_request { system = forms; plan = None } in
+  let report = served pool ~no_lint:false ~hit:false lint in
+  (match P.response_of_string report with
+   | Ok { P.r_body = P.Lint_report { errors = 0; diags = [ d ] }; _ }
+     when d.P.d_code = "MC203" -> ()
+   | Ok _ | Error _ -> Alcotest.failf "expected the MC203 warning: %s" report);
+  check Alcotest.string "hit equals miss" report
+    (served pool ~no_lint:false ~hit:true lint);
+  let analyze = P.Analyze { system = forms; plan = None } in
+  check Alcotest.bool "evaluated despite the warning" true
+    (is_analysis (served pool ~no_lint:false ~hit:true analyze));
+  miss_then_hit ~no_lint:false analyze;
+  let with_plan = P.Analyze { system = forms; plan = Some plan } in
+  check Alcotest.bool "the overloading plan is refused" true
+    (is_refusal (served pool ~no_lint:false ~hit:true with_plan));
+  miss_then_hit ~no_lint:false with_plan;
+  miss_then_hit ~no_lint:false
+    (P.Lint_request { system = forms; plan = Some plan });
+  miss_then_hit ~no_lint:false
+    (P.Eval_population { system = forms; plans = [ plan ] })
+
+let test_pool_plan_lint_errors () =
+  with_recorder @@ fun () ->
+  let _, forms = file_forms "base.mcmap" in
+  let plan =
+    match Spec.read_file (Filename.concat "lint" "MC101.plan") with
+    | Error e -> Alcotest.fail e
+    | Ok text -> (
+      match Sexp.parse_one text with
+      | Ok form -> form
+      | Error e -> Alcotest.fail e) in
+  let pool = Pool.create () in
+  (* a clean request pools the system first *)
+  check Alcotest.bool "clean request evaluated" true
+    (is_analysis
+       (served pool ~no_lint:false ~hit:false
+          (P.Analyze { system = forms; plan = None })));
+  List.iter
+    (fun (no_lint, body) ->
+      let first = served pool ~no_lint ~hit:true body in
+      check Alcotest.string "second equals first" first
+        (served pool ~no_lint ~hit:true body))
+    [ (false, P.Analyze { system = forms; plan = Some plan });
+      (true, P.Analyze { system = forms; plan = Some plan });
+      (false, P.Lint_request { system = forms; plan = Some plan }) ];
+  check Alcotest.bool "the bad plan is refused" true
+    (is_refusal
+       (served pool ~no_lint:false ~hit:true
+          (P.Analyze { system = forms; plan = Some plan })))
+
+let test_pool_capacity_one () =
+  with_recorder @@ fun () ->
+  let _, cruise = cruise_forms () in
+  let _, base = file_forms "base.mcmap" in
+  let pool = Pool.create ~capacity:1 () in
+  let before = Obs.snapshot () in
+  let answers =
+    List.init 4 (fun i ->
+        let system = if i mod 2 = 0 then cruise else base in
+        served pool ~no_lint:false ~hit:false
+          (P.Analyze { system; plan = None })) in
+  let after = Obs.snapshot () in
+  check Alcotest.int "every switch evicts" 3
+    (delta before after "serve.pool~evict");
+  match answers with
+  | [ a; b; c; d ] ->
+    check Alcotest.string "cruise again" a c;
+    check Alcotest.string "base again" b d
+  | _ -> Alcotest.fail "four answers"
+
+(* MC202.mcmap builds, but its WCET exceeds the deadline: lint errors
+   MC202 and MC204. *)
+let test_pool_no_lint_then_linted () =
+  with_recorder @@ fun () ->
+  let _, forms = file_forms "MC202.mcmap" in
+  let analyze = P.Analyze { system = forms; plan = None } in
+  (* linted first: refused, and never pooled *)
+  let pool = Pool.create () in
+  let refusal = served pool ~no_lint:false ~hit:false analyze in
+  check Alcotest.bool "refused" true (is_refusal refusal);
+  check Alcotest.string "refused again, still a miss" refusal
+    (served pool ~no_lint:false ~hit:false analyze);
+  (* unlinted first: evaluated and pooled; a linted request on the same
+     text is still linted and refused with the cold-path message *)
+  let pool = Pool.create () in
+  let evaluated = served pool ~no_lint:true ~hit:false analyze in
+  check Alcotest.bool "evaluated under (no-lint)" true (is_analysis evaluated);
+  check Alcotest.string "linted hit refused as cold" refusal
+    (served pool ~no_lint:false ~hit:true analyze);
+  check Alcotest.string "and refused again" refusal
+    (served pool ~no_lint:false ~hit:true analyze);
+  ignore
+    (served pool ~no_lint:false ~hit:true
+       (P.Lint_request { system = forms; plan = None }));
+  check Alcotest.string "(no-lint) still evaluates" evaluated
+    (served pool ~no_lint:true ~hit:true analyze)
 
 (* ------------------------------------------------------------------ *)
 (* Evaluator session: cross-domain discipline *)
@@ -454,17 +773,6 @@ let shutdown_server addr server =
   Client.close c;
   Domain.join server;
   check Alcotest.bool "recorder off after shutdown" false (Obs.enabled ())
-
-let cruise_forms () =
-  let system = system_of "cruise" in
-  match Sexp.parse (Spec.write_system system) with
-  | Ok forms -> (system, forms)
-  | Error e -> Alcotest.failf "system forms: %s" e
-
-let plan_form system plan =
-  match Sexp.parse_one (Spec.write_plan system plan) with
-  | Ok f -> f
-  | Error e -> Alcotest.failf "plan form: %s" e
 
 let test_serve_e2e_concurrent () =
   let system, forms = cruise_forms () in
@@ -784,4 +1092,17 @@ let suite =
     Alcotest.test_case "serve stats mid-flight: evaluator and flat" `Quick
       test_serve_stats_mid_flight;
     Alcotest.test_case "disabled recorder allocates nothing" `Quick
-      test_obs_disabled_allocates_nothing ]
+      test_obs_disabled_allocates_nothing;
+    Alcotest.test_case "wire too short: every prefix of a frame" `Quick
+      test_wire_too_short;
+    Alcotest.test_case "wire too long: one byte past the payload" `Quick
+      test_wire_too_long;
+    Alcotest.test_case "pool: clean system, hit equals miss and cold"
+      `Quick test_pool_clean_system;
+    Alcotest.test_case "pool: lint warnings" `Quick test_pool_lint_warnings;
+    Alcotest.test_case "pool: plan lint errors on a pooled system" `Quick
+      test_pool_plan_lint_errors;
+    Alcotest.test_case "pool: capacity 1, two systems alternating" `Quick
+      test_pool_capacity_one;
+    Alcotest.test_case "pool: no-lint pools, a linted request is refused"
+      `Quick test_pool_no_lint_then_linted ]
