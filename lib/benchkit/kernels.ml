@@ -534,11 +534,12 @@ let frame_decode_contract =
          Protocol.request_of_string frame))
 
 (* Minor allocation of one warm [analyze] body of that frame, answered
-   by [Server.work] as a worker answers it, on a pool the warm-up call
-   filled with the system and the plan's verdict. A pool that kept only
-   the session re-linted and rebuilt the system per request and read
-   141.6k words; one that keeps the system half of the ingest gate reads
-   about 65.8k. *)
+   by [Server.work] as a worker answers it, on a pool whose two warm-up
+   calls filled it with the system, the plan's ingest and the plan's
+   verdict. A pool that kept only the session re-linted and rebuilt the
+   system per request and read 141.6k words; one that kept the system
+   half of the ingest gate re-linted and rebuilt the plan and read
+   65.8k; one that also remembers the plan half reads about 9.4k. *)
 let warm_analyze_contract =
   lazy
     (let req =
@@ -546,8 +547,30 @@ let warm_analyze_contract =
        | Ok req -> req
        | Error e -> failwith e in
      let pool = Pool.create () in
-     words_contract "warm_analyze_alloc" ~max_words:100_000. (fun () ->
-         Server.work pool ~no_lint:req.Protocol.no_lint req.Protocol.body))
+     let work () =
+       Server.work pool ~no_lint:req.Protocol.no_lint req.Protocol.body in
+     ignore (work ());
+     words_contract "warm_analyze_alloc" ~max_words:20_000. work)
+
+(* Minor allocation of 10,000 calls each of the recording entry points
+   with the recorder off: [Obs.incr] with and without a label,
+   [observe], [gauge] and [with_span] around a preallocated thunk.
+   Instrumented code calls them on every hot path, so the disabled
+   recorder must cost no allocation at all. *)
+let obs_disabled_contract =
+  lazy
+    (let calls () =
+       for i = 1 to 10_000 do
+         Obs.incr "bench.count";
+         Obs.incr ~label:"hit" "bench.count";
+         Obs.observe "bench.value" i;
+         Obs.gauge "bench.level" 1.;
+         Obs.with_span "bench.span" nothing
+       done in
+     let words = minor_words_of calls in
+     ( "obs_disabled_alloc",
+       { Schema.ok = words = 0.;
+         numbers = [ ("minor_words", words); ("max_words", 0.) ] } ))
 
 let flat_cold_jobset =
   lazy
@@ -613,4 +636,5 @@ let contracts ~flat_pairs kernels =
       Lazy.force flat_make_alloc_contract;
       Lazy.force flat_fixpoint_alloc_contract; Lazy.force work_contract;
       Lazy.force lint_alloc_contract; Lazy.force frame_decode_contract;
-      Lazy.force warm_analyze_contract; Lazy.force session_retained_contract ]
+      Lazy.force warm_analyze_contract; Lazy.force session_retained_contract;
+      Lazy.force obs_disabled_contract ]

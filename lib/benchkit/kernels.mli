@@ -78,8 +78,13 @@ val contracts :
     - ["warm_analyze_alloc"]: one warm [analyze] body of the
       ["frame_decode_alloc"] frame, answered by
       {!Mcmap_serve.Server.work} on a pool that already holds its
-      system and has evaluated its plan, allocates at most 100k words
-      on the minor heap. Counted, so it is always derived.
+      system, remembers its plan's ingest and has evaluated the plan,
+      allocates at most 20k words on the minor heap. Counted, so it is
+      always derived.
+    - ["obs_disabled_alloc"]: with the recorder off, 10,000 calls each
+      of [Obs.incr] (with and without [~label]), [Obs.observe],
+      [Obs.gauge] and [Obs.with_span] around a preallocated thunk
+      allocate 0 minor words. Counted, so it is always derived.
     - ["session_retained"]: one Flat session on one domain, after
       evaluating the [flat_cold] plan and the [eval_population]
       kernel's 16 plans, keeps at most 120k words reachable

@@ -829,18 +829,22 @@ let plan_against ?file ~no_lint sys text =
     | Ok plan -> ([], Some plan)
     | Error e -> ([ diag_of_error ?file ~code:"MC100" e ], None)
 
-let ingest_plan ?file ~no_lint (sys_ds, sys) plan_text =
+let combine (sys_ds, sys) plan_half =
   let plan_ds, plan =
-    match sys, plan_text with
-    | _, None -> ([], Some None)
-    | Some sys, Some text ->
-      let ds, plan = plan_against ?file ~no_lint sys text in
-      (ds, Option.map Option.some plan)
-    | None, Some _ -> ([], None) in
+    match plan_half with
+    | None -> ([], Some None)
+    | Some (ds, plan) -> (ds, Option.map Option.some plan) in
   let ds = sys_ds @ plan_ds in
   match sys, plan with
   | Some sys, Some plan when D.error_count ds = 0 -> (ds, Some (sys, plan))
   | _ -> (ds, None)
+
+let ingest_plan ?file ~no_lint ((_, sys) as half) plan_text =
+  combine half
+    (match sys, plan_text with
+     | _, None -> None
+     | Some sys, Some text -> Some (plan_against ?file ~no_lint sys text)
+     | None, Some _ -> Some ([], None))
 
 let ingest ?system_file ?plan_file ~no_lint system_text plan_text =
   ingest_plan ?file:plan_file ~no_lint

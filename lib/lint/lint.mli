@@ -49,9 +49,11 @@ val ingest :
     [ingest] is its two halves in turn:
     [ingest_plan ?file:plan_file ~no_lint
        (ingest_system ?file:system_file ~no_lint system_text) plan_text].
-    The CLI, {!lint_files} and a cold serve request run both; [mcmap
+    The CLI, {!lint_files} and a cold serve request run both. [mcmap
     serve] keeps the system half of each served system text in its
-    session pool and runs only {!ingest_plan} when the text is pooled. *)
+    session pool and, per pooled system, the plan half
+    ({!plan_against}) of each plan text it has seen; a request on a
+    pooled system joins the two with {!combine}. *)
 
 val ingest_system :
   ?file:string ->
@@ -72,11 +74,37 @@ val ingest_plan :
   Diagnostic.t list
   * (Mcmap_spec.Spec.system * Mcmap_hardening.Plan.t option) option
 (** The plan half of {!ingest}, given the system half's result for the
-    same [no_lint]: the plan text is linted against the built system
-    (or with [~no_lint:true] only parsed and built), and the system
-    half's diagnostics come first in the result. Nothing is built when
-    any diagnostic of either half has error severity, so a system with
-    lint errors is refused whatever the plan. *)
+    same [no_lint]: {!plan_against} the built system, joined with the
+    system half by {!combine}. With no plan text, or a system that did
+    not build, no plan is read. *)
+
+val plan_against :
+  ?file:string ->
+  no_lint:bool ->
+  Mcmap_spec.Spec.system ->
+  string ->
+  Diagnostic.t list * Mcmap_hardening.Plan.t option
+(** The plan's own diagnostics against a built system, and the plan
+    when it was built: with [~no_lint:false] the plan text is linted
+    (parse, the plan checks, build, the model checks); with
+    [~no_lint:true] it is only parsed and built, the first failure
+    becoming the one diagnostic. The result depends on the system, the
+    text, [no_lint] and [file] alone, never on the system's own
+    diagnostics, so a caller may keep it per (system, [no_lint], text)
+    and pass it to {!combine} again, whatever the system's lint state
+    by then. *)
+
+val combine :
+  Diagnostic.t list * Mcmap_spec.Spec.system option ->
+  (Diagnostic.t list * Mcmap_hardening.Plan.t option) option ->
+  Diagnostic.t list
+  * (Mcmap_spec.Spec.system * Mcmap_hardening.Plan.t option) option
+(** [combine system_half plan_half] is the gate's verdict: the system
+    half's diagnostics, then the plan half's ([plan_half] is [None]
+    when there is no plan text), and the built system and plan exactly
+    when both were built and no diagnostic of either half has error
+    severity — so a system with lint errors is refused whatever the
+    plan. *)
 
 val lint_system :
   ?file:string -> string -> Diagnostic.t list * Mcmap_spec.Spec.system option

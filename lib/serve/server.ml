@@ -108,7 +108,8 @@ let diag_of d =
     d_message = d.Diagnostic.message }
 
 (* The CLI's ingest gate through the pool: linted unless the request
-   opted out, with the system half kept per system text. *)
+   opted out, with the system half kept per system text and the plan
+   half per plan text. *)
 let ingest pool ~no_lint system plan =
   Pool.ingest pool ~no_lint ~text:(system_text system)
     (Option.map Sexp.to_string plan)

@@ -49,8 +49,9 @@ val work :
 (** The work plane's answer to one [analyze], [lint] or
     [eval-population] body, as a worker computes it once the request is
     off the queue: ingest through the pool (the system half from the
-    pooled entry, the plan half per request; [lint] bodies are always
-    linted), then evaluation on the pooled session. Refusals are
+    pooled entry, the plan half from the entry's memo once the entry
+    has seen the plan text; [lint] bodies are always linted), then
+    evaluation on the pooled session. Refusals are
     [Error_response]s. A control-plane body answers an internal
     [Error_response]; {!run} never queues one. *)
 

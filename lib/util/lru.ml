@@ -52,6 +52,15 @@ let find t k =
 
 let mem t k = Hashtbl.mem t.table k
 
+let pop t =
+  match t.tail with
+  | None -> None
+  | Some lru ->
+    unlink t lru;
+    Hashtbl.remove t.table lru.key;
+    t.evictions <- t.evictions + 1;
+    Some (lru.key, lru.value)
+
 let add t k v =
   if t.capacity > 0 then begin
     (match Hashtbl.find_opt t.table k with
@@ -60,14 +69,7 @@ let add t k v =
        unlink t node;
        push_front t node
      | None ->
-       if Hashtbl.length t.table >= t.capacity then begin
-         match t.tail with
-         | Some lru ->
-           unlink t lru;
-           Hashtbl.remove t.table lru.key;
-           t.evictions <- t.evictions + 1
-         | None -> assert false
-       end;
+       if Hashtbl.length t.table >= t.capacity then ignore (pop t);
        let node = { key = k; value = v; prev = None; next = None } in
        Hashtbl.replace t.table k node;
        push_front t node)

@@ -27,5 +27,9 @@ val capacity : ('k, 'v) t -> int
 val evictions : ('k, 'v) t -> int
 (** Total entries evicted since creation. *)
 
+val pop : ('k, 'v) t -> ('k * 'v) option
+(** Removes and returns the least recently used binding, counted as an
+    eviction; [None] when the cache is empty. *)
+
 val clear : ('k, 'v) t -> unit
 (** Drops all entries (eviction counter is kept). *)

@@ -375,19 +375,29 @@ let test_counted_contracts () =
    | None -> Alcotest.fail "cold evaluation work contract not derived");
   (* One warm serve [analyze] body through the worker's entry: a pool
      that re-linted and rebuilt the system per request read 141.6k
-     words. *)
+     words, one that re-linted and rebuilt the plan 65.8k. *)
   (match List.assoc_opt "warm_analyze_alloc" contracts with
    | Some c ->
      check Alcotest.bool "warm analyze allocation contract holds" true
        c.Schema.ok;
      check
        Alcotest.(option (float 0.))
-       "warm analyze budget" (Some 100_000.)
+       "warm analyze budget" (Some 20_000.)
        (List.assoc_opt "max_words" c.Schema.numbers);
      (match List.assoc_opt "minor_words" c.Schema.numbers with
       | Some w -> check Alcotest.bool "some words counted" true (w > 0.)
       | None -> Alcotest.fail "minor words not recorded")
    | None -> Alcotest.fail "warm analyze contract not derived");
+  (* The disabled recorder's entry points allocate nothing. *)
+  (match List.assoc_opt "obs_disabled_alloc" contracts with
+   | Some c ->
+     check Alcotest.bool "disabled recorder allocation contract holds" true
+       c.Schema.ok;
+     check
+       Alcotest.(option (float 0.))
+       "zero words" (Some 0.)
+       (List.assoc_opt "minor_words" c.Schema.numbers)
+   | None -> Alcotest.fail "disabled recorder contract not derived");
   (* What a session keeps after 17 DT-large plans, counted: a session
      that cached each processor component's engine context and
      external-scenario table read 338.8k words. *)

@@ -743,9 +743,17 @@ let test_lru_edge_cases () =
   done;
   check Alcotest.int "bounded" 3 (Lru.length c);
   check Alcotest.bool "mem does not touch" true (Lru.mem c 10);
+  let evicted = Lru.evictions c in
+  check
+    Alcotest.(option (pair int int))
+    "pop takes the lru" (Some (8, 8)) (Lru.pop c);
+  check Alcotest.int "pop counts an eviction" (evicted + 1)
+    (Lru.evictions c);
+  check Alcotest.int "pop shrinks" 2 (Lru.length c);
   Lru.clear c;
   check Alcotest.int "clear empties" 0 (Lru.length c);
-  check (Alcotest.option Alcotest.int) "cleared" None (Lru.find c 10)
+  check (Alcotest.option Alcotest.int) "cleared" None (Lru.find c 10);
+  check Alcotest.(option (pair int int)) "pop on empty" None (Lru.pop c)
 
 let suite =
   [ Alcotest.test_case "prng: deterministic" `Quick test_prng_deterministic;
