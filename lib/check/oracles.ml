@@ -578,23 +578,47 @@ let corrupt_dangling_endpoint (sys : Gen.system) sys_text =
               (i + String.length needle)
               (String.length sys_text - i - String.length needle)))
 
-(* First (bind ...) entry removed from the plan. *)
-let corrupt_drop_bind plan_text =
+(* The plan with its (bind ...) entries rewritten by [f]; [None] when
+   [f] finds nothing to corrupt. *)
+let corrupt_binds f plan_text =
   match Sexp.parse_one plan_text with
   | Ok (Sexp.List (Sexp.Atom "plan" :: fields)) ->
-    let dropped = ref false in
-    let fields' =
-      List.filter
-        (function
-          | Sexp.List (Sexp.Atom "bind" :: _) when not !dropped ->
-            dropped := true;
-            false
-          | _ -> true)
+    let binds, others =
+      List.partition
+        (function Sexp.List (Sexp.Atom "bind" :: _) -> true | _ -> false)
         fields in
-    if !dropped then
-      Some (Sexp.to_string (Sexp.List (Sexp.Atom "plan" :: fields')) ^ "\n")
-    else None
+    Option.map
+      (fun binds ->
+        Sexp.to_string (Sexp.List (Sexp.Atom "plan" :: (others @ binds)))
+        ^ "\n")
+      (f binds)
   | _ -> None
+
+(* First (bind ...) entry removed from the plan. *)
+let corrupt_drop_bind =
+  corrupt_binds (function [] -> None | _ :: rest -> Some rest)
+
+(* First (bind ...) entry written twice. *)
+let corrupt_duplicate_bind =
+  corrupt_binds (function [] -> None | b :: rest -> Some (b :: b :: rest))
+
+(* The first replica of the first replicated task moved onto its
+   primary's processor. *)
+let corrupt_shared_replica spec (plan : Plan.t) =
+  let found = ref None in
+  Array.iteri
+    (fun graph ->
+      Array.iteri (fun task (d : Plan.decision) ->
+          if !found = None && Array.length d.Plan.replica_procs > 0 then
+            found := Some (graph, task, d)))
+    plan.Plan.decisions;
+  Option.map
+    (fun (graph, task, (d : Plan.decision)) ->
+      let replica_procs = Array.copy d.Plan.replica_procs in
+      replica_procs.(0) <- d.Plan.primary_proc;
+      Spec.write_plan spec
+        (Plan.with_decision plan ~graph ~task { d with Plan.replica_procs }))
+    !found
 
 let check_lint (sys : Gen.system) =
   let spec = { Spec.arch = sys.Gen.arch; apps = sys.Gen.apps } in
@@ -629,20 +653,35 @@ let check_lint (sys : Gen.system) =
          match corrupt_dangling_endpoint sys sys_text with
          | None -> k ()
          | Some text -> expect_sys "dangling endpoint" "MC004" text k in
-       let check_unbound () =
-         match corrupt_drop_bind plan_text with
+       (* lint's first error on a corrupted plan is [code], and
+          --no-lint refuses the plan with that diagnostic alone *)
+       let expect_plan (label, code, corrupt) =
+         match corrupt plan_text with
          | None -> Ok ()
-         | Some text ->
+         | Some text -> (
            let ds = Lint.lint_plan spec_sys text in
-           if
-             List.exists
-               (fun (d : Diagnostic.t) -> d.Diagnostic.code = "MC105")
-               ds
-           then Ok ()
-           else
-             failf "lint: removed bind: expected MC105, got [%s]"
-               (diag_codes ds) in
-       check_dup (fun () -> check_dangling check_unbound))
+           match
+             ( List.filter
+                 (fun (d : Diagnostic.t) ->
+                   d.Diagnostic.severity = Diagnostic.Error)
+                 ds,
+               Lint.ingest ~no_lint:true sys_text (Some text) )
+           with
+           | d :: _, ([ d' ], None) when d.Diagnostic.code = code && d = d' ->
+             Ok ()
+           | _, (got, _) ->
+             failf "lint: %s: expected %s, got [%s], under --no-lint [%s]"
+               label code (diag_codes ds) (diag_codes got)) in
+       check_dup (fun () ->
+           check_dangling (fun () ->
+               List.fold_left
+                 (fun acc c -> Result.bind acc (fun () -> expect_plan c))
+                 (Ok ())
+                 [ ("removed bind", "MC105", corrupt_drop_bind);
+                   ("duplicated bind", "MC104", corrupt_duplicate_bind);
+                   ( "shared replica",
+                     "MC107",
+                     fun _ -> corrupt_shared_replica spec sys.Gen.plan ) ])))
 
 (* ------------------------------------------------------------------ *)
 (* (i) Evaluator sessions: cached/incremental evaluation must equal the
@@ -1130,8 +1169,9 @@ let lint_soundness =
     doc =
       "generator output round-trips through the spec writer lint-clean \
        of structural errors, and targeted corruptions (duplicated \
-       processor, dangling endpoint, removed bind) are flagged with \
-       their codes";
+       processor, dangling endpoint, removed bind, duplicated bind, \
+       replica on its primary's processor) are flagged with their codes, \
+       a corrupted plan under --no-lint with lint's first error";
     check = check_lint }
 
 let evaluator_agreement =

@@ -28,8 +28,6 @@ let has_errors ctx =
 
 let loc_value (l : _ Ast.located) = l.Ast.v
 
-let loc_pos (l : _ Ast.located) = l.Ast.pos
-
 (* ------------------------------------------------------------------ *)
 (* MC0xx: model well-formedness over the raw AST *)
 
@@ -579,201 +577,67 @@ let check_system_model ctx (ast : Ast.system) (sys : Spec.system) =
   check_reliability_floor ctx idx sys
 
 (* ------------------------------------------------------------------ *)
-(* MC1xx: plan consistency over the raw AST *)
+(* MC109 over the raw AST; [Spec.build_plan] finds every plan error *)
 
-let arch_proc_names (sys : Spec.system) =
-  let names = Hashtbl.create 8 in
-  Array.iter
-    (fun (p : Proc.t) -> Hashtbl.replace names p.Proc.name ())
-    sys.Spec.arch.Arch.procs;
-  names
-
-let check_harden ctx (h : Ast.harden Ast.located) =
-  let bad pos what v lo =
-    emit ctx ~pos ~code:"MC110" "harden: %s must be at least %d, got %d"
-      what lo v in
-  match h.Ast.v with
-  | Ast.Reexec k -> if k.Ast.v < 1 then bad (loc_pos k) "reexec k" k.Ast.v 1
-  | Ast.Checkpoint (n, k) ->
-    if n.Ast.v < 1 then bad (loc_pos n) "checkpoint segments" n.Ast.v 1;
-    if k.Ast.v < 1 then bad (loc_pos k) "checkpoint k" k.Ast.v 1
-  | Ast.Active n ->
-    if n.Ast.v < 2 then bad (loc_pos n) "active replica count" n.Ast.v 2
-  | Ast.Passive m ->
-    if m.Ast.v < 1 then bad (loc_pos m) "passive spare count" m.Ast.v 1
-
-let replica_count_of (h : Ast.harden Ast.located option) =
-  match h with
-  | None | Some { Ast.v = Ast.Reexec _ | Ast.Checkpoint _; _ } -> 1
-  | Some { Ast.v = Ast.Active n; _ } -> max n.Ast.v 2
-  | Some { Ast.v = Ast.Passive m; _ } -> 2 + max m.Ast.v 1
-
-let check_plan_ast ctx (sys : Spec.system) (p : Ast.plan) =
-  let apps = sys.Spec.apps in
-  let proc_names = arch_proc_names sys in
-  let graph_of (name : string Ast.located) =
-    match Appset.graph_index apps name.Ast.v with
-    | gi -> Some gi
-    | exception Not_found ->
-      emit ctx ~pos:name.Ast.pos ~code:"MC101" "unknown application %s"
-        name.Ast.v;
-      None in
-  (* dropped set *)
-  (match p.Ast.pl_dropped with
-   | None -> ()
-   | Some { Ast.v = names; _ } ->
-     let seen = Hashtbl.create 8 in
-     List.iter
-       (fun (name : string Ast.located) ->
-         (match graph_of name with
-          | Some gi ->
-            if not (Graph.is_droppable (Appset.graph apps gi)) then
-              emit ctx ~pos:name.Ast.pos ~code:"MC108"
-                "application %s is critical and cannot be dropped"
-                name.Ast.v
-          | None -> ());
-         (match Hashtbl.find_opt seen name.Ast.v with
-          | Some (first : Sexp.pos) ->
-            emit ctx ~pos:name.Ast.pos ~code:"MC109"
-              "application %s already dropped at %a" name.Ast.v Sexp.pp_pos
-              first
-          | None -> Hashtbl.add seen name.Ast.v name.Ast.pos))
-       names);
-  (* binds *)
-  let bound = Hashtbl.create 32 in
-  List.iter
-    (fun (b : Ast.bind) ->
-      let check_proc (name : string Ast.located) =
-        if not (Hashtbl.mem proc_names name.Ast.v) then
-          emit ctx ~pos:name.Ast.pos ~code:"MC103" "unknown processor %s"
-            name.Ast.v in
-      check_proc b.Ast.b_proc;
-      (match b.Ast.b_replicas with
-       | Some { Ast.v = names; _ } -> List.iter check_proc names
-       | None -> ());
-      (match b.Ast.b_voter with
-       | Some name -> check_proc name
-       | None -> ());
-      Option.iter (check_harden ctx) b.Ast.b_harden;
-      (* replica arity and collisions *)
-      let replicas =
-        match b.Ast.b_replicas with
-        | None -> []
-        | Some { Ast.v = names; _ } -> names in
-      let expected = replica_count_of b.Ast.b_harden - 1 in
-      if List.length replicas <> expected then
-        emit ctx ~pos:b.Ast.b_pos ~code:"MC106"
-          "bind %s.%s: technique needs %d replica processor%s, got %d"
-          b.Ast.b_app.Ast.v b.Ast.b_task.Ast.v expected
-          (if expected = 1 then "" else "s")
-          (List.length replicas)
-      else if expected > 0 then begin
-        let seen = Hashtbl.create 4 in
-        Hashtbl.replace seen b.Ast.b_proc.Ast.v ();
-        List.iter
-          (fun (r : string Ast.located) ->
-            if Hashtbl.mem seen r.Ast.v then
-              emit ctx ~pos:r.Ast.pos ~code:"MC107"
-                "bind %s.%s: replicas share processor %s — replication \
-                 only adds reliability on distinct processors"
-                b.Ast.b_app.Ast.v b.Ast.b_task.Ast.v r.Ast.v
-            else Hashtbl.replace seen r.Ast.v ())
-          replicas
-      end;
-      (* name resolution and double binding *)
-      match graph_of b.Ast.b_app with
-      | None -> ()
-      | Some gi ->
-        let g = Appset.graph apps gi in
-        let ti =
-          let n = Graph.n_tasks g in
-          let rec find i =
-            if i >= n then None
-            else if (Graph.task g i).Task.name = b.Ast.b_task.Ast.v then
-              Some i
-            else find (i + 1) in
-          find 0 in
-        (match ti with
-         | None ->
-           emit ctx ~pos:b.Ast.b_task.Ast.pos ~code:"MC102"
-             "unknown task %s in application %s" b.Ast.b_task.Ast.v
-             g.Graph.name
-         | Some ti ->
-           (match Hashtbl.find_opt bound (gi, ti) with
-            | Some (first : Sexp.pos) ->
-              emit ctx ~pos:b.Ast.b_pos ~code:"MC104"
-                "task %s.%s already bound at %a" g.Graph.name
-                b.Ast.b_task.Ast.v Sexp.pp_pos first
-            | None -> Hashtbl.add bound (gi, ti) b.Ast.b_pos)))
-    p.Ast.pl_binds;
-  (* every task bound *)
-  let missing = ref [] in
-  for gi = Appset.n_graphs apps - 1 downto 0 do
-    let g = Appset.graph apps gi in
-    for ti = Graph.n_tasks g - 1 downto 0 do
-      if not (Hashtbl.mem bound (gi, ti)) then
-        missing :=
-          Format.asprintf "%s.%s" g.Graph.name (Graph.task g ti).Task.name
-          :: !missing
-    done
-  done;
-  if !missing <> [] then
-    emit ctx ~pos:p.Ast.pl_pos ~code:"MC105"
-      ~fixit:"add a (bind ...) entry per missing task"
-      "unbound task%s: %s"
-      (if List.length !missing = 1 then "" else "s")
-      (String.concat ", " !missing)
+let check_dropped_twice ctx (p : Ast.plan) =
+  match p.Ast.pl_dropped with
+  | None -> ()
+  | Some { Ast.v = names; _ } ->
+    let seen = Hashtbl.create 8 in
+    List.iter
+      (fun (name : string Ast.located) ->
+        match Hashtbl.find_opt seen name.Ast.v with
+        | Some (first : Sexp.pos) ->
+          emit ctx ~pos:name.Ast.pos ~code:"MC109"
+            "application %s already dropped at %a" name.Ast.v Sexp.pp_pos
+            first
+        | None -> Hashtbl.add seen name.Ast.v name.Ast.pos)
+      names
 
 (* ------------------------------------------------------------------ *)
 (* MC2xx/MC3xx on a built plan *)
 
 let check_plan_model ctx ~pos (sys : Spec.system) (plan : Plan.t) =
   let arch = sys.Spec.arch and apps = sys.Spec.apps in
-  if Plan.errors arch apps plan = [] then begin
-    let happ = Happ.build arch apps plan in
-    let report mode label =
-      Array.iteri
-        (fun pi u ->
-          if u > 1. +. 1e-9 then
-            emit ctx ~pos ~code:"MC201"
-              "processor %s: %s utilisation %.3f exceeds 1 — no schedule \
-               exists"
-              (Arch.proc arch pi).Proc.name label u)
-        (Happ.utilization ~mode happ) in
-    report Happ.Nominal "nominal";
-    report Happ.Critical "critical-state";
-    List.iter
-      (fun (v : Analysis.violation) ->
-        let g = Appset.graph apps v.Analysis.graph in
-        emit ctx ~pos ~code:"MC302"
-          ~fixit:"strengthen the hardening of this application's tasks"
-          "application %s: the plan achieves failure rate %.3e, above the \
-           bound %.3e"
-          g.Graph.name v.Analysis.failure_rate v.Analysis.bound)
-      (Analysis.violations arch apps plan)
-  end
+  let happ = Happ.build arch apps plan in
+  let report mode label =
+    Array.iteri
+      (fun pi u ->
+        if u > 1. +. 1e-9 then
+          emit ctx ~pos ~code:"MC201"
+            "processor %s: %s utilisation %.3f exceeds 1 — no schedule \
+             exists"
+            (Arch.proc arch pi).Proc.name label u)
+      (Happ.utilization ~mode happ) in
+  report Happ.Nominal "nominal";
+  report Happ.Critical "critical-state";
+  List.iter
+    (fun (v : Analysis.violation) ->
+      let g = Appset.graph apps v.Analysis.graph in
+      emit ctx ~pos ~code:"MC302"
+        ~fixit:"strengthen the hardening of this application's tasks"
+        "application %s: the plan achieves failure rate %.3e, above the \
+         bound %.3e"
+        g.Graph.name v.Analysis.failure_rate v.Analysis.bound)
+    (Analysis.violations arch apps plan)
 
 (* ------------------------------------------------------------------ *)
 (* Drivers: [ingest] is the one pass from texts to a built model; the
    [lint_*] entry points are projections of it. *)
 
-(* A build error as a diagnostic. [Spec] prefixes the errors that have a
-   lint code of their own ("[MC022] ..."); any other falls under [code]. *)
+(* A reading error as a diagnostic, under [code] when it has no code of
+   its own. *)
 let diag_of_error ?file ~code (e : Spec.error) =
-  let msg = e.Ast.msg and pos = e.Ast.epos in
-  if String.length msg > 8 && msg.[0] = '[' && msg.[6] = ']'
-     && D.info (String.sub msg 1 5) <> None
-  then
-    D.make ?file ?pos ~code:(String.sub msg 1 5)
-      (String.sub msg 8 (String.length msg - 8))
-  else D.make ?file ?pos ~code msg
+  D.make ?file ?pos:e.Ast.epos ?fixit:e.Ast.fixit
+    ~code:(Option.value e.Ast.code ~default:code)
+    e.Ast.msg
 
 let lint_system ?file input =
   let ctx = { file; acc = [] } in
   let sys =
     match Spec.parse_system input with
     | Error e ->
-      emit ctx ?pos:e.Ast.epos ~code:"MC000" "%s" e.Ast.msg;
+      ctx.acc <- [ diag_of_error ?file ~code:"MC000" e ];
       None
     | Ok ast ->
       check_system_ast ctx ast;
@@ -789,29 +653,6 @@ let lint_system ?file input =
          None) in
   (D.sort ctx.acc, sys)
 
-(* The plan half: its diagnostics, and the plan when it was built. *)
-let check_plan ?file (sys : Spec.system) input =
-  let ctx = { file; acc = [] } in
-  let plan =
-    match Spec.parse_plan input with
-    | Error e ->
-      emit ctx ?pos:e.Ast.epos ~code:"MC100" "%s" e.Ast.msg;
-      None
-    | Ok ast ->
-      check_plan_ast ctx sys ast;
-      if has_errors ctx then None
-      else (
-        match Spec.build_plan sys ast with
-        | Ok plan ->
-          check_plan_model ctx ~pos:ast.Ast.pl_pos sys plan;
-          Some plan
-        | Error e ->
-          ctx.acc <- diag_of_error ?file ~code:"MC100" e :: ctx.acc;
-          None) in
-  (D.sort ctx.acc, plan)
-
-let lint_plan ?file sys input = fst (check_plan ?file sys input)
-
 (* The system half of the gate: linted, or with [no_lint] parsed and
    built only, the first failure becoming the one diagnostic. *)
 let ingest_system ?file ~no_lint text =
@@ -821,13 +662,30 @@ let ingest_system ?file ~no_lint text =
     | Ok sys -> ([], Some sys)
     | Error e -> ([ diag_of_error ?file ~code:"MC000" e ], None)
 
-(* A plan against a built system, likewise. *)
-let plan_against ?file ~no_lint sys text =
-  if not no_lint then check_plan ?file sys text
-  else
-    match Result.bind (Spec.parse_plan text) (Spec.build_plan sys) with
-    | Ok plan -> ([], Some plan)
-    | Error e -> ([ diag_of_error ?file ~code:"MC100" e ], None)
+(* The plan half: its diagnostics, and the plan when it was built.
+   [Spec.build_plan] finds every error in the text. With [no_lint] the
+   first is the one diagnostic; otherwise all of them are, with MC109
+   and, on a built plan, the model checks. *)
+let plan_against ?file ~no_lint (sys : Spec.system) text =
+  let ctx = { file; acc = [] } in
+  let add e = ctx.acc <- diag_of_error ?file ~code:"MC100" e :: ctx.acc in
+  let plan =
+    match Spec.parse_plan text with
+    | Error e ->
+      add e;
+      None
+    | Ok ast -> (
+      if not no_lint then check_dropped_twice ctx ast;
+      match Spec.build_plan sys ast with
+      | Ok plan ->
+        if not no_lint then check_plan_model ctx ~pos:ast.Ast.pl_pos sys plan;
+        Some plan
+      | Error es ->
+        List.iter add (if no_lint then [ List.hd es ] else es);
+        None) in
+  (D.sort ctx.acc, plan)
+
+let lint_plan ?file sys text = fst (plan_against ?file ~no_lint:false sys text)
 
 let combine (sys_ds, sys) plan_half =
   let plan_ds, plan =

@@ -9,7 +9,11 @@
       dependency cycles, out-of-domain attributes, hyperperiod blowup.
     - [MC1xx] — plan consistency against the system: unknown names,
       double or missing bindings, replica arity and collisions,
-      dropped-set abuse, out-of-domain technique parameters.
+      dropped-set abuse, out-of-domain technique parameters. Every
+      plan-text error ([MC101]–[MC108], [MC110]) is found by
+      [Spec.build_plan], the one plan checker, and reported here as it
+      is; only the [MC109] warning (an application dropped twice) is
+      checked here.
     - [MC2xx] — necessary schedulability conditions that doom a design
       regardless of (or under) the plan: per-processor overload,
       WCET beyond the deadline on every processor, critical-path
@@ -20,7 +24,9 @@
 
     Model-level checks ([MC2xx]/[MC3xx]) only run when the file has no
     error-severity structural diagnostics — a broken file cannot be
-    built into a model. *)
+    built into a model. A reading error's own code ([Spec.error]'s
+    [code]) is its diagnostic's code; a shaping error without one is
+    [MC000] (system) or [MC100] (plan). *)
 
 val ingest :
   ?system_file:string ->
@@ -39,7 +45,9 @@ val ingest :
     gate runs over both (the plan half is skipped when the system does
     not build) and the diagnostics are every finding, as {!lint_files}
     reports them. With [~no_lint:true] the texts are only parsed and
-    built, and the diagnostics are the first build error, if any.
+    built, and the diagnostics are the first build error, if any. For
+    the plan that is lint's first error: the same code, position and
+    message, since lint and the build share [Spec.build_plan].
 
     The built system and plan come back exactly when no diagnostic has
     error severity. A system over [Spec.job_budget] never builds, so
@@ -62,9 +70,10 @@ val ingest_system :
   Diagnostic.t list * Mcmap_spec.Spec.system option
 (** The system half of {!ingest}: {!lint_system} with
     [~no_lint:false]; with [~no_lint:true], parsing and building only,
-    the first build error as the one diagnostic. The result depends on
-    the text (and [file]) alone, so a caller may keep it and pass it to
-    {!ingest_plan} for any number of plans. *)
+    the first build error as the one diagnostic ([MC000] for a model
+    constructor's failure, where lint reports its own [MC0xx] check).
+    The result depends on the text (and [file]) alone, so a caller may
+    keep it and pass it to {!ingest_plan} for any number of plans. *)
 
 val ingest_plan :
   ?file:string ->
@@ -86,13 +95,13 @@ val plan_against :
   Diagnostic.t list * Mcmap_hardening.Plan.t option
 (** The plan's own diagnostics against a built system, and the plan
     when it was built: with [~no_lint:false] the plan text is linted
-    (parse, the plan checks, build, the model checks); with
-    [~no_lint:true] it is only parsed and built, the first failure
-    becoming the one diagnostic. The result depends on the system, the
-    text, [no_lint] and [file] alone, never on the system's own
-    diagnostics, so a caller may keep it per (system, [no_lint], text)
-    and pass it to {!combine} again, whatever the system's lint state
-    by then. *)
+    (parse, [Spec.build_plan]'s errors, [MC109], and the model checks
+    on a built plan); with [~no_lint:true] it is only parsed and built,
+    the first failure becoming the one diagnostic — lint's first
+    error. The result depends on the system, the text, [no_lint] and
+    [file] alone, never on the system's own diagnostics, so a caller
+    may keep it per (system, [no_lint], text) and pass it to
+    {!combine} again. *)
 
 val combine :
   Diagnostic.t list * Mcmap_spec.Spec.system option ->

@@ -12,10 +12,7 @@ module Obs = Mcmap_obs.Obs
 type entry = {
   system : Spec.system;
   session : Evaluator.t;
-  mutable lint : Diagnostic.t list option;
-      (** the system's lint diagnostics; [None] until a linted request
-          asks, since a [(no-lint)] request pools the system unlinted.
-          Guarded by the pool lock. *)
+  lint : Diagnostic.t list;  (** the system's lint diagnostics *)
   plans : (bool * string, Diagnostic.t list * Plan.t option) Lru.t;
       (** [Lint.plan_against]'s result per [(no_lint, plan text)] asked
           at least twice; guarded by the pool lock *)
@@ -121,31 +118,25 @@ let gate t e ~no_lint diags plan =
   | diags, Some (system, plan) -> (diags, Some (e.session, system, plan))
   | diags, None -> (diags, None)
 
-(* A hit never parses the system again; a linted hit on a system pooled
-   unlinted lints it once and keeps the diagnostics. A miss pools the
-   system only when it built without an error, so a linted request never
-   evaluates a system with lint errors; a system that is not pooled gets
-   the cold path's plan half. *)
+(* A hit never parses the system again. A miss lints the system, also
+   for a [(no-lint)] request, and pools it only when it built without an
+   error for the request, so a linted request never evaluates a system
+   with lint errors; a system that is not pooled gets the cold path's
+   plan half. *)
 let ingest t ~no_lint ~text plan =
-  match
-    with_lock t (fun () ->
-        Option.map (fun e -> (e, e.lint)) (Lru.find t.entries text))
-  with
-  | Some (e, lint) ->
+  match with_lock t (fun () -> Lru.find t.entries text) with
+  | Some e ->
     Obs.incr ~label:"hit" "serve.pool";
-    let diags =
-      match no_lint, lint with
-      | true, _ -> []
-      | false, Some diags -> diags
-      | false, None ->
-        let diags, _ = Lint.lint_system ~file:system_file text in
-        with_lock t (fun () -> e.lint <- Some diags);
-        diags in
-    gate t e ~no_lint diags plan
+    gate t e ~no_lint (if no_lint then [] else e.lint) plan
   | None -> (
     Obs.incr ~label:"miss" "serve.pool";
-    let ((diags, built) as half) =
-      Lint.ingest_system ~file:system_file ~no_lint text in
+    let ((lint, built) as linted) =
+      Lint.lint_system ~file:system_file text in
+    let ((diags, _) as half) =
+      match no_lint, built with
+      | false, _ -> linted
+      | true, Some _ -> ([], built)
+      | true, None -> Lint.ingest_system ~file:system_file ~no_lint text in
     match built with
     | Some system when Diagnostic.error_count diags = 0 ->
       (* Build outside the lock: session construction must not block
@@ -157,7 +148,7 @@ let ingest t ~no_lint ~text plan =
           session =
             Evaluator.create ~domains:t.domains system.Spec.arch
               system.Spec.apps;
-          lint = (if no_lint then None else Some diags);
+          lint;
           plans = Lru.create ~capacity:plan_capacity ();
           plan_bytes = 0;
           seen = Lru.create ~capacity:plan_capacity () } in

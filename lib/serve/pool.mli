@@ -6,8 +6,8 @@
 
     - the built {!Mcmap_spec.Spec.system};
     - its lint diagnostics (the system half of
-      {!Mcmap_lint.Lint.ingest}'s gate), taken on the first linted
-      request for the text;
+      {!Mcmap_lint.Lint.ingest}'s gate), taken when the text is pooled,
+      whatever the request's [(no-lint)];
     - one {!Mcmap_dse.Evaluator} session;
     - a bounded LRU memo of the plan half of the gate,
       {!Mcmap_lint.Lint.plan_against}'s result (the plan's own
@@ -15,16 +15,16 @@
       [(no_lint, plan text)].
 
     A request whose system text is pooled parses nothing it has seen
-    before: it joins the entry's current system diagnostics with the
+    before: it joins the entry's system diagnostics with the
     plan half from the memo ({!Mcmap_lint.Lint.combine}), and only a
     plan text new to the entry is linted against the pooled system, or
     with [(no-lint)] only parsed and built. The pool miss that pools a
     system goes the same way, so a repeated plan text hits from its
-    second request. The memo never holds the joined verdict, because a
-    system pooled under [(no-lint)] gets its lint diagnostics later. A
-    system that is not pooled runs both halves as the cold path does.
-    Answers are byte-identical to the cold {!Mcmap_lint.Lint.ingest}
-    path.
+    second request. The memo holds each plan's own half, never the
+    joined verdict: each request joins it with the system half its
+    [(no-lint)] asks for. A system that is not pooled runs both halves
+    as the cold path does. Answers are byte-identical to the cold
+    {!Mcmap_lint.Lint.ingest} path.
 
     Entries are keyed by the system text the request's ingest already
     printed, so the pool never prints the system again; plans likewise
@@ -34,11 +34,14 @@
     different entry. Forms that arrive in a different order are
     therefore their own entry — a miss, never a wrong answer.
 
-    Only systems that build without an error diagnostic are pooled. A
-    [(no-lint)] request pools a buildable system unlinted; a later
-    linted request on that text lints it once, keeps the diagnostics,
-    and is refused if they hold an error — a system with lint errors is
-    never evaluated for a linted request.
+    Only systems that build without an error diagnostic for the
+    request are pooled: a linted miss with lint errors is not, while a
+    [(no-lint)] miss pools any system that builds. Either way the miss
+    lints the system once, so an entry's diagnostics never change and a
+    hit writes nothing; a linted request on a system pooled under
+    [(no-lint)] is refused if its diagnostics hold an error — a system
+    with lint errors is never evaluated for a linted request. The cost
+    is one [Lint.lint_system] per [(no-lint)] pool miss.
 
     {b Memory.} A plan text enters its entry's memo on its second
     request: the first only notes the key's hash, in an LRU of at most
@@ -103,7 +106,7 @@ val ingest :
     plan] with the pooled session of the system beside the built model.
     The system half comes from the pool when [text] is pooled, and the
     plan half from the entry's memo when [plan] was seen with it under
-    the same [no_lint]. A miss pools the system (possibly evicting the
-    least recently used entry) when it built without an error, and
-    then takes the plan half as a hit does; otherwise it runs both
-    halves as the cold path does. *)
+    the same [no_lint]. A miss lints the system and pools it (possibly
+    evicting the least recently used entry) when it built without an
+    error for the request, and then takes the plan half as a hit does;
+    otherwise it runs both halves as the cold path does. *)

@@ -14,17 +14,25 @@ type pos = Sexp.pos
 
 type 'a located = { v : 'a; pos : pos }
 
-type error = { epos : pos option; msg : string }
+type error = {
+  epos : pos option;
+  code : string option;
+  msg : string;
+  fixit : string option;
+}
 
 let error_to_string e =
+  let msg =
+    match e.code with
+    | Some code -> "[" ^ code ^ "] " ^ e.msg
+    | None -> e.msg in
   match e.epos with
-  | Some p -> Sexp.pos_to_string p ^ ": " ^ e.msg
-  | None -> e.msg
+  | Some p -> Sexp.pos_to_string p ^ ": " ^ msg
+  | None -> msg
 
-let errf ?pos fmt =
-  Format.kasprintf (fun msg -> Error { epos = pos; msg }) fmt
+let error ?pos msg = { epos = pos; code = None; msg; fixit = None }
 
-let error_at pos msg = { epos = Some pos; msg }
+let errf ?pos fmt = Format.kasprintf (fun msg -> Error (error ?pos msg)) fmt
 
 let ( let* ) = Result.bind
 
@@ -357,7 +365,7 @@ let system_of_string input =
   let* exprs =
     match Sexp.parse_loc input with
     | Ok exprs -> Ok exprs
-    | Error msg -> Error { epos = None; msg } in
+    | Error msg -> Error (error msg) in
   let* tops =
     collect
       (fun (e : Sexp.Loc.sexp) ->
@@ -461,7 +469,7 @@ let plan_of_string input =
   let* exprs =
     match Sexp.parse_loc input with
     | Ok exprs -> Ok exprs
-    | Error msg -> Error { epos = None; msg } in
+    | Error msg -> Error (error msg) in
   let* pos, items =
     match exprs with
     | [ { Sexp.Loc.v =

@@ -11,12 +11,18 @@ type pos = Mcmap_util.Sexp.pos
 
 type 'a located = { v : 'a; pos : pos }
 
-type error = { epos : pos option; msg : string }
+type error = {
+  epos : pos option;
+  code : string option;
+  msg : string;
+  fixit : string option;
+}
+(** A reading error ([Spec.error]); a shaping error has no code and no
+    fix-it. *)
 
 val error_to_string : error -> string
-(** ["line:col: msg"], or just the message when no position applies. *)
-
-val error_at : pos -> string -> error
+(** ["line:col: [CODE] msg"]; the position and the code are left out
+    where they do not apply. *)
 
 type proc = {
   p_pos : pos;

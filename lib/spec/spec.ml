@@ -16,7 +16,12 @@ type system = {
   apps : Appset.t;
 }
 
-type error = Ast.error = { epos : Sexp.pos option; msg : string }
+type error = Ast.error = {
+  epos : Sexp.pos option;
+  code : string option;
+  msg : string;
+  fixit : string option;
+}
 
 let error_to_string = Ast.error_to_string
 
@@ -29,14 +34,16 @@ let rec collect f = function
     let* ys = collect f rest in
     Ok (y :: ys)
 
-let errf ?pos fmt =
-  Format.kasprintf (fun msg -> Error { epos = pos; msg }) fmt
+let errf ?pos ?code fmt =
+  Format.kasprintf
+    (fun msg -> Error { epos = pos; code; msg; fixit = None })
+    fmt
 
 (* Model constructors signal invariant breaches with [Invalid_argument];
    attach the position of the block being built. *)
 let protect_at pos f =
   try Ok (f ()) with
-  | Invalid_argument msg -> Error { epos = Some pos; msg }
+  | Invalid_argument msg -> errf ~pos "%s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Building the model from the raw AST *)
@@ -273,12 +280,12 @@ let build_system (raw : Ast.system) =
   let* () =
     match over_time_cap raw with
     | [] -> Ok ()
-    | (pos, msg) :: _ -> errf ~pos "[MC023] %s" msg in
+    | (pos, msg) :: _ -> errf ~pos ~code:"MC023" "%s" msg in
   match over_job_budget raw.Ast.sys_apps with
   | None -> Ok { arch; apps }
   | Some (total, largest, _) ->
-    errf ~pos:largest.Ast.g_period.Ast.pos
-      "[MC022] one hyperperiod expands to %a jobs, over the budget of %d"
+    errf ~pos:largest.Ast.g_period.Ast.pos ~code:"MC022"
+      "one hyperperiod expands to %a jobs, over the budget of %d"
       pp_jobs total job_budget
 
 let parse_system = Ast.system_of_string
@@ -291,129 +298,165 @@ let read_system input =
 (* ------------------------------------------------------------------ *)
 (* Plans *)
 
-let proc_id_of_name { arch; _ } (name : string Ast.located) =
-  let n = Arch.n_procs arch in
-  let rec find i =
-    if i >= n then
-      errf ~pos:name.Ast.pos "unknown processor %s" name.Ast.v
-    else if (Arch.proc arch i).Proc.name = name.Ast.v then Ok i
-    else find (i + 1) in
-  find 0
+(* Plan-text errors are gathered in reverse into [errors], each with its
+   lint code. *)
+let report errors ?fixit ~code pos fmt =
+  Format.kasprintf
+    (fun msg ->
+      errors := { epos = Some pos; code = Some code; msg; fixit } :: !errors)
+    fmt
 
-let graph_id_of_name { apps; _ } (name : string Ast.located) =
-  match Appset.graph_index apps name.Ast.v with
-  | i -> Ok i
-  | exception Not_found ->
-    errf ~pos:name.Ast.pos "unknown application %s" name.Ast.v
-
-let task_id_of_name { apps; _ } gi (name : string Ast.located) =
-  let g = Appset.graph apps gi in
-  let n = Graph.n_tasks g in
-  let rec find i =
-    if i >= n then
-      errf ~pos:name.Ast.pos "unknown task %s in application %s" name.Ast.v
-        g.Graph.name
-    else if (Graph.task g i).Task.name = name.Ast.v then Ok i
-    else find (i + 1) in
-  find 0
-
-let build_technique (h : Ast.harden Ast.located option) =
+(* The technique a (harden ...) names, each parameter below its minimum
+   reported (MC110) and raised to it, so that the replica arity can
+   still be checked. *)
+let technique_of errors (h : Ast.harden Ast.located option) =
+  let at_least what lo (l : int Ast.located) =
+    if l.Ast.v >= lo then l.Ast.v
+    else begin
+      report errors ~code:"MC110" l.Ast.pos
+        "harden: %s must be at least %d, got %d" what lo l.Ast.v;
+      lo
+    end in
   match h with
-  | None -> Ok Technique.No_hardening
-  | Some { Ast.v = h; pos } ->
-    protect_at pos (fun () ->
-        match h with
-        | Ast.Reexec k -> Technique.re_execution k.Ast.v
-        | Ast.Checkpoint (n, k) ->
-          Technique.checkpointing ~segments:n.Ast.v ~k:k.Ast.v
-        | Ast.Active n -> Technique.active_replication n.Ast.v
-        | Ast.Passive m -> Technique.passive_replication m.Ast.v)
+  | None -> Technique.No_hardening
+  | Some { Ast.v = Ast.Reexec k; _ } ->
+    Technique.re_execution (at_least "reexec k" 1 k)
+  | Some { Ast.v = Ast.Checkpoint (n, k); _ } ->
+    let segments = at_least "checkpoint segments" 1 n in
+    Technique.checkpointing ~segments ~k:(at_least "checkpoint k" 1 k)
+  | Some { Ast.v = Ast.Active n; _ } ->
+    Technique.active_replication (at_least "active replica count" 2 n)
+  | Some { Ast.v = Ast.Passive m; _ } ->
+    Technique.passive_replication (at_least "passive spare count" 1 m)
 
-let build_bind system (b : Ast.bind) =
-  let* gi = graph_id_of_name system b.Ast.b_app in
-  let* ti = task_id_of_name system gi b.Ast.b_task in
-  let* primary = proc_id_of_name system b.Ast.b_proc in
-  let* technique = build_technique b.Ast.b_harden in
-  let* replicas =
+(* One bind's decision, checked. [proc_of] answers -1 for a name it
+   reports, so the decision is only used when no error was found. *)
+let bind_decision errors proc_of (b : Ast.bind) =
+  let replicas =
     match b.Ast.b_replicas with
-    | None -> Ok [||]
-    | Some { Ast.v = names; _ } ->
-      let* ids = collect (proc_id_of_name system) names in
-      Ok (Array.of_list ids) in
-  let* voter =
-    match b.Ast.b_voter with
-    | None -> Ok primary
-    | Some name -> proc_id_of_name system name in
+    | None -> []
+    | Some { Ast.v = names; _ } -> names in
+  let primary_proc = proc_of b.Ast.b_proc in
+  let replica_procs = Array.of_list (List.map proc_of replicas) in
+  let voter_proc =
+    match b.Ast.b_voter with None -> primary_proc | Some v -> proc_of v in
+  let technique = technique_of errors b.Ast.b_harden in
   let expected = Technique.replica_count technique - 1 in
-  if Array.length replicas <> expected then
-    errf ~pos:b.Ast.b_pos
-      "bind %s.%s: technique needs %d replica processors, got %d"
-      b.Ast.b_app.Ast.v b.Ast.b_task.Ast.v expected (Array.length replicas)
-  else
-    Ok
-      (gi, ti,
-       { Plan.technique; primary_proc = primary; replica_procs = replicas;
-         voter_proc = voter })
+  if List.length replicas <> expected then
+    report errors ~code:"MC106" b.Ast.b_pos
+      "bind %s.%s: technique needs %d replica processor%s, got %d"
+      b.Ast.b_app.Ast.v b.Ast.b_task.Ast.v expected
+      (if expected = 1 then "" else "s")
+      (List.length replicas)
+  else begin
+    let rec distinct seen = function
+      | [] -> ()
+      | (r : string Ast.located) :: rest ->
+        if List.mem r.Ast.v seen then
+          report errors ~code:"MC107" r.Ast.pos
+            "bind %s.%s: replicas share processor %s — replication only \
+             adds reliability on distinct processors"
+            b.Ast.b_app.Ast.v b.Ast.b_task.Ast.v r.Ast.v;
+        distinct (r.Ast.v :: seen) rest in
+    distinct [ b.Ast.b_proc.Ast.v ] replicas
+  end;
+  { Plan.technique; primary_proc; replica_procs; voter_proc }
 
-let build_plan system (raw : Ast.plan) =
-  let* dropped_ids =
-    match raw.Ast.pl_dropped with
-    | None -> Ok []
-    | Some { Ast.v = names; _ } ->
-      collect (graph_id_of_name system) names in
-  let apps = system.apps in
+(* Position first, then code, the order [mcmap lint] reports in; every
+   plan error has a position. *)
+let compare_errors (a : error) (b : error) =
+  compare (a.epos, a.code) (b.epos, b.code)
+
+let build_plan { arch; apps } (raw : Ast.plan) =
+  let errors = ref [] in
+  let report ?fixit ~code pos fmt = report errors ?fixit ~code pos fmt in
+  let graph_of (name : string Ast.located) =
+    match Appset.graph_index apps name.Ast.v with
+    | gi -> Some gi
+    | exception Not_found ->
+      report ~code:"MC101" name.Ast.pos "unknown application %s" name.Ast.v;
+      None in
+  let proc_of (name : string Ast.located) =
+    match
+      Array.find_index
+        (fun (p : Proc.t) -> p.Proc.name = name.Ast.v)
+        arch.Arch.procs
+    with
+    | Some p -> p
+    | None ->
+      report ~code:"MC103" name.Ast.pos "unknown processor %s" name.Ast.v;
+      -1 in
   let dropped = Array.make (Appset.n_graphs apps) false in
-  List.iter (fun gi -> dropped.(gi) <- true) dropped_ids;
-  let decisions =
+  Option.iter
+    (fun { Ast.v = names; _ } ->
+      List.iter
+        (fun (name : string Ast.located) ->
+          match graph_of name with
+          | Some gi when not (Graph.is_droppable (Appset.graph apps gi)) ->
+            report ~code:"MC108" name.Ast.pos
+              "application %s is critical and cannot be dropped" name.Ast.v
+          | Some gi -> dropped.(gi) <- true
+          | None -> ())
+        names)
+    raw.Ast.pl_dropped;
+  (* per task, the position of its first bind and that bind's decision *)
+  let bound =
     Array.init (Appset.n_graphs apps) (fun gi ->
         Array.make (Graph.n_tasks (Appset.graph apps gi)) None) in
-  let* binds =
-    collect
-      (fun (b : Ast.bind) ->
-        let* resolved = build_bind system b in
-        Ok (b.Ast.b_pos, resolved))
-      raw.Ast.pl_binds in
-  let* () =
-    let rec apply = function
-      | [] -> Ok ()
-      | (pos, (gi, ti, d)) :: rest ->
-        if decisions.(gi).(ti) <> None then
-          errf ~pos "task %s.%s bound twice"
-            (Appset.graph apps gi).Graph.name
-            (Graph.task (Appset.graph apps gi) ti).Task.name
-        else begin
-          decisions.(gi).(ti) <- Some d;
-          apply rest
-        end in
-    apply binds in
+  List.iter
+    (fun (b : Ast.bind) ->
+      let decision = bind_decision errors proc_of b in
+      match graph_of b.Ast.b_app with
+      | None -> ()
+      | Some gi -> (
+        let g = Appset.graph apps gi in
+        match
+          Array.find_index
+            (fun (t : Task.t) -> t.Task.name = b.Ast.b_task.Ast.v)
+            g.Graph.tasks
+        with
+        | None ->
+          report ~code:"MC102" b.Ast.b_task.Ast.pos
+            "unknown task %s in application %s" b.Ast.b_task.Ast.v
+            g.Graph.name
+        | Some ti -> (
+          match bound.(gi).(ti) with
+          | Some (first, _) ->
+            report ~code:"MC104" b.Ast.b_pos "task %s.%s already bound at %a"
+              g.Graph.name b.Ast.b_task.Ast.v Sexp.pp_pos first
+          | None -> bound.(gi).(ti) <- Some (b.Ast.b_pos, decision))))
+    raw.Ast.pl_binds;
   let missing = ref [] in
-  Array.iteri
-    (fun gi row ->
-      Array.iteri
-        (fun ti d ->
-          if d = None then
-            missing :=
-              Format.asprintf "%s.%s"
-                (Appset.graph apps gi).Graph.name
-                (Graph.task (Appset.graph apps gi) ti).Task.name
-              :: !missing)
-        row)
-    decisions;
-  match !missing with
-  | _ :: _ ->
-    errf ~pos:raw.Ast.pl_pos "unbound tasks: %s"
-      (String.concat ", " (List.rev !missing))
+  for gi = Appset.n_graphs apps - 1 downto 0 do
+    let g = Appset.graph apps gi in
+    for ti = Graph.n_tasks g - 1 downto 0 do
+      if Option.is_none bound.(gi).(ti) then
+        missing :=
+          Format.asprintf "%s.%s" g.Graph.name (Graph.task g ti).Task.name
+          :: !missing
+    done
+  done;
+  if !missing <> [] then
+    report ~code:"MC105" raw.Ast.pl_pos
+      ~fixit:"add a (bind ...) entry per missing task" "unbound task%s: %s"
+      (if List.length !missing = 1 then "" else "s")
+      (String.concat ", " !missing);
+  match !errors with
   | [] ->
-    let decisions = Array.map (Array.map Option.get) decisions in
-    protect_at raw.Ast.pl_pos (fun () ->
-        Plan.make apps ~decisions ~dropped)
+    (* every task bound once, every name resolved, every arity right *)
+    let decisions = Array.map (Array.map (fun s -> snd (Option.get s))) bound in
+    Ok (Plan.make apps ~decisions ~dropped)
+  | errors -> Error (List.stable_sort compare_errors (List.rev errors))
 
 let parse_plan = Ast.plan_of_string
 
 let read_plan system input =
-  match Result.bind (parse_plan input) (build_plan system) with
-  | Ok _ as ok -> ok
+  match parse_plan input with
   | Error e -> Error (error_to_string e)
+  | Ok raw -> (
+    match build_plan system raw with
+    | Ok _ as ok -> ok
+    | Error errors -> Error (error_to_string (List.hd errors)))
 
 (* ------------------------------------------------------------------ *)
 (* Writing *)

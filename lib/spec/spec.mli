@@ -42,11 +42,20 @@ type system = {
 
 type error = Ast.error = {
   epos : Mcmap_util.Sexp.pos option;
+  code : string option;
   msg : string;
+  fixit : string option;
 }
-(** A reading error, located when a source position applies. *)
+(** A reading error, located when a source position applies. [code] is
+    the [mcmap lint] code of the check that found it, when that check
+    has a code of its own: every {!build_plan} error, and the system's
+    [MC022] and [MC023]; the linter reports an error without one under
+    the generic [MC000] (system) or [MC100] (plan). [fixit] is a
+    suggested remedy, when one is obvious. *)
 
 val error_to_string : error -> string
+(** ["line:col: [CODE] message"], leaving out the position or the code
+    where the error has none. *)
 
 val parse_system : string -> (Ast.system, error) result
 (** Stage one: shape the text into the raw located AST (see {!Ast}). *)
@@ -55,11 +64,12 @@ val build_system : Ast.system -> (system, error) result
 (** Stage two: resolve names and build the validated model. Duplicate
     processor/application/task names and dangling channel endpoints are
     rejected with the position of the offending name; a system over the
-    {!job_budget} with ["[MC022] one hyperperiod expands to N jobs, over
-    the budget of 5000"] at the period of its largest contributor, and a
-    system with a time at the cap of {!over_time_cap} with ["[MC023]
-    ..."] at that time. Every system that builds is within the budget
-    and below the cap, whatever path read it. *)
+    {!job_budget} with code [MC022] and ["one hyperperiod expands to N
+    jobs, over the budget of 5000"] at the period of its largest
+    contributor, and a system with a time at the cap of
+    {!over_time_cap} with code [MC023] at that time. Every system that
+    builds is within the budget and below the cap, whatever path read
+    it. *)
 
 val over_time_cap : Ast.system -> (Mcmap_util.Sexp.pos * string) list
 (** Every period or deadline that reaches [Proc.max_scaled_time], and
@@ -96,13 +106,20 @@ val parse_plan : string -> (Ast.plan, error) result
 (** Stage one for plans: shape a single [(plan ...)] expression. *)
 
 val build_plan :
-  system -> Ast.plan -> (Mcmap_hardening.Plan.t, error) result
-(** Stage two for plans: resolve names against the system; every task
-    must be bound exactly once. *)
+  system -> Ast.plan -> (Mcmap_hardening.Plan.t, error list) result
+(** Stage two for plans, and the one checker of plan texts: one walk
+    resolves the names against the system and builds the decisions,
+    collecting every error with the code, position, message and fix-it
+    that [mcmap lint] reports: [MC101]–[MC108] and [MC110] (unknown
+    names, double or missing binds, replica arity, a replica on its
+    primary's or another replica's processor, a critical application
+    dropped, a technique parameter out of range). The errors come
+    sorted by position, then code. The plan is built only when there
+    are none, and it then passes [Plan.make] and [Plan.errors]. *)
 
 val read_plan : system -> string -> (Mcmap_hardening.Plan.t, string) result
-(** Parse a plan against a system (names are resolved; every task must
-    be bound exactly once). *)
+(** Parse and build a plan against a system, rendering the first error
+    with {!error_to_string}. *)
 
 val write_plan : system -> Mcmap_hardening.Plan.t -> string
 

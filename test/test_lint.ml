@@ -425,6 +425,67 @@ let test_lint_files_missing () =
   check Alcotest.bool "missing system file is an I/O error" true
     (Result.is_error (Lint.lint_files ~system:"/nonexistent/x.mcmap" ()))
 
+(* [Spec.build_plan] is the one checker of plan texts: under --no-lint a
+   plan is refused exactly when lint reports a plan-text error
+   (MC100-MC110), with lint's first error as its one diagnostic. Held
+   for every corpus plan, whose plans with only MC109, MC201 or MC302
+   findings still build, and for one plan with errors of most kinds,
+   where the first by position (MC105, at the plan) is found last. *)
+let no_lint_agrees ~system ~plan ?plan_text name =
+  let plan_text =
+    match plan_text with Some text -> text | None -> read_corpus plan in
+  let ingest ~no_lint =
+    Lint.ingest ~system_file:system ~plan_file:plan ~no_lint
+      (read_corpus system) (Some plan_text) in
+  let errors =
+    List.filter
+      (fun (d : D.t) -> d.D.severity = D.Error)
+      (fst (ingest ~no_lint:false)) in
+  let plan_text_error (d : D.t) = d.D.code >= "MC100" && d.D.code <= "MC110" in
+  match List.exists plan_text_error errors, ingest ~no_lint:true with
+  | false, (_, Some _) -> true
+  | false, (ds, None) ->
+    Alcotest.failf "%s: refused under --no-lint:\n%s" name (D.render_human ds)
+  | true, ([ d ], None) ->
+    let first = List.hd errors in
+    check Alcotest.string (name ^ ": code") first.D.code d.D.code;
+    check Alcotest.bool (name ^ ": position") true (first.D.pos = d.D.pos);
+    check Alcotest.string (name ^ ": message") first.D.message d.D.message;
+    false
+  | true, (ds, _) ->
+    Alcotest.failf "%s: expected one diagnostic under --no-lint:\n%s" name
+      (D.render_human ds)
+
+let test_corpus_no_lint_agrees () =
+  let files = corpus_files () in
+  let built =
+    List.filter
+      (fun plan ->
+        Filename.check_suffix plan ".plan"
+        && no_lint_agrees ~plan plan
+             ~system:(system_for_plan files (Filename.remove_extension plan)))
+      files in
+  check
+    (Alcotest.list Alcotest.string)
+    "built under --no-lint"
+    [ "MC109.plan"; "MC201.plan"; "MC302.plan" ]
+    built;
+  let plan_text =
+    {|(plan
+  (dropped ctl log log)
+  (bind (app ctl) (task a) (proc p9) (harden (active 1)) (replicas a b))
+  (bind (app ctl) (task a) (proc p0) (harden (passive 0)) (replicas p0))
+  (bind (app ghost) (task x) (proc p0)))|} in
+  check Alcotest.bool "many errors: refused" false
+    (no_lint_agrees ~system:"base.mcmap" ~plan:"many" ~plan_text "many");
+  check
+    (Alcotest.list Alcotest.string)
+    "many errors: lint's codes"
+    [ "MC101"; "MC103"; "MC104"; "MC105"; "MC106"; "MC108"; "MC109";
+      "MC110" ]
+    (distinct_codes
+       (Lint.lint_pair (read_corpus "base.mcmap") plan_text))
+
 let suite =
   [ Alcotest.test_case "corpus: golden codes" `Quick test_corpus_golden;
     Alcotest.test_case "corpus: covers the registry" `Quick
@@ -454,4 +515,6 @@ let suite =
       test_render_sexp_reparses;
     Alcotest.test_case "pair: broken system short-circuits" `Quick
       test_lint_pair_skips_broken_system;
-    Alcotest.test_case "files: missing path" `Quick test_lint_files_missing ]
+    Alcotest.test_case "files: missing path" `Quick test_lint_files_missing;
+    Alcotest.test_case "corpus: --no-lint refuses with lint's first error"
+      `Quick test_corpus_no_lint_agrees ]

@@ -1343,6 +1343,59 @@ let test_obs_disabled_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   check (Alcotest.float 0.) "minor words for 7000 disabled calls" 0. words
 
+(* ------------------------------------------------------------------ *)
+(* Plan-text errors without the lint gate *)
+
+(* MC107.plan puts a replica on its primary's processor: the cold
+   (no-lint) path refuses it with one located MC107. *)
+let mc107_case () =
+  let _, forms = file_forms "base.mcmap" in
+  let plan = lint_plan_form "MC107.plan" in
+  match
+    Lint.ingest ~system_file:"system" ~plan_file:"plan" ~no_lint:true
+      (String.concat "\n" (List.map Sexp.to_string forms))
+      (Some (Sexp.to_string plan))
+  with
+  | [ ({ Diagnostic.code = "MC107"; pos = Some pos; _ } as d) ], None ->
+    (forms, plan, d, pos)
+  | ds, _ ->
+    Alcotest.failf "cold (no-lint) path: expected one located MC107:\n%s"
+      (Diagnostic.render_human ds)
+
+let test_pool_no_lint_plan_error () =
+  with_recorder @@ fun () ->
+  let forms, plan, d, _ = mc107_case () in
+  let pool = Pool.create () in
+  check Alcotest.bool "the system is pooled" true
+    (is_analysis
+       (served pool ~no_lint:true ~hit:false
+          (P.Analyze { system = forms; plan = None })));
+  let analyze = P.Analyze { system = forms; plan = Some plan } in
+  List.iter
+    (fun what ->
+      check Alcotest.string ("the located MC107 refusal, " ^ what)
+        (wire_of
+           (P.Error_response (Format.asprintf "%a" Diagnostic.pp_human d)))
+        (served pool ~no_lint:true ~hit:true analyze))
+    [ "first"; "second"; "from the memo" ]
+
+let test_population_plan_error () =
+  with_recorder @@ fun () ->
+  let forms, plan, d, pos = mc107_case () in
+  let expected =
+    wire_of
+      (P.Error_response
+         (Printf.sprintf "plans[0]: plan: %s: [MC107] %s"
+            (Sexp.pos_to_string pos) d.Diagnostic.message)) in
+  let pool = Pool.create () in
+  List.iter
+    (fun no_lint ->
+      check Alcotest.string "plans[0] names its MC107" expected
+        (wire_of
+           (Server.work pool ~no_lint
+              (P.Eval_population { system = forms; plans = [ plan ] }))))
+    [ true; false; true ]
+
 let suite =
   [ Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire empty frame" `Quick test_wire_empty_rejected;
@@ -1405,4 +1458,8 @@ let suite =
     Alcotest.test_case "memo: a text over the byte bound is not kept"
       `Quick test_memo_over_budget;
     Alcotest.test_case "memo: bytes evict the least recently used" `Quick
-      test_memo_byte_eviction ]
+      test_memo_byte_eviction;
+    Alcotest.test_case "pool: (no-lint) refuses a plan-text error as cold"
+      `Quick test_pool_no_lint_plan_error;
+    Alcotest.test_case "population: a plan-text error names its plan"
+      `Quick test_population_plan_error ]
