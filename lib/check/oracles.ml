@@ -551,6 +551,16 @@ let find_sub s sub =
     else go (i + 1) in
   go 0
 
+(* [text] with the first occurrence of [needle] replaced by [by]. *)
+let replace_first text needle by =
+  Option.map
+    (fun i ->
+      String.sub text 0 i ^ by
+      ^ String.sub text
+          (i + String.length needle)
+          (String.length text - i - String.length needle))
+    (find_sub text needle)
+
 (* First channel's (from ...) endpoint redirected to a task that does
    not exist. *)
 let corrupt_dangling_endpoint (sys : Gen.system) sys_text =
@@ -564,19 +574,18 @@ let corrupt_dangling_endpoint (sys : Gen.system) sys_text =
               .Task.name)
       sys.Gen.apps.Appset.graphs;
     !found in
-  match channel_src with
-  | None -> None
-  | Some src ->
-    let needle = Format.asprintf "(from %s)" src in
-    (match find_sub sys_text needle with
-     | None -> None
-     | Some i ->
-       Some
-         (String.sub sys_text 0 i
-          ^ "(from __no_such_task__)"
-          ^ String.sub sys_text
-              (i + String.length needle)
-              (String.length sys_text - i - String.length needle)))
+  Option.bind channel_src (fun src ->
+      replace_first sys_text
+        (Format.asprintf "(from %s)" src)
+        "(from __no_such_task__)")
+
+(* The first task's BCET raised above its WCET: the first (bcet ...) of
+   the written system is the first task's. *)
+let corrupt_bcet (sys : Gen.system) sys_text =
+  let t = Graph.task (Appset.graph sys.Gen.apps 0) 0 in
+  replace_first sys_text
+    (Format.asprintf "(bcet %d)" t.Task.bcet)
+    (Format.asprintf "(bcet %d)" (t.Task.wcet + 1))
 
 (* The plan with its (bind ...) entries rewritten by [f]; [None] when
    [f] finds nothing to corrupt. *)
@@ -624,64 +633,55 @@ let check_lint (sys : Gen.system) =
   let spec = { Spec.arch = sys.Gen.arch; apps = sys.Gen.apps } in
   let sys_text = Spec.write_system spec in
   let plan_text = Spec.write_plan spec sys.Gen.plan in
-  let expect_sys label code text k =
-    let ds, _ = Lint.lint_system text in
-    if
-      List.exists (fun (d : Diagnostic.t) -> d.Diagnostic.code = code) ds
-    then k ()
-    else failf "lint: %s: expected %s, got [%s]" label code (diag_codes ds)
-  in
+  (* lint's first error on a corrupted text is [code], and --no-lint
+     refuses it with that diagnostic alone *)
+  let expect label code ds no_lint_ds =
+    match
+      ( List.filter
+          (fun (d : Diagnostic.t) -> d.Diagnostic.severity = Diagnostic.Error)
+          ds,
+        no_lint_ds )
+    with
+    | d :: _, ([ d' ], None) when d.Diagnostic.code = code && d = d' -> Ok ()
+    | _, (got, _) ->
+      failf "lint: %s: expected %s, got [%s], under --no-lint [%s]" label
+        code (diag_codes ds) (diag_codes got) in
   let ds, built = Lint.lint_system sys_text in
   match structural_errors ds, built with
   | (d : Diagnostic.t) :: _, _ ->
     failf "lint: clean system flagged %s: %s" d.Diagnostic.code
       d.Diagnostic.message
   | [], None -> failf "lint: written system did not build back"
-  | [], Some spec_sys ->
-    let pds = Lint.lint_plan spec_sys plan_text in
-    (match structural_errors pds with
-     | (d : Diagnostic.t) :: _ ->
-       failf "lint: clean plan flagged %s: %s" d.Diagnostic.code
-         d.Diagnostic.message
-     | [] ->
-       let check_dup k =
-         match corrupt_duplicate_proc sys with
-         | None -> k ()
-         | Some text -> expect_sys "duplicated processor" "MC001" text k
-       in
-       let check_dangling k =
-         match corrupt_dangling_endpoint sys sys_text with
-         | None -> k ()
-         | Some text -> expect_sys "dangling endpoint" "MC004" text k in
-       (* lint's first error on a corrupted plan is [code], and
-          --no-lint refuses the plan with that diagnostic alone *)
-       let expect_plan (label, code, corrupt) =
-         match corrupt plan_text with
-         | None -> Ok ()
-         | Some text -> (
-           let ds = Lint.lint_plan spec_sys text in
-           match
-             ( List.filter
-                 (fun (d : Diagnostic.t) ->
-                   d.Diagnostic.severity = Diagnostic.Error)
-                 ds,
-               Lint.ingest ~no_lint:true sys_text (Some text) )
-           with
-           | d :: _, ([ d' ], None) when d.Diagnostic.code = code && d = d' ->
-             Ok ()
-           | _, (got, _) ->
-             failf "lint: %s: expected %s, got [%s], under --no-lint [%s]"
-               label code (diag_codes ds) (diag_codes got)) in
-       check_dup (fun () ->
-           check_dangling (fun () ->
-               List.fold_left
-                 (fun acc c -> Result.bind acc (fun () -> expect_plan c))
-                 (Ok ())
-                 [ ("removed bind", "MC105", corrupt_drop_bind);
-                   ("duplicated bind", "MC104", corrupt_duplicate_bind);
-                   ( "shared replica",
-                     "MC107",
-                     fun _ -> corrupt_shared_replica spec sys.Gen.plan ) ])))
+  | [], Some spec_sys -> (
+    match structural_errors (Lint.lint_plan spec_sys plan_text) with
+    | (d : Diagnostic.t) :: _ ->
+      failf "lint: clean plan flagged %s: %s" d.Diagnostic.code
+        d.Diagnostic.message
+    | [] ->
+      let system_case (label, code, text) =
+        Option.fold text ~none:(Ok ()) ~some:(fun text ->
+            expect label code
+              (fst (Lint.lint_system text))
+              (Lint.ingest ~no_lint:true text None)) in
+      let plan_case (label, code, text) =
+        Option.fold text ~none:(Ok ()) ~some:(fun text ->
+            expect label code
+              (Lint.lint_plan spec_sys text)
+              (Lint.ingest ~no_lint:true sys_text (Some text))) in
+      let results =
+        List.map system_case
+          [ ("duplicated processor", "MC001", corrupt_duplicate_proc sys);
+            ( "dangling endpoint",
+              "MC004",
+              corrupt_dangling_endpoint sys sys_text );
+            ("BCET above WCET", "MC008", corrupt_bcet sys sys_text) ]
+        @ List.map plan_case
+            [ ("removed bind", "MC105", corrupt_drop_bind plan_text);
+              ("duplicated bind", "MC104", corrupt_duplicate_bind plan_text);
+              ( "shared replica",
+                "MC107",
+                corrupt_shared_replica spec sys.Gen.plan ) ] in
+      Option.value (List.find_opt Result.is_error results) ~default:(Ok ()))
 
 (* ------------------------------------------------------------------ *)
 (* (i) Evaluator sessions: cached/incremental evaluation must equal the
@@ -1169,9 +1169,10 @@ let lint_soundness =
     doc =
       "generator output round-trips through the spec writer lint-clean \
        of structural errors, and targeted corruptions (duplicated \
-       processor, dangling endpoint, removed bind, duplicated bind, \
-       replica on its primary's processor) are flagged with their codes, \
-       a corrupted plan under --no-lint with lint's first error";
+       processor, dangling endpoint, BCET above WCET, removed bind, \
+       duplicated bind, replica on its primary's processor) are flagged \
+       with their codes as lint's first error, and refused under \
+       --no-lint with that error alone";
     check = check_lint }
 
 let evaluator_agreement =

@@ -23,268 +23,21 @@ let emit ctx ?pos ?fixit ~code fmt =
       ctx.acc <- D.make ?file:ctx.file ?pos ?fixit ~code message :: ctx.acc)
     fmt
 
-let has_errors ctx =
-  List.exists (fun (d : D.t) -> d.D.severity = D.Error) ctx.acc
-
 let loc_value (l : _ Ast.located) = l.Ast.v
 
 (* ------------------------------------------------------------------ *)
-(* MC0xx: model well-formedness over the raw AST *)
+(* MC012/MC013: advisories over the raw AST, which never block a build;
+   [Spec.build_system] finds every system-text error *)
 
-let check_duplicates ctx ~code ~what names =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (n : string Ast.located) ->
-      (match Hashtbl.find_opt seen n.Ast.v with
-       | Some (first : Sexp.pos) ->
-         emit ctx ~pos:n.Ast.pos ~code
-           ~fixit:(Format.asprintf "rename one of the two occurrences")
-           "duplicate %s %s (first declared at %a)" what n.Ast.v Sexp.pp_pos
-           first
-       | None -> Hashtbl.add seen n.Ast.v n.Ast.pos))
-    names
-
-let check_proc ctx (p : Ast.proc) =
-  let name = loc_value p.Ast.p_name in
-  let nonneg what (l : float Ast.located option) =
-    match l with
-    | Some { Ast.v; pos } when v < 0. ->
-      emit ctx ~pos ~code:"MC016" "processor %s: negative %s %g" name what v
-    | _ -> () in
-  (match p.Ast.p_speed with
-   | Some { Ast.v; pos } when v <= 0. ->
-     emit ctx ~pos ~code:"MC016"
-       "processor %s: speed must be positive, got %g" name v
-   | Some { Ast.v; pos } when not (Float.is_finite v) ->
-     emit ctx ~pos ~code:"MC016"
-       "processor %s: speed must be finite, got %g" name v
-   | _ -> ());
-  nonneg "static power" p.Ast.p_static;
-  nonneg "dynamic power" p.Ast.p_dynamic;
-  nonneg "fault rate" p.Ast.p_fault_rate;
-  match p.Ast.p_policy with
-  | Some { Ast.v; pos }
-    when v <> "preemptive" && v <> "non-preemptive" ->
-    emit ctx ~pos ~code:"MC016"
-      ~fixit:"use (policy preemptive) or (policy non-preemptive)"
-      "processor %s: unknown policy %s" name v
+let check_deadline_overlap ctx (g : Ast.app) =
+  match g.Ast.g_deadline with
+  | Some { Ast.v = d; pos }
+    when d > 0 && g.Ast.g_period.Ast.v > 0 && d > g.Ast.g_period.Ast.v ->
+    emit ctx ~pos ~code:"MC012"
+      "application %s: deadline %d exceeds period %d — successive \
+       instances overlap"
+      (loc_value g.Ast.g_name) d g.Ast.g_period.Ast.v
   | _ -> ()
-
-let check_bus ctx (b : Ast.bus) =
-  (match b.Ast.i_bandwidth with
-   | Some { Ast.v; pos } when v <= 0 ->
-     emit ctx ~pos ~code:"MC016"
-       "bus bandwidth must be positive, got %d" v
-   | _ -> ());
-  match b.Ast.i_latency with
-  | Some { Ast.v; pos } when v < 0 ->
-    emit ctx ~pos ~code:"MC016" "bus latency must be non-negative, got %d" v
-  | _ -> ()
-
-let check_noc ctx (n : Ast.noc) ~n_procs procs =
-  let positive what (l : int Ast.located) =
-    if l.Ast.v <= 0 then
-      emit ctx ~pos:l.Ast.pos ~code:"MC019"
-        ~fixit:(Format.asprintf "use a positive %s" what)
-        "noc: %s must be positive, got %d" what l.Ast.v in
-  positive "cols" n.Ast.n_cols;
-  positive "rows" n.Ast.n_rows;
-  (match n.Ast.n_link_bandwidth with
-   | Some { Ast.v; pos } when v <= 0 ->
-     emit ctx ~pos ~code:"MC019"
-       "noc: link bandwidth must be positive, got %d" v
-   | _ -> ());
-  let nonneg what (l : int Ast.located option) =
-    match l with
-    | Some { Ast.v; pos } when v < 0 ->
-      emit ctx ~pos ~code:"MC019" "noc: %s must be non-negative, got %d"
-        what v
-    | _ -> () in
-  nonneg "hop latency" n.Ast.n_hop_latency;
-  nonneg "router latency" n.Ast.n_router_latency;
-  let cols = n.Ast.n_cols.Ast.v and rows = n.Ast.n_rows.Ast.v in
-  if cols > 0 && rows > 0 && cols * rows < n_procs then begin
-    emit ctx ~pos:n.Ast.n_pos ~code:"MC020"
-      ~fixit:
-        (Format.asprintf "grow the mesh to at least %d nodes, e.g. %dx%d"
-           n_procs
-           (min cols n_procs)
-           (Mathx.ceil_div n_procs (min cols n_procs)))
-      "noc: the %dx%d mesh has %d nodes for %d processors" cols rows
-      (cols * rows) n_procs;
-    (* Row-major placement: processor [i] sits at node
-       [(i mod cols, i / cols)]; every id beyond the capacity maps to a
-       coordinate outside the mesh. *)
-    List.iteri
-      (fun id (p : Ast.proc) ->
-        if id >= cols * rows then
-          let x, y = (id mod cols, id / cols) in
-          emit ctx ~pos:p.Ast.p_name.Ast.pos ~code:"MC021"
-            ~fixit:"grow the mesh or remove the processor"
-            "processor %s maps to node (%d, %d), outside the %dx%d mesh"
-            (loc_value p.Ast.p_name) x y cols rows)
-      procs
-  end
-
-let check_arch ctx (a : Ast.arch) =
-  if a.Ast.a_procs = [] then
-    emit ctx ~pos:a.Ast.a_pos ~code:"MC015"
-      ~fixit:"add at least one (processor (name ...)) entry"
-      "architecture declares no processors";
-  (match a.Ast.a_interconnect with
-   | None -> ()
-   | Some (Ast.I_bus b) -> check_bus ctx b
-   | Some (Ast.I_noc n) ->
-     check_noc ctx n ~n_procs:(List.length a.Ast.a_procs) a.Ast.a_procs);
-  check_duplicates ctx ~code:"MC001" ~what:"processor name"
-    (List.map (fun (p : Ast.proc) -> p.Ast.p_name) a.Ast.a_procs);
-  List.iter (check_proc ctx) a.Ast.a_procs
-
-let check_task ctx ~app (t : Ast.task) =
-  let name = loc_value t.Ast.t_name in
-  let wcet = t.Ast.t_wcet in
-  if wcet.Ast.v <= 0 then
-    emit ctx ~pos:wcet.Ast.pos ~code:"MC009"
-      "task %s.%s: WCET must be positive, got %d" app name wcet.Ast.v;
-  let nonneg what (l : int Ast.located option) =
-    match l with
-    | Some { Ast.v; pos } when v < 0 ->
-      emit ctx ~pos ~code:"MC009" "task %s.%s: negative %s %d" app name what
-        v
-    | _ -> () in
-  nonneg "BCET" t.Ast.t_bcet;
-  nonneg "detection overhead" t.Ast.t_detect;
-  nonneg "voting overhead" t.Ast.t_vote;
-  match t.Ast.t_bcet with
-  | Some { Ast.v = bcet; pos } when bcet >= 0 && bcet > wcet.Ast.v ->
-    emit ctx ~pos ~code:"MC008"
-      ~fixit:(Format.asprintf "lower bcet to at most %d" wcet.Ast.v)
-      "task %s.%s: BCET %d exceeds WCET %d" app name bcet wcet.Ast.v
-  | _ -> ()
-
-(* Kahn over channels whose endpoints resolve; dangling endpoints are
-   reported separately (MC004) and must not hide or fake a cycle. *)
-let check_cycle ctx ~app ~pos tasks channels =
-  let n = List.length tasks in
-  let index = Hashtbl.create 16 in
-  List.iteri
-    (fun i (t : Ast.task) -> Hashtbl.replace index t.Ast.t_name.Ast.v i)
-    tasks;
-  let succs = Array.make n [] in
-  let indeg = Array.make n 0 in
-  List.iter
-    (fun (c : Ast.channel) ->
-      match
-        ( Hashtbl.find_opt index c.Ast.c_from.Ast.v,
-          Hashtbl.find_opt index c.Ast.c_to.Ast.v )
-      with
-      | Some src, Some dst when src <> dst ->
-        succs.(src) <- dst :: succs.(src);
-        indeg.(dst) <- indeg.(dst) + 1
-      | _ -> ())
-    channels;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let visited = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    incr visited;
-    List.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.add w queue)
-      succs.(v)
-  done;
-  if !visited < n then begin
-    let cyclic =
-      List.filteri (fun i _ -> indeg.(i) > 0) tasks
-      |> List.map (fun (t : Ast.task) -> t.Ast.t_name.Ast.v) in
-    emit ctx ~pos ~code:"MC007"
-      "application %s: channels form a dependency cycle through %s" app
-      (String.concat ", " cyclic)
-  end
-
-let check_app ctx (g : Ast.app) =
-  let app = loc_value g.Ast.g_name in
-  if g.Ast.g_period.Ast.v <= 0 then
-    emit ctx ~pos:g.Ast.g_period.Ast.pos ~code:"MC010"
-      "application %s: period must be positive, got %d" app
-      g.Ast.g_period.Ast.v;
-  (match g.Ast.g_deadline with
-   | Some { Ast.v; pos } when v <= 0 ->
-     emit ctx ~pos ~code:"MC011"
-       "application %s: deadline must be positive, got %d" app v
-   | _ -> ());
-  (match g.Ast.g_deadline with
-   | Some { Ast.v = d; pos }
-     when d > 0 && g.Ast.g_period.Ast.v > 0 && d > g.Ast.g_period.Ast.v ->
-     emit ctx ~pos ~code:"MC012"
-       "application %s: deadline %d exceeds period %d — successive \
-        instances overlap"
-       app d g.Ast.g_period.Ast.v
-   | _ -> ());
-  (match g.Ast.g_critical, g.Ast.g_droppable with
-   | Some _, Some { Ast.pos; _ } ->
-     emit ctx ~pos ~code:"MC017"
-       ~fixit:"keep exactly one of the two attributes"
-       "application %s declares both (critical ...) and (droppable ...)"
-       app
-   | None, None ->
-     emit ctx ~pos:g.Ast.g_pos ~code:"MC017"
-       ~fixit:"add (critical <rate>) or (droppable <service-value>)"
-       "application %s declares neither (critical ...) nor (droppable \
-        ...)"
-       app
-   | Some { Ast.v; pos }, None when not (v > 0. && v <= 1.) ->
-     emit ctx ~pos ~code:"MC017"
-       "application %s: failure-rate bound must lie in (0, 1], got %g" app
-       v
-   | None, Some { Ast.v; pos } when v < 0. ->
-     emit ctx ~pos ~code:"MC017"
-       "application %s: service value must be non-negative, got %g" app v
-   | _ -> ());
-  if g.Ast.g_tasks = [] then
-    emit ctx ~pos:g.Ast.g_pos ~code:"MC014"
-      "application %s declares no tasks" app;
-  check_duplicates ctx ~code:"MC003"
-    ~what:(Format.asprintf "task name in application %s" app)
-    (List.map (fun (t : Ast.task) -> t.Ast.t_name) g.Ast.g_tasks);
-  List.iter (check_task ctx ~app) g.Ast.g_tasks;
-  let task_names = Hashtbl.create 16 in
-  List.iter
-    (fun (t : Ast.task) -> Hashtbl.replace task_names t.Ast.t_name.Ast.v ())
-    g.Ast.g_tasks;
-  let seen_pairs = Hashtbl.create 16 in
-  List.iter
-    (fun (c : Ast.channel) ->
-      let endpoint (e : string Ast.located) =
-        if not (Hashtbl.mem task_names e.Ast.v) then
-          emit ctx ~pos:e.Ast.pos ~code:"MC004"
-            "application %s: channel endpoint %s is not a task of this \
-             application"
-            app e.Ast.v in
-      endpoint c.Ast.c_from;
-      endpoint c.Ast.c_to;
-      if c.Ast.c_from.Ast.v = c.Ast.c_to.Ast.v then
-        emit ctx ~pos:c.Ast.c_pos ~code:"MC005"
-          "application %s: channel from %s to itself" app c.Ast.c_from.Ast.v;
-      (match c.Ast.c_size with
-       | Some { Ast.v; pos } when v < 0 ->
-         emit ctx ~pos ~code:"MC018"
-           "application %s: channel %s -> %s has negative size %d" app
-           c.Ast.c_from.Ast.v c.Ast.c_to.Ast.v v
-       | _ -> ());
-      let pair = (c.Ast.c_from.Ast.v, c.Ast.c_to.Ast.v) in
-      (match Hashtbl.find_opt seen_pairs pair with
-       | Some (first : Sexp.pos) ->
-         emit ctx ~pos:c.Ast.c_pos ~code:"MC006"
-           ~fixit:"merge the payloads into a single channel"
-           "application %s: duplicate channel %s -> %s (first declared at \
-            %a)"
-           app c.Ast.c_from.Ast.v c.Ast.c_to.Ast.v Sexp.pp_pos first
-       | None -> Hashtbl.add seen_pairs pair c.Ast.c_pos))
-    g.Ast.g_channels;
-  check_cycle ctx ~app ~pos:g.Ast.g_pos g.Ast.g_tasks g.Ast.g_channels
 
 (* The hyperperiod is the LCM of the periods; wildly co-prime periods
    make it overflow any practical simulation horizon. *)
@@ -309,40 +62,9 @@ let check_hyperperiod ctx (apps : Ast.app list) =
       end in
   go 1 apps
 
-(* MC022: the job budget of [Spec.build_system], reported on the AST with
-   a fix-it so it is found alongside every other problem of the file. *)
-let check_job_budget ctx (apps : Ast.app list) =
-  match Spec.over_job_budget apps with
-  | None -> ()
-  | Some (total, g, count) ->
-    emit ctx ~pos:g.Ast.g_period.Ast.pos ~code:"MC022"
-      ~fixit:
-        (Format.asprintf
-           "lengthen the period of application %s or harmonise the \
-            periods so the hyperperiod shrinks"
-           (loc_value g.Ast.g_name))
-      "one hyperperiod expands to %a jobs, over the budget of %d \
-       (application %s alone contributes %a)"
-      Spec.pp_jobs total Spec.job_budget (loc_value g.Ast.g_name)
-      Spec.pp_jobs count
-
-(* MC023: the time cap of [Spec.build_system], every offending time
-   reported where it is written. *)
-let check_time_cap ctx (s : Ast.system) =
-  List.iter
-    (fun (pos, msg) ->
-      emit ctx ~pos ~code:"MC023"
-        ~fixit:"express the system in a coarser time unit" "%s" msg)
-    (Spec.over_time_cap s)
-
-let check_system_ast ctx (s : Ast.system) =
-  check_arch ctx s.Ast.sys_arch;
-  check_duplicates ctx ~code:"MC002" ~what:"application name"
-    (List.map (fun (g : Ast.app) -> g.Ast.g_name) s.Ast.sys_apps);
-  List.iter (check_app ctx) s.Ast.sys_apps;
-  check_hyperperiod ctx s.Ast.sys_apps;
-  check_job_budget ctx s.Ast.sys_apps;
-  check_time_cap ctx s
+let check_advisories ctx (s : Ast.system) =
+  List.iter (check_deadline_overlap ctx) s.Ast.sys_apps;
+  check_hyperperiod ctx s.Ast.sys_apps
 
 (* ------------------------------------------------------------------ *)
 (* MC2xx: schedulability necessary conditions on the built system *)
@@ -632,58 +354,45 @@ let diag_of_error ?file ~code (e : Spec.error) =
     ~code:(Option.value e.Ast.code ~default:code)
     e.Ast.msg
 
-let lint_system ?file input =
+(* One half of the gate: a text's diagnostics, and its model when it was
+   built. [build] finds every error in the text. With [no_lint] the first
+   is the one diagnostic; otherwise all of them are, with the advisories
+   [advise] finds on the AST and, on a built model, the model checks. *)
+let half ?file ~no_lint ~code ~parse ~build ~advise ~model text =
   let ctx = { file; acc = [] } in
-  let sys =
-    match Spec.parse_system input with
-    | Error e ->
-      ctx.acc <- [ diag_of_error ?file ~code:"MC000" e ];
-      None
-    | Ok ast ->
-      check_system_ast ctx ast;
-      (match Spec.build_system ast with
-       | Ok sys ->
-         if not (has_errors ctx) then check_system_model ctx ast sys;
-         Some sys
-       | Error e ->
-         (* every build rejection should have a dedicated check above;
-            report anything that slips through rather than hide it *)
-         if not (has_errors ctx) then
-           ctx.acc <- diag_of_error ?file ~code:"MC000" e :: ctx.acc;
-         None) in
-  (D.sort ctx.acc, sys)
-
-(* The system half of the gate: linted, or with [no_lint] parsed and
-   built only, the first failure becoming the one diagnostic. *)
-let ingest_system ?file ~no_lint text =
-  if not no_lint then lint_system ?file text
-  else
-    match Result.bind (Spec.parse_system text) Spec.build_system with
-    | Ok sys -> ([], Some sys)
-    | Error e -> ([ diag_of_error ?file ~code:"MC000" e ], None)
-
-(* The plan half: its diagnostics, and the plan when it was built.
-   [Spec.build_plan] finds every error in the text. With [no_lint] the
-   first is the one diagnostic; otherwise all of them are, with MC109
-   and, on a built plan, the model checks. *)
-let plan_against ?file ~no_lint (sys : Spec.system) text =
-  let ctx = { file; acc = [] } in
-  let add e = ctx.acc <- diag_of_error ?file ~code:"MC100" e :: ctx.acc in
-  let plan =
-    match Spec.parse_plan text with
+  let add e = ctx.acc <- diag_of_error ?file ~code e :: ctx.acc in
+  let built =
+    match parse text with
     | Error e ->
       add e;
       None
     | Ok ast -> (
-      if not no_lint then check_dropped_twice ctx ast;
-      match Spec.build_plan sys ast with
-      | Ok plan ->
-        if not no_lint then check_plan_model ctx ~pos:ast.Ast.pl_pos sys plan;
-        Some plan
+      if not no_lint then advise ctx ast;
+      match build ast with
+      | Ok built ->
+        if not no_lint then model ctx ast built;
+        Some built
       | Error es ->
-        List.iter add (if no_lint then [ List.hd es ] else es);
+        (* added last first, so that [D.sort] keeps [es]'s order where
+           two tie: the first error is the same with and without
+           [no_lint] *)
+        List.iter add (if no_lint then [ List.hd es ] else List.rev es);
         None) in
-  (D.sort ctx.acc, plan)
+  (D.sort ctx.acc, built)
+
+let ingest_system ?file ~no_lint text =
+  half ?file ~no_lint ~code:"MC000" ~parse:Spec.parse_system
+    ~build:Spec.build_system ~advise:check_advisories
+    ~model:check_system_model text
+
+let lint_system ?file text = ingest_system ?file ~no_lint:false text
+
+let plan_against ?file ~no_lint (sys : Spec.system) text =
+  half ?file ~no_lint ~code:"MC100" ~parse:Spec.parse_plan
+    ~build:(Spec.build_plan sys) ~advise:check_dropped_twice
+    ~model:(fun ctx ast plan ->
+      check_plan_model ctx ~pos:ast.Ast.pl_pos sys plan)
+    text
 
 let lint_plan ?file sys text = fst (plan_against ?file ~no_lint:false sys text)
 

@@ -3,10 +3,14 @@
     Runs ~30 checks over system and plan files, each producing a
     {!Diagnostic.t} with a stable code:
 
-    - [MC0xx] — model well-formedness, checked on the raw located AST
-      so a single run reports every problem with its source line:
-      duplicate names, dangling channel endpoints, self-loops,
-      dependency cycles, out-of-domain attributes, hyperperiod blowup.
+    - [MC0xx] — model well-formedness: duplicate names, dangling
+      channel endpoints, self-loops, dependency cycles, out-of-domain
+      attributes, the job budget and the time cap. Every system-text
+      error ([MC001]–[MC011], [MC014]–[MC023]) is found by
+      [Spec.build_system], the one system checker, in a single walk
+      over the located AST, and reported here as it is; only the
+      advisories, the [MC012] hint (a deadline past the period) and the
+      [MC013] warning (a hyperperiod blowup), are checked here.
     - [MC1xx] — plan consistency against the system: unknown names,
       double or missing bindings, replica arity and collisions,
       dropped-set abuse, out-of-domain technique parameters. Every
@@ -22,11 +26,10 @@
       hardening technique can reach within the deadline (system), and
       closed-form constraint violations (plan).
 
-    Model-level checks ([MC2xx]/[MC3xx]) only run when the file has no
-    error-severity structural diagnostics — a broken file cannot be
-    built into a model. A reading error's own code ([Spec.error]'s
-    [code]) is its diagnostic's code; a shaping error without one is
-    [MC000] (system) or [MC100] (plan). *)
+    Model-level checks ([MC2xx]/[MC3xx]) only run on a built model,
+    and a text with an error does not build. A reading error's own code
+    ([Spec.error]'s [code]) is its diagnostic's code; a shaping error
+    without one is [MC000] (system) or [MC100] (plan). *)
 
 val ingest :
   ?system_file:string ->
@@ -45,9 +48,10 @@ val ingest :
     gate runs over both (the plan half is skipped when the system does
     not build) and the diagnostics are every finding, as {!lint_files}
     reports them. With [~no_lint:true] the texts are only parsed and
-    built, and the diagnostics are the first build error, if any. For
-    the plan that is lint's first error: the same code, position and
-    message, since lint and the build share [Spec.build_plan].
+    built, and the diagnostics are the first build error, if any. That
+    is lint's first error: the same code, position and message, since
+    lint and the build share [Spec.build_system] and
+    [Spec.build_plan].
 
     The built system and plan come back exactly when no diagnostic has
     error severity. A system over [Spec.job_budget] never builds, so
@@ -68,12 +72,14 @@ val ingest_system :
   no_lint:bool ->
   string ->
   Diagnostic.t list * Mcmap_spec.Spec.system option
-(** The system half of {!ingest}: {!lint_system} with
-    [~no_lint:false]; with [~no_lint:true], parsing and building only,
-    the first build error as the one diagnostic ([MC000] for a model
-    constructor's failure, where lint reports its own [MC0xx] check).
-    The result depends on the text (and [file]) alone, so a caller may
-    keep it and pass it to {!ingest_plan} for any number of plans. *)
+(** The system half of {!ingest}: the system's diagnostics, and the
+    system when it was built. With [~no_lint:false] the text is linted
+    (parse, [Spec.build_system]'s errors, [MC012]/[MC013], and the
+    model checks on a built system); with [~no_lint:true] it is only
+    parsed and built, the first failure becoming the one diagnostic —
+    lint's first error. The result depends on the text, [no_lint] and
+    [file] alone, so a caller may keep it and pass it to {!ingest_plan}
+    for any number of plans. *)
 
 val ingest_plan :
   ?file:string ->
@@ -117,10 +123,10 @@ val combine :
 
 val lint_system :
   ?file:string -> string -> Diagnostic.t list * Mcmap_spec.Spec.system option
-(** The system half of {!ingest}'s gate. Also returns the built system
-    when construction succeeded, even with error diagnostics, so
-    callers can go on to lint a plan against it. Diagnostics are sorted
-    by position. *)
+(** {!ingest_system} with [~no_lint:false]: every diagnostic of the
+    system text, sorted by position, and the system when it was built —
+    when it has no system-text error, though the model checks may still
+    report one. *)
 
 val lint_plan :
   ?file:string -> Mcmap_spec.Spec.system -> string -> Diagnostic.t list

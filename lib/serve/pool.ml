@@ -132,11 +132,18 @@ let ingest t ~no_lint ~text plan =
     Obs.incr ~label:"miss" "serve.pool";
     let ((lint, built) as linted) =
       Lint.lint_system ~file:system_file text in
+    (* [(no-lint)] refuses a system with its first error, the first
+       error-severity diagnostic of lint: advisories never are errors *)
     let ((diags, _) as half) =
       match no_lint, built with
       | false, _ -> linted
       | true, Some _ -> ([], built)
-      | true, None -> Lint.ingest_system ~file:system_file ~no_lint text in
+      | true, None ->
+        ( Option.to_list
+            (List.find_opt
+               (fun d -> d.Diagnostic.severity = Diagnostic.Error)
+               lint),
+          None ) in
     match built with
     | Some system when Diagnostic.error_count diags = 0 ->
       (* Build outside the lock: session construction must not block

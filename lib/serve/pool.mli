@@ -41,7 +41,9 @@
     hit writes nothing; a linted request on a system pooled under
     [(no-lint)] is refused if its diagnostics hold an error — a system
     with lint errors is never evaluated for a linted request. The cost
-    is one [Lint.lint_system] per [(no-lint)] pool miss.
+    is one [Lint.lint_system] per [(no-lint)] pool miss; a [(no-lint)]
+    miss whose system does not build is refused with that lint's first
+    error, the cold path's one diagnostic.
 
     {b Memory.} A plan text enters its entry's memo on its second
     request: the first only notes the key's hash, in an LRU of at most

@@ -3,9 +3,9 @@
     Stage one of reading a file: located s-expressions are shaped into
     records — every field known, of the right arity and primitive type,
     carrying its source position — and anything else is rejected with a
-    located error. {!Spec} resolves names and builds the validated
-    model from this form; [Mcmap_lint] runs its semantic checks over
-    it. *)
+    located error. {!Spec} checks it, resolves names and builds the
+    validated model from this form; [Mcmap_lint] adds its advisories
+    over it. *)
 
 type pos = Mcmap_util.Sexp.pos
 

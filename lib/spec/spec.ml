@@ -27,147 +27,20 @@ let error_to_string = Ast.error_to_string
 
 let ( let* ) = Result.bind
 
-let rec collect f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = collect f rest in
-    Ok (y :: ys)
-
-let errf ?pos ?code fmt =
+(* Text errors are gathered in reverse into [errors], each with its lint
+   code. *)
+let report errors ?fixit ~code pos fmt =
   Format.kasprintf
-    (fun msg -> Error { epos = pos; code; msg; fixit = None })
+    (fun msg ->
+      errors := { epos = Some pos; code = Some code; msg; fixit } :: !errors)
     fmt
 
-(* Model constructors signal invariant breaches with [Invalid_argument];
-   attach the position of the block being built. *)
-let protect_at pos f =
-  try Ok (f ()) with
-  | Invalid_argument msg -> errf ~pos "%s" msg
+(* Position first, then code, the order [mcmap lint] reports in; every
+   text error has a position. *)
+let compare_errors (a : error) (b : error) =
+  compare (a.epos, a.code) (b.epos, b.code)
 
-(* ------------------------------------------------------------------ *)
-(* Building the model from the raw AST *)
-
-let build_proc id (p : Ast.proc) =
-  let* policy =
-    match p.Ast.p_policy with
-    | None -> Ok Proc.Preemptive_fp
-    | Some { v = "preemptive"; _ } -> Ok Proc.Preemptive_fp
-    | Some { v = "non-preemptive"; _ } -> Ok Proc.Non_preemptive_fp
-    | Some { v = other; pos } ->
-      errf ~pos
-        "processor %s: unknown policy %s (expected preemptive or \
-         non-preemptive)"
-        p.Ast.p_name.Ast.v other in
-  let value o = Option.map (fun (l : _ Ast.located) -> l.Ast.v) o in
-  protect_at p.Ast.p_pos (fun () ->
-      Proc.make
-        ?proc_type:(value p.Ast.p_type)
-        ?static_power:(value p.Ast.p_static)
-        ?dynamic_power:(value p.Ast.p_dynamic)
-        ?fault_rate:(value p.Ast.p_fault_rate)
-        ?speed:(value p.Ast.p_speed)
-        ~policy ~id ~name:p.Ast.p_name.Ast.v ())
-
-let check_unique ~what names =
-  let seen = Hashtbl.create 16 in
-  let rec go = function
-    | [] -> Ok ()
-    | (name : string Ast.located) :: rest ->
-      if Hashtbl.mem seen name.Ast.v then
-        errf ~pos:name.Ast.pos "duplicate %s %s" what name.Ast.v
-      else begin
-        Hashtbl.add seen name.Ast.v ();
-        go rest
-      end in
-  go names
-
-let build_arch (a : Ast.arch) =
-  if a.Ast.a_procs = [] then
-    errf ~pos:a.Ast.a_pos "architecture: no processors"
-  else begin
-    let* () =
-      check_unique ~what:"processor name"
-        (List.map (fun (p : Ast.proc) -> p.Ast.p_name) a.Ast.a_procs) in
-    let* procs =
-      collect
-        (fun (id, p) -> build_proc id p)
-        (List.mapi (fun id p -> (id, p)) a.Ast.a_procs) in
-    let value ~default o =
-      Option.fold ~none:default ~some:(fun (l : _ Ast.located) -> l.Ast.v) o
-    in
-    let interconnect =
-      match a.Ast.a_interconnect with
-      | None -> Interconnect.default
-      | Some (Ast.I_bus b) ->
-        Interconnect.Bus
-          { bandwidth = value ~default:1 b.Ast.i_bandwidth;
-            latency = value ~default:0 b.Ast.i_latency }
-      | Some (Ast.I_noc n) ->
-        Interconnect.Noc
-          { cols = n.Ast.n_cols.Ast.v; rows = n.Ast.n_rows.Ast.v;
-            link_bandwidth = value ~default:1 n.Ast.n_link_bandwidth;
-            hop_latency = value ~default:0 n.Ast.n_hop_latency;
-            router_latency = value ~default:0 n.Ast.n_router_latency } in
-    protect_at a.Ast.a_pos (fun () ->
-        Arch.make ~interconnect (Array.of_list procs))
-  end
-
-let build_task id (t : Ast.task) =
-  let value o = Option.map (fun (l : _ Ast.located) -> l.Ast.v) o in
-  protect_at t.Ast.t_pos (fun () ->
-      Task.make
-        ?bcet:(value t.Ast.t_bcet)
-        ?detection_overhead:(value t.Ast.t_detect)
-        ?voting_overhead:(value t.Ast.t_vote)
-        ~id ~name:t.Ast.t_name.Ast.v ~wcet:t.Ast.t_wcet.Ast.v ())
-
-let build_app (g : Ast.app) =
-  let name = g.Ast.g_name.Ast.v in
-  let* criticality =
-    match g.Ast.g_critical, g.Ast.g_droppable with
-    | Some f, None ->
-      protect_at f.Ast.pos (fun () -> Criticality.critical f.Ast.v)
-    | None, Some sv ->
-      protect_at sv.Ast.pos (fun () -> Criticality.droppable sv.Ast.v)
-    | Some _, Some d ->
-      errf ~pos:d.Ast.pos
-        "application %s: both (critical ...) and (droppable ...)" name
-    | None, None ->
-      errf ~pos:g.Ast.g_pos
-        "application %s: needs (critical <rate>) or (droppable <sv>)" name
-  in
-  let* () =
-    check_unique ~what:("task in application " ^ name)
-      (List.map (fun (t : Ast.task) -> t.Ast.t_name) g.Ast.g_tasks) in
-  let* tasks =
-    collect
-      (fun (id, t) -> build_task id t)
-      (List.mapi (fun id t -> (id, t)) g.Ast.g_tasks) in
-  let task_index = Hashtbl.create 16 in
-  List.iter
-    (fun (t : Task.t) -> Hashtbl.add task_index t.Task.name t.Task.id)
-    tasks;
-  let* channels =
-    collect
-      (fun (c : Ast.channel) ->
-        let resolve (n : string Ast.located) =
-          match Hashtbl.find_opt task_index n.Ast.v with
-          | Some id -> Ok id
-          | None ->
-            errf ~pos:n.Ast.pos "channel: unknown task %s" n.Ast.v in
-        let* src = resolve c.Ast.c_from in
-        let* dst = resolve c.Ast.c_to in
-        let size =
-          Option.map (fun (l : _ Ast.located) -> l.Ast.v) c.Ast.c_size in
-        protect_at c.Ast.c_pos (fun () -> Channel.make ?size ~src ~dst ()))
-      g.Ast.g_channels in
-  let deadline =
-    Option.map (fun (l : _ Ast.located) -> l.Ast.v) g.Ast.g_deadline in
-  protect_at g.Ast.g_pos (fun () ->
-      Graph.make ?deadline ~name ~tasks:(Array.of_list tasks)
-        ~channels:(Array.of_list channels)
-        ~period:g.Ast.g_period.Ast.v ~criticality ())
+let sorted errors = List.stable_sort compare_errors (List.rev errors)
 
 (* ------------------------------------------------------------------ *)
 (* Job budget *)
@@ -182,129 +55,420 @@ let job_budget = 5_000
 (* Saturating: [max_int] stands for any count an int cannot hold. *)
 let sat_mul a b = if b <> 0 && a > max_int / b then max_int else a * b
 
-(* Per application, its jobs over one hyperperiod, [(H / period) * tasks]
-   in declaration order. Applications with a non-positive period expand
-   to no jobs. *)
-let jobs_per_app (apps : Ast.app list) =
-  let period (g : Ast.app) = g.Ast.g_period.Ast.v in
-  let h =
-    List.fold_left
-      (fun h g ->
-        let p = period g in
-        if p <= 0 then h else sat_mul h (p / Mathx.gcd h p))
-      1 apps in
-  List.map
-    (fun (g : Ast.app) ->
-      let p = period g and tasks = List.length g.Ast.g_tasks in
-      if p <= 0 || tasks = 0 then 0
-      else if h = max_int then max_int
-      else sat_mul (h / p) tasks)
-    apps
+let sat_add a b = if a > max_int - b then max_int else a + b
 
-let over_job_budget apps =
-  let counts = jobs_per_app apps in
-  let total =
-    List.fold_left
-      (fun acc c -> if acc > max_int - c then max_int else acc + c)
-      0 counts in
-  if total <= job_budget then None
-  else
-    (* the budget is positive, so some application contributes *)
-    let largest, jobs =
-      List.fold_left
-        (fun ((_, best) as acc) ((_, c) as cand) ->
-          if c > best then cand else acc)
-        (List.hd apps, -1)
-        (List.combine apps counts) in
-    Some (total, largest, jobs)
+(* An application's jobs over one hyperperiod [h], [(h / period) *
+   tasks]; one with a non-positive period expands to no jobs. *)
+let app_jobs h (g : Ast.app) =
+  let p = g.Ast.g_period.Ast.v and tasks = List.length g.Ast.g_tasks in
+  if p <= 0 || tasks = 0 then 0
+  else if h = max_int then max_int
+  else sat_mul (h / p) tasks
 
 let pp_jobs ppf n =
   if n = max_int then Format.pp_print_string ppf "more than 2^62"
   else Format.pp_print_int ppf n
 
-(* Every time the analyses read must stay exact: a task time scaled
-   past [Proc.max_scaled_time] saturates, which would understate it, and
-   a period or deadline at the cap could be met by a saturated time.
-   [scale_time] grows with the speed factor, so the slowest valid
-   processor bounds every placement. *)
-let over_time_cap (raw : Ast.system) =
-  let speed =
+(* MC022, at the period of the application contributing the most jobs
+   (the first of equals). *)
+let check_job_budget errors (apps : Ast.app list) =
+  let h =
     List.fold_left
-      (fun s (p : Ast.proc) ->
-        match p.Ast.p_speed with
-        | None -> Float.max s 1.
-        | Some { Ast.v; _ } when Float.is_finite v && v > 0. -> Float.max s v
-        | Some _ -> s)
-      0. raw.Ast.sys_arch.Ast.a_procs in
-  List.concat_map
-    (fun (g : Ast.app) ->
-      let app = g.Ast.g_name.Ast.v in
-      let bound what (l : int Ast.located) =
-        if Proc.saturates ~speed:1. l.Ast.v then
-          [ ( l.Ast.pos,
-              Format.asprintf "application %s: %s %d reaches the time cap \
-                               2^40"
-                app what l.Ast.v ) ]
-        else [] in
-      let scaled (t : Ast.task) what = function
-        | Some (l : int Ast.located) when Proc.saturates ~speed l.Ast.v ->
-          [ ( l.Ast.pos,
-              Format.asprintf
-                "task %s.%s: %s %d on the slowest processor (speed %g) \
-                 reaches the time cap 2^40"
-                app t.Ast.t_name.Ast.v what l.Ast.v speed ) ]
-        | _ -> [] in
-      bound "period" g.Ast.g_period
-      @ Option.fold ~none:[] ~some:(bound "deadline") g.Ast.g_deadline
-      @ List.concat_map
-          (fun (t : Ast.task) ->
-            scaled t "WCET" (Some t.Ast.t_wcet)
-            @ scaled t "BCET" t.Ast.t_bcet
-            @ scaled t "detection overhead" t.Ast.t_detect
-            @ scaled t "voting overhead" t.Ast.t_vote)
-          g.Ast.g_tasks)
-    raw.Ast.sys_apps
+      (fun h (g : Ast.app) ->
+        let p = g.Ast.g_period.Ast.v in
+        if p <= 0 then h else sat_mul h (p / Mathx.gcd h p))
+      1 apps in
+  let total =
+    List.fold_left (fun acc g -> sat_add acc (app_jobs h g)) 0 apps in
+  if total > job_budget then begin
+    (* the budget is positive, so some application contributes *)
+    let g, jobs =
+      List.fold_left
+        (fun ((_, best) as acc) g ->
+          let jobs = app_jobs h g in
+          if jobs > best then (g, jobs) else acc)
+        (List.hd apps, -1) apps in
+    let name = g.Ast.g_name.Ast.v in
+    report errors ~code:"MC022" g.Ast.g_period.Ast.pos
+      ~fixit:
+        (Format.asprintf
+           "lengthen the period of application %s or harmonise the periods \
+            so the hyperperiod shrinks"
+           name)
+      "one hyperperiod expands to %a jobs, over the budget of %d \
+       (application %s alone contributes %a)"
+      pp_jobs total job_budget name pp_jobs jobs
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Systems: one walk over the AST reports every error; the model is built
+   only when it found none *)
+
+(* Every name after its first occurrence is reported under [code]; the
+   result maps each name to the index and position of its first
+   occurrence. *)
+let index_names errors ~code ~what name items =
+  let index = Hashtbl.create 16 in
+  List.iteri
+    (fun i item ->
+      let (n : string Ast.located) = name item in
+      match Hashtbl.find_opt index n.Ast.v with
+      | Some (_, first) ->
+        report errors ~code n.Ast.pos
+          ~fixit:"rename one of the two occurrences"
+          "duplicate %t %s (first declared at %a)" what n.Ast.v Sexp.pp_pos
+          first
+      | None -> Hashtbl.add index n.Ast.v (i, n.Ast.pos))
+    items;
+  index
+
+let check_proc errors (p : Ast.proc) =
+  let name = p.Ast.p_name.Ast.v in
+  let nonneg what = function
+    | Some { Ast.v; pos } when v < 0. ->
+      report errors ~code:"MC016" pos "processor %s: negative %s %g" name
+        what v
+    | _ -> () in
+  (match p.Ast.p_speed with
+   | Some { Ast.v; pos } when v <= 0. ->
+     report errors ~code:"MC016" pos
+       "processor %s: speed must be positive, got %g" name v
+   | Some { Ast.v; pos } when not (Float.is_finite v) ->
+     report errors ~code:"MC016" pos
+       "processor %s: speed must be finite, got %g" name v
+   | _ -> ());
+  nonneg "static power" p.Ast.p_static;
+  nonneg "dynamic power" p.Ast.p_dynamic;
+  nonneg "fault rate" p.Ast.p_fault_rate;
+  match p.Ast.p_policy with
+  | Some { Ast.v; pos } when v <> "preemptive" && v <> "non-preemptive" ->
+    report errors ~code:"MC016" pos
+      ~fixit:"use (policy preemptive) or (policy non-preemptive)"
+      "processor %s: unknown policy %s" name v
+  | _ -> ()
+
+let check_bus errors (b : Ast.bus) =
+  (match b.Ast.i_bandwidth with
+   | Some { Ast.v; pos } when v <= 0 ->
+     report errors ~code:"MC016" pos "bus bandwidth must be positive, got %d"
+       v
+   | _ -> ());
+  match b.Ast.i_latency with
+  | Some { Ast.v; pos } when v < 0 ->
+    report errors ~code:"MC016" pos
+      "bus latency must be non-negative, got %d" v
+  | _ -> ()
+
+let check_noc errors (n : Ast.noc) procs =
+  let positive what (l : int Ast.located) =
+    if l.Ast.v <= 0 then
+      report errors ~code:"MC019" l.Ast.pos
+        ~fixit:(Format.asprintf "use a positive %s" what)
+        "noc: %s must be positive, got %d" what l.Ast.v in
+  positive "cols" n.Ast.n_cols;
+  positive "rows" n.Ast.n_rows;
+  (match n.Ast.n_link_bandwidth with
+   | Some { Ast.v; pos } when v <= 0 ->
+     report errors ~code:"MC019" pos
+       "noc: link bandwidth must be positive, got %d" v
+   | _ -> ());
+  let nonneg what = function
+    | Some { Ast.v; pos } when v < 0 ->
+      report errors ~code:"MC019" pos "noc: %s must be non-negative, got %d"
+        what v
+    | _ -> () in
+  nonneg "hop latency" n.Ast.n_hop_latency;
+  nonneg "router latency" n.Ast.n_router_latency;
+  let cols = n.Ast.n_cols.Ast.v and rows = n.Ast.n_rows.Ast.v in
+  let n_procs = List.length procs in
+  if cols > 0 && rows > 0 && cols * rows < n_procs then begin
+    report errors ~code:"MC020" n.Ast.n_pos
+      ~fixit:
+        (Format.asprintf "grow the mesh to at least %d nodes, e.g. %dx%d"
+           n_procs
+           (min cols n_procs)
+           (Mathx.ceil_div n_procs (min cols n_procs)))
+      "noc: the %dx%d mesh has %d nodes for %d processors" cols rows
+      (cols * rows) n_procs;
+    (* Row-major placement: processor [i] sits at node
+       [(i mod cols, i / cols)]; every id beyond the capacity maps to a
+       coordinate outside the mesh. *)
+    List.iteri
+      (fun id (p : Ast.proc) ->
+        if id >= cols * rows then
+          report errors ~code:"MC021" p.Ast.p_name.Ast.pos
+            ~fixit:"grow the mesh or remove the processor"
+            "processor %s maps to node (%d, %d), outside the %dx%d mesh"
+            p.Ast.p_name.Ast.v (id mod cols) (id / cols) cols rows)
+      procs
+  end
+
+let check_arch errors (a : Ast.arch) =
+  if a.Ast.a_procs = [] then
+    report errors ~code:"MC015" a.Ast.a_pos
+      ~fixit:"add at least one (processor (name ...)) entry"
+      "architecture declares no processors";
+  (match a.Ast.a_interconnect with
+   | None -> ()
+   | Some (Ast.I_bus b) -> check_bus errors b
+   | Some (Ast.I_noc n) -> check_noc errors n a.Ast.a_procs);
+  ignore
+    (index_names errors ~code:"MC001"
+       ~what:(fun ppf -> Format.pp_print_string ppf "processor name")
+       (fun (p : Ast.proc) -> p.Ast.p_name)
+       a.Ast.a_procs);
+  List.iter (check_proc errors) a.Ast.a_procs
+
+(* MC023. Every time the analyses read must stay exact: a task time
+   scaled past [Proc.max_scaled_time] saturates, which would understate
+   it, and a period or deadline at the cap could be met by a saturated
+   time. [scale_time] grows with the speed factor, so the slowest valid
+   processor bounds every placement. *)
+let slowest_speed (a : Ast.arch) =
+  List.fold_left
+    (fun s (p : Ast.proc) ->
+      match p.Ast.p_speed with
+      | None -> Float.max s 1.
+      | Some { Ast.v; _ } when Float.is_finite v && v > 0. -> Float.max s v
+      | Some _ -> s)
+    0. a.Ast.a_procs
+
+let coarser = "express the system in a coarser time unit"
+
+let check_task errors ~app ~speed (t : Ast.task) =
+  let name = t.Ast.t_name.Ast.v and wcet = t.Ast.t_wcet in
+  let time what = function
+    | Some { Ast.v; pos } when v < 0 ->
+      report errors ~code:"MC009" pos "task %s.%s: negative %s %d" app name
+        what v
+    | Some { Ast.v; pos } when Proc.saturates ~speed v ->
+      report errors ~code:"MC023" pos ~fixit:coarser
+        "task %s.%s: %s %d on the slowest processor (speed %g) reaches the \
+         time cap 2^40"
+        app name what v speed
+    | _ -> () in
+  if wcet.Ast.v <= 0 then
+    report errors ~code:"MC009" wcet.Ast.pos
+      "task %s.%s: WCET must be positive, got %d" app name wcet.Ast.v
+  else time "WCET" (Some wcet);
+  time "BCET" t.Ast.t_bcet;
+  time "detection overhead" t.Ast.t_detect;
+  time "voting overhead" t.Ast.t_vote;
+  match t.Ast.t_bcet with
+  | Some { Ast.v = bcet; pos } when bcet >= 0 && bcet > wcet.Ast.v ->
+    report errors ~code:"MC008" pos
+      ~fixit:(Format.asprintf "lower bcet to at most %d" wcet.Ast.v)
+      "task %s.%s: BCET %d exceeds WCET %d" app name bcet wcet.Ast.v
+  | _ -> ()
+
+(* An application's period (MC010) or deadline (MC011). *)
+let check_time errors ~app ~code what (l : int Ast.located) =
+  if l.Ast.v <= 0 then
+    report errors ~code l.Ast.pos
+      "application %s: %s must be positive, got %d" app what l.Ast.v
+  else if Proc.saturates ~speed:1. l.Ast.v then
+    report errors ~code:"MC023" l.Ast.pos ~fixit:coarser
+      "application %s: %s %d reaches the time cap 2^40" app what l.Ast.v
+
+(* Kahn over the channel graph [succs]/[indeg], whose edges are the
+   channels with both endpoints resolved: a dangling endpoint (MC004)
+   must not hide or fake a cycle. *)
+let check_cycle errors ~app (g : Ast.app) succs indeg =
+  let rec drain visited = function
+    | [] -> visited
+    | v :: rest ->
+      drain (visited + 1)
+        (List.fold_left
+           (fun ready w ->
+             indeg.(w) <- indeg.(w) - 1;
+             if indeg.(w) = 0 then w :: ready else ready)
+           rest succs.(v)) in
+  let n = Array.length indeg and sources = ref [] in
+  for v = n - 1 downto 0 do
+    if indeg.(v) = 0 then sources := v :: !sources
+  done;
+  if drain 0 !sources < n then
+    report errors ~code:"MC007" g.Ast.g_pos
+      "application %s: channels form a dependency cycle through %s" app
+      (String.concat ", "
+         (List.filteri
+            (fun i _ -> indeg.(i) > 0)
+            (List.map
+               (fun (t : Ast.task) -> t.Ast.t_name.Ast.v)
+               g.Ast.g_tasks)))
+
+(* An application's checks; the result is each channel's endpoints as
+   task indices (-1 for a dangling one), in declaration order. *)
+let check_app errors ~speed (g : Ast.app) =
+  let app = g.Ast.g_name.Ast.v in
+  check_time errors ~app ~code:"MC010" "period" g.Ast.g_period;
+  Option.iter
+    (check_time errors ~app ~code:"MC011" "deadline")
+    g.Ast.g_deadline;
+  (match g.Ast.g_critical, g.Ast.g_droppable with
+   | Some _, Some { Ast.pos; _ } ->
+     report errors ~code:"MC017" pos
+       ~fixit:"keep exactly one of the two attributes"
+       "application %s declares both (critical ...) and (droppable ...)" app
+   | None, None ->
+     report errors ~code:"MC017" g.Ast.g_pos
+       ~fixit:"add (critical <rate>) or (droppable <service-value>)"
+       "application %s declares neither (critical ...) nor (droppable ...)"
+       app
+   | Some { Ast.v; pos }, None when not (v > 0. && v <= 1.) ->
+     report errors ~code:"MC017" pos
+       "application %s: failure-rate bound must lie in (0, 1], got %g" app v
+   | None, Some { Ast.v; pos } when v < 0. ->
+     report errors ~code:"MC017" pos
+       "application %s: service value must be non-negative, got %g" app v
+   | _ -> ());
+  if g.Ast.g_tasks = [] then
+    report errors ~code:"MC014" g.Ast.g_pos
+      "application %s declares no tasks" app;
+  let index =
+    index_names errors ~code:"MC003"
+      ~what:(fun ppf -> Format.fprintf ppf "task name in application %s" app)
+      (fun (t : Ast.task) -> t.Ast.t_name)
+      g.Ast.g_tasks in
+  List.iter (check_task errors ~app ~speed) g.Ast.g_tasks;
+  let resolve (e : string Ast.located) =
+    match Hashtbl.find index e.Ast.v with
+    | i, _ -> i
+    | exception Not_found ->
+      report errors ~code:"MC004" e.Ast.pos
+        "application %s: channel endpoint %s is not a task of this \
+         application"
+        app e.Ast.v;
+      -1 in
+  let n = List.length g.Ast.g_tasks in
+  let succs = Array.make n [] and indeg = Array.make n 0 in
+  let first = Hashtbl.create 16 in
+  let ends =
+    List.map
+      (fun (c : Ast.channel) ->
+        let src = resolve c.Ast.c_from and dst = resolve c.Ast.c_to in
+        let from = c.Ast.c_from.Ast.v and to_ = c.Ast.c_to.Ast.v in
+        if from = to_ then
+          report errors ~code:"MC005" c.Ast.c_pos
+            "application %s: channel from %s to itself" app from;
+        (match c.Ast.c_size with
+         | Some { Ast.v; pos } when v < 0 ->
+           report errors ~code:"MC018" pos
+             "application %s: channel %s -> %s has negative size %d" app from
+             to_ v
+         | _ -> ());
+        (* an edge of the channel graph, unless a channel between the
+           same names came first; a channel already reported (MC004,
+           MC005) is no edge *)
+        (match Hashtbl.find_opt first (from, to_) with
+         | Some pos ->
+           report errors ~code:"MC006" c.Ast.c_pos
+             ~fixit:"merge the payloads into a single channel"
+             "application %s: duplicate channel %s -> %s (first declared \
+              at %a)"
+             app from to_ Sexp.pp_pos pos
+         | None ->
+           Hashtbl.add first (from, to_) c.Ast.c_pos;
+           if src >= 0 && dst >= 0 && src <> dst then begin
+             succs.(src) <- dst :: succs.(src);
+             indeg.(dst) <- indeg.(dst) + 1
+           end);
+        (src, dst))
+      g.Ast.g_channels in
+  check_cycle errors ~app g succs indeg;
+  ends
+
+(* The model of a system the walk found no error in, [ends] being
+   [check_app]'s result per application. The constructors keep their own
+   checks; a failure the walk missed comes back without a code, at the
+   block being built. *)
+let make_system (raw : Ast.system) ends =
+  let a = raw.Ast.sys_arch in
+  let at = ref a.Ast.a_pos in
+  let value o = Option.map (fun (l : _ Ast.located) -> l.Ast.v) o in
+  let value_or default o =
+    Option.fold ~none:default ~some:(fun (l : _ Ast.located) -> l.Ast.v) o in
+  let proc id (p : Ast.proc) =
+    at := p.Ast.p_pos;
+    let policy =
+      match p.Ast.p_policy with
+      | Some { Ast.v = "non-preemptive"; _ } -> Proc.Non_preemptive_fp
+      | _ -> Proc.Preemptive_fp in
+    Proc.make ?proc_type:(value p.Ast.p_type)
+      ?static_power:(value p.Ast.p_static)
+      ?dynamic_power:(value p.Ast.p_dynamic)
+      ?fault_rate:(value p.Ast.p_fault_rate) ?speed:(value p.Ast.p_speed)
+      ~policy ~id ~name:p.Ast.p_name.Ast.v () in
+  let task id (t : Ast.task) =
+    at := t.Ast.t_pos;
+    Task.make ?bcet:(value t.Ast.t_bcet)
+      ?detection_overhead:(value t.Ast.t_detect)
+      ?voting_overhead:(value t.Ast.t_vote) ~id ~name:t.Ast.t_name.Ast.v
+      ~wcet:t.Ast.t_wcet.Ast.v () in
+  let channel (c : Ast.channel) (src, dst) =
+    at := c.Ast.c_pos;
+    Channel.make ?size:(value c.Ast.c_size) ~src ~dst () in
+  let graph (g : Ast.app) ends =
+    let tasks = Array.of_list (List.mapi task g.Ast.g_tasks) in
+    let channels = Array.of_list (List.map2 channel g.Ast.g_channels ends) in
+    at := g.Ast.g_pos;
+    let criticality =
+      match g.Ast.g_critical with
+      | Some f -> Criticality.critical f.Ast.v
+      | None -> Criticality.droppable (Option.get g.Ast.g_droppable).Ast.v in
+    Graph.make ?deadline:(value g.Ast.g_deadline) ~name:g.Ast.g_name.Ast.v
+      ~tasks ~channels ~period:g.Ast.g_period.Ast.v ~criticality () in
+  try
+    let procs = Array.of_list (List.mapi proc a.Ast.a_procs) in
+    let interconnect =
+      match a.Ast.a_interconnect with
+      | None -> Interconnect.default
+      | Some (Ast.I_bus b) ->
+        Interconnect.Bus
+          { bandwidth = value_or 1 b.Ast.i_bandwidth;
+            latency = value_or 0 b.Ast.i_latency }
+      | Some (Ast.I_noc n) ->
+        Interconnect.Noc
+          { cols = n.Ast.n_cols.Ast.v; rows = n.Ast.n_rows.Ast.v;
+            link_bandwidth = value_or 1 n.Ast.n_link_bandwidth;
+            hop_latency = value_or 0 n.Ast.n_hop_latency;
+            router_latency = value_or 0 n.Ast.n_router_latency } in
+    at := a.Ast.a_pos;
+    let arch = Arch.make ~interconnect procs in
+    let graphs = Array.of_list (List.map2 graph raw.Ast.sys_apps ends) in
+    Ok { arch; apps = Appset.make graphs }
+  with Invalid_argument msg ->
+    Error [ { epos = Some !at; code = None; msg; fixit = None } ]
 
 let build_system (raw : Ast.system) =
-  let* arch = build_arch raw.Ast.sys_arch in
-  let* () =
-    check_unique ~what:"application name"
-      (List.map (fun (g : Ast.app) -> g.Ast.g_name) raw.Ast.sys_apps) in
-  let* graphs = collect build_app raw.Ast.sys_apps in
-  let* apps =
-    match raw.Ast.sys_apps with
-    | [] -> errf "no (application ...) blocks"
-    | g :: _ ->
-      protect_at g.Ast.g_pos (fun () -> Appset.make (Array.of_list graphs))
-  in
-  let* () =
-    match over_time_cap raw with
-    | [] -> Ok ()
-    | (pos, msg) :: _ -> errf ~pos ~code:"MC023" "%s" msg in
-  match over_job_budget raw.Ast.sys_apps with
-  | None -> Ok { arch; apps }
-  | Some (total, largest, _) ->
-    errf ~pos:largest.Ast.g_period.Ast.pos ~code:"MC022"
-      "one hyperperiod expands to %a jobs, over the budget of %d"
-      pp_jobs total job_budget
+  let errors = ref [] in
+  check_arch errors raw.Ast.sys_arch;
+  ignore
+    (index_names errors ~code:"MC002"
+       ~what:(fun ppf -> Format.pp_print_string ppf "application name")
+       (fun (g : Ast.app) -> g.Ast.g_name)
+       raw.Ast.sys_apps);
+  let speed = slowest_speed raw.Ast.sys_arch in
+  let ends = List.map (check_app errors ~speed) raw.Ast.sys_apps in
+  check_job_budget errors raw.Ast.sys_apps;
+  match !errors with
+  | [] -> make_system raw ends
+  | errors -> Error (sorted errors)
 
 let parse_system = Ast.system_of_string
 
-let read_system input =
-  match Result.bind (parse_system input) build_system with
+(* The first of a text's errors, rendered. *)
+let first_error = function
   | Ok _ as ok -> ok
+  | Error errors -> Error (error_to_string (List.hd errors))
+
+let read_system input =
+  match parse_system input with
   | Error e -> Error (error_to_string e)
+  | Ok raw -> first_error (build_system raw)
 
 (* ------------------------------------------------------------------ *)
 (* Plans *)
-
-(* Plan-text errors are gathered in reverse into [errors], each with its
-   lint code. *)
-let report errors ?fixit ~code pos fmt =
-  Format.kasprintf
-    (fun msg ->
-      errors := { epos = Some pos; code = Some code; msg; fixit } :: !errors)
-    fmt
 
 (* The technique a (harden ...) names, each parameter below its minimum
    reported (MC110) and raised to it, so that the replica arity can
@@ -361,11 +525,6 @@ let bind_decision errors proc_of (b : Ast.bind) =
     distinct [ b.Ast.b_proc.Ast.v ] replicas
   end;
   { Plan.technique; primary_proc; replica_procs; voter_proc }
-
-(* Position first, then code, the order [mcmap lint] reports in; every
-   plan error has a position. *)
-let compare_errors (a : error) (b : error) =
-  compare (a.epos, a.code) (b.epos, b.code)
 
 let build_plan { arch; apps } (raw : Ast.plan) =
   let errors = ref [] in
@@ -446,17 +605,14 @@ let build_plan { arch; apps } (raw : Ast.plan) =
     (* every task bound once, every name resolved, every arity right *)
     let decisions = Array.map (Array.map (fun s -> snd (Option.get s))) bound in
     Ok (Plan.make apps ~decisions ~dropped)
-  | errors -> Error (List.stable_sort compare_errors (List.rev errors))
+  | errors -> Error (sorted errors)
 
 let parse_plan = Ast.plan_of_string
 
 let read_plan system input =
   match parse_plan input with
   | Error e -> Error (error_to_string e)
-  | Ok raw -> (
-    match build_plan system raw with
-    | Ok _ as ok -> ok
-    | Error errors -> Error (error_to_string (List.hd errors)))
+  | Ok raw -> first_error (build_plan system raw)
 
 (* ------------------------------------------------------------------ *)
 (* Writing *)

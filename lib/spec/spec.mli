@@ -47,11 +47,12 @@ type error = Ast.error = {
   fixit : string option;
 }
 (** A reading error, located when a source position applies. [code] is
-    the [mcmap lint] code of the check that found it, when that check
-    has a code of its own: every {!build_plan} error, and the system's
-    [MC022] and [MC023]; the linter reports an error without one under
-    the generic [MC000] (system) or [MC100] (plan). [fixit] is a
-    suggested remedy, when one is obvious. *)
+    the [mcmap lint] code of the check that found it: every error of
+    {!build_system} and {!build_plan} has one. A shaping error of
+    {!parse_system} or {!parse_plan} has none, nor has a model
+    constructor's failure that {!build_system}'s walk missed; the linter
+    reports those under the generic [MC000] (system) or [MC100] (plan).
+    [fixit] is a suggested remedy, when one is obvious. *)
 
 val error_to_string : error -> string
 (** ["line:col: [CODE] message"], leaving out the position or the code
@@ -60,45 +61,28 @@ val error_to_string : error -> string
 val parse_system : string -> (Ast.system, error) result
 (** Stage one: shape the text into the raw located AST (see {!Ast}). *)
 
-val build_system : Ast.system -> (system, error) result
-(** Stage two: resolve names and build the validated model. Duplicate
-    processor/application/task names and dangling channel endpoints are
-    rejected with the position of the offending name; a system over the
-    {!job_budget} with code [MC022] and ["one hyperperiod expands to N
-    jobs, over the budget of 5000"] at the period of its largest
-    contributor, and a system with a time at the cap of
-    {!over_time_cap} with code [MC023] at that time. Every system that
+val build_system : Ast.system -> (system, error list) result
+(** Stage two, and the one checker of system texts: one walk over the
+    located AST collects every error with the code, position, message
+    and fix-it that [mcmap lint] reports, [MC001]–[MC011] and
+    [MC014]–[MC023]: duplicate names, dangling channel endpoints,
+    self-loops, duplicate channels, dependency cycles, out-of-domain
+    attributes, an undersized mesh, a system over the {!job_budget}
+    ([MC022], at the period of its largest contributor) and a time that
+    reaches [Proc.max_scaled_time] once scaled by the slowest processor
+    ([MC023]). The errors come sorted by position, then code. The
+    system is built only when there are none, so every system that
     builds is within the budget and below the cap, whatever path read
     it. *)
-
-val over_time_cap : Ast.system -> (Mcmap_util.Sexp.pos * string) list
-(** Every period or deadline that reaches [Proc.max_scaled_time], and
-    every task time (WCET, BCET, detection and voting overhead) that
-    reaches it once scaled by the slowest valid processor speed, with
-    its position and a message, in source order. On a system without
-    them no scaled task time saturates, and a time that does (a
-    hardened composite in the lint floor) exceeds every deadline. *)
 
 val job_budget : int
 (** The most jobs one hyperperiod may expand to: above it the analysis
     contexts, which grow with the square of the job count, and the
     simulator's job tables would demand unbounded memory. *)
 
-val over_job_budget : Ast.app list -> (int * Ast.app * int) option
-(** [Some (total, app, jobs)] when one hyperperiod expands to more than
-    {!job_budget} jobs, counted as the sum over applications of
-    [(H / period) * tasks] with saturating arithmetic ([max_int] stands
-    for any larger count; non-positive periods count no jobs): the
-    total, and the application contributing the most jobs with its
-    count. *)
-
-val pp_jobs : Format.formatter -> int -> unit
-(** A job count from {!over_job_budget}, printing [max_int] as "more
-    than 2^62". *)
-
 val read_system : string -> (system, string) result
-(** [parse_system] then [build_system], with errors rendered as
-    ["line:col: message"] strings. *)
+(** [parse_system] then [build_system], rendering the first error with
+    {!error_to_string}. *)
 
 val write_system : system -> string
 
