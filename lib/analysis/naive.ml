@@ -11,12 +11,11 @@ let exec (w : Job.t) =
   let upper = w.Job.critical_wcet in
   (lower, upper)
 
-let analyze_with (type c) ((module E) : c Wcrt.engine) ?max_iterations ctx =
+let analyze_with (type c) ((module E) : c Wcrt.engine) ctx =
   let js = E.jobset ctx in
   let n_graphs = Happ.n_graphs js.Jobset.happ in
-  let result = E.analyze ?max_iterations ctx ~exec in
+  let result = E.analyze ctx ~exec in
   Array.init n_graphs (fun graph ->
       Verdict.of_option (Bounds.graph_wcrt js result ~graph))
 
-let analyze ?max_iterations ctx =
-  analyze_with (module Bounds) ?max_iterations ctx
+let analyze ctx = analyze_with (module Bounds) ctx

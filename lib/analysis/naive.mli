@@ -7,11 +7,10 @@
 val exec : Mcmap_sched.Job.t -> int * int
 (** The per-job bounds described above. *)
 
-val analyze_with :
-  'ctx Wcrt.engine -> ?max_iterations:int -> 'ctx -> Verdict.t array
+val analyze_with : 'ctx Wcrt.engine -> 'ctx -> Verdict.t array
 (** Per source graph: the Naive WCRT bound, solved on [engine] (one
-    fixed point; both engines agree). *)
+    fixed point at {!Mcmap_sched.Bounds.default_max_iterations}; both
+    engines agree). *)
 
-val analyze :
-  ?max_iterations:int -> Mcmap_sched.Bounds.ctx -> Verdict.t array
+val analyze : Mcmap_sched.Bounds.ctx -> Verdict.t array
 (** [analyze_with (module Bounds)], the reference baseline. *)

@@ -50,14 +50,12 @@ let scenario_exec ~base (nb : Bounds.job_bounds array) (v : Job.t)
 
 type 'ctx engine = (module Mcmap_sched.Fixpoint.ENGINE with type ctx = 'ctx)
 
-let normal (type c) ((module E) : c engine) ?max_iterations ctx =
-  E.analyze ?max_iterations ctx ~exec:Bounds.nominal_exec
+let normal (type c) ((module E) : c engine) ctx =
+  E.analyze ctx ~exec:Bounds.nominal_exec
 
-let trigger_scenario (type c) ((module E) : c engine) ?max_iterations ctx
-    ~normal v =
+let trigger_scenario (type c) ((module E) : c engine) ctx ~normal v =
   let base = (E.jobset ctx).Jobset.base_hyperperiod in
-  E.analyze ?max_iterations ctx
-    ~exec:(scenario_exec ~base normal.Bounds.bounds v)
+  E.analyze ctx ~exec:(scenario_exec ~base normal.Bounds.bounds v)
 
 (* [scenario_exec ~base nb v] for every job, written into [vec] as
    interleaved [(bcet', wcet')] pairs: the same chronology cases in one
@@ -130,8 +128,7 @@ type 'a scenarios =
    keep. The first diverged fixpoint ends the walk: a diverged scenario
    makes every graph unbounded, and [Verdict.max] with [Unbounded]
    absorbs, so no later trigger can change a verdict (DESIGN.md §11). *)
-let trigger_scenarios (type c) ((module E) : c engine) ?max_iterations ctx
-    ~normal f =
+let trigger_scenarios (type c) ((module E) : c engine) ctx ~normal f =
   let js = E.jobset ctx in
   let base = js.Jobset.base_hyperperiod and jobs = js.Jobset.jobs in
   let nb = normal.Bounds.bounds in
@@ -152,8 +149,7 @@ let trigger_scenarios (type c) ((module E) : c engine) ?max_iterations ctx
         walk (i + 1)
       | None ->
         incr fixpoints;
-        if E.analyze_into ?max_iterations ctx ~exec:key ~max_finish:finishes
-        then begin
+        if E.analyze_into ctx ~exec:key ~max_finish:finishes then begin
           let outcome = f finishes in
           Vector_table.add memo (Array.copy key) outcome;
           outcomes.(i) <- Some outcome;
@@ -182,13 +178,12 @@ let graph_verdicts response (finishes : int array) =
       Verdict.Finite !worst)
     response
 
-let analyze_with (type c) ((module E) as engine : c engine) ?max_iterations
-    ctx =
+let analyze_with (type c) ((module E) as engine : c engine) ctx =
   Obs.with_span "wcrt.analyze" @@ fun () ->
   let js = E.jobset ctx in
   let happ = js.Jobset.happ in
   let n_graphs = Happ.n_graphs happ in
-  let normal = normal engine ?max_iterations ctx in
+  let normal = normal engine ctx in
   let normal_wcrt =
     Array.init n_graphs (fun graph ->
         Verdict.of_option (Bounds.graph_wcrt js normal ~graph)) in
@@ -199,8 +194,7 @@ let analyze_with (type c) ((module E) as engine : c engine) ?max_iterations
     if normal.Bounds.converged then begin
       let response = response_jobs js in
       match
-        trigger_scenarios engine ?max_iterations ctx ~normal
-          (graph_verdicts response)
+        trigger_scenarios engine ctx ~normal (graph_verdicts response)
       with
       | Solved outcomes, fixpoints ->
         (* Verdict.max is commutative and idempotent: folding a shared
@@ -248,8 +242,7 @@ let analyze_with (type c) ((module E) as engine : c engine) ?max_iterations
   end;
   report
 
-let analyze ?max_iterations ctx =
-  analyze_with (module Bounds) ?max_iterations ctx
+let analyze ctx = analyze_with (module Bounds) ctx
 
 let schedulable js report =
   let happ = js.Jobset.happ in

@@ -42,7 +42,7 @@ type report = {
 type 'ctx engine = (module Mcmap_sched.Fixpoint.ENGINE with type ctx = 'ctx)
 (** [(module Mcmap_sched.Flat)] or [(module Mcmap_sched.Bounds)]. *)
 
-val analyze_with : 'ctx engine -> ?max_iterations:int -> 'ctx -> report
+val analyze_with : 'ctx engine -> 'ctx -> report
 (** Algorithm 1 on [engine]: the normal state, then every trigger
     scenario of the context's jobset ({!trigger_scenarios}: triggers
     with equal exec vectors share one fixpoint). The report equals the
@@ -52,24 +52,20 @@ val analyze_with : 'ctx engine -> ?max_iterations:int -> 'ctx -> report
     With metrics enabled it observes [wcrt.scenarios] (triggers),
     [wcrt.fixpoints] (trigger fixpoints solved) and
     [wcrt.scenarios_absorbed] (triggers left unsolved after a diverged
-    one). [max_iterations] defaults
-    to {!Mcmap_sched.Bounds.default_max_iterations}, the one shared
-    fixed-point cap of the analysis stack — callers forwarding the
-    option (evaluator sessions, the GA) must not restate it. *)
+    one). Every fixpoint runs at the engine's default cap,
+    {!Mcmap_sched.Bounds.default_max_iterations}. *)
 
-val analyze : ?max_iterations:int -> Mcmap_sched.Bounds.ctx -> report
+val analyze : Mcmap_sched.Bounds.ctx -> report
 (** [analyze_with (module Bounds)]: the independent reference. *)
 
 (** {1 Scenario steps} — what {!analyze_with} folds, and what the
     oracles hold its shared walk to. *)
 
-val normal :
-  'ctx engine -> ?max_iterations:int -> 'ctx -> Mcmap_sched.Bounds.result
+val normal : 'ctx engine -> 'ctx -> Mcmap_sched.Bounds.result
 (** The normal-state fixed point ({!Mcmap_sched.Bounds.nominal_exec}). *)
 
 val trigger_scenario :
   'ctx engine ->
-  ?max_iterations:int ->
   'ctx ->
   normal:Mcmap_sched.Bounds.result ->
   Mcmap_sched.Job.t ->
@@ -93,7 +89,6 @@ type 'a scenarios =
 
 val trigger_scenarios :
   'ctx engine ->
-  ?max_iterations:int ->
   'ctx ->
   normal:Mcmap_sched.Bounds.result ->
   (int array -> 'a) ->

@@ -47,16 +47,15 @@ let micro_ga =
     D.Ga.population = 8; offspring = 8; generations = 2;
     check_rescue = false }
 
-(* Evaluator-session kernels (DT-large, the heaviest benchmark):
-   [evaluator_cold] pays a fresh session + full analysis per run on the
-   reference engine (pinned, so it stays the denominator of the flat
-   speedup contract), [flat_cold] is the same cold evaluation on the
-   flat kernel, [evaluator_cold_obs] is [evaluator_cold] with the
-   metrics recorder enabled (the numerator of the obs-overhead
-   contract), [evaluator_warm] queries a pre-warmed session (the
-   result-cache hit path every optimisation loop rides on),
-   [eval_population] evaluates a 16-plan population on a fresh
-   multi-domain session per run. *)
+(* Evaluation kernels (DT-large, the heaviest benchmark):
+   [reference_cold] is one [Evaluate.evaluate] of the balanced seed-42
+   plan on the reference engine (the denominator of the flat speed-up
+   contract), [flat_cold] pays a fresh session + full analysis per run,
+   [flat_cold_obs] is [flat_cold] with the metrics recorder enabled
+   (the numerator of the obs-overhead contract), [evaluator_warm]
+   queries a pre-warmed session (the result-cache hit path every
+   optimisation loop rides on), [eval_population] evaluates a 16-plan
+   population on a fresh multi-domain session per run. *)
 let evaluator_ctx =
   lazy
     (let bench = B.Registry.find_exn "dt-large" in
@@ -132,17 +131,17 @@ let budget_edge_jobset =
        let plan = B.Sampler.balanced_plan ~seed:42 arch apps in
        S.Jobset.build (H.Happ.build arch apps plan))
 
-let cold_run engine () =
+let reference_cold_run () =
   let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
-  let session = D.Evaluator.create ~engine arch apps in
+  ignore (D.Evaluate.evaluate arch apps plan)
+
+let flat_cold_run () =
+  let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
+  let session = D.Evaluator.create arch apps in
   ignore (D.Evaluator.eval session plan)
 
-let evaluator_cold_run = cold_run D.Evaluator.Reference
-
-let flat_cold_run = cold_run D.Evaluator.Flat
-
 (* A kernel is a Bechamel test plus optional bracketing (used to flip
-   the metrics recorder around [evaluator_cold_obs] without timing the
+   the metrics recorder around [flat_cold_obs] without timing the
    flip itself). *)
 type kernel_spec = {
   k_name : string;
@@ -191,14 +190,14 @@ let suite =
     plain "campaign/shard(512 trials)" (fun () ->
         let cplan, shard = Lazy.force campaign_shard in
         ignore (C.Shard.execute cplan shard));
-    (* Evaluator sessions: cold vs flat vs warm vs population *)
-    plain "evaluator_cold" evaluator_cold_run;
+    (* Evaluations: reference vs cold session vs warm vs population *)
+    plain "reference_cold" reference_cold_run;
     plain "flat_cold" flat_cold_run;
     plain "noc_cold" (fun () ->
         let arch, apps, plan = Lazy.force noc_ctx in
         let session = D.Evaluator.create arch apps in
         ignore (D.Evaluator.eval session plan));
-    { (plain "evaluator_cold_obs" evaluator_cold_run) with
+    { (plain "flat_cold_obs" flat_cold_run) with
       k_setup = (fun () -> Obs.enable ());
       (* Drop what the benchmark recorded: the kernels after it time the
          disabled recorder, and nothing reads these metrics. *)
@@ -299,7 +298,7 @@ let run_all ~fast ?(progress = fun _ -> ()) () =
 (* Paired timing of the flat speed-up. Two separate Bechamel estimates
    drift apart with the machine's load between kernels (their ratio
    failed about one full run in six), so the contract times its own
-   interleaved pairs instead: one cold reference evaluation and one cold
+   interleaved pairs instead: one reference evaluation and one cold
    flat evaluation per pair, in alternating order, after one warm-up
    pair, and gates on the median of the per-pair ratios. *)
 let time_ns f =
@@ -308,15 +307,15 @@ let time_ns f =
   Int64.to_float (Int64.sub (Obs.now_ns ()) t0)
 
 let measure_flat_pairs () =
-  ignore (time_ns evaluator_cold_run);
+  ignore (time_ns reference_cold_run);
   ignore (time_ns flat_cold_run);
   List.init 41 (fun i ->
       if i mod 2 = 0 then
-        let reference = time_ns evaluator_cold_run in
+        let reference = time_ns reference_cold_run in
         (reference, time_ns flat_cold_run)
       else
         let flat = time_ns flat_cold_run in
-        (time_ns evaluator_cold_run, flat))
+        (time_ns reference_cold_run, flat))
 
 let flat_contract = function
   | [] -> []
@@ -336,7 +335,7 @@ let flat_contract = function
               ("speedup_q3", pct ratios 75.);
               ("min_speedup", min_speedup) ] } ) ]
 
-(* Enabled-recorder overhead on the cold-evaluation kernel. The
+(* Enabled-recorder overhead on the cold session evaluation. The
    disabled path does strictly less work per call site (one
    load-and-branch versus branch + record), so this bounds the
    disabled-mode tax from above. Pass when within budget or within
@@ -344,8 +343,8 @@ let flat_contract = function
    to ignore it. *)
 let obs_contract kernels =
   match
-    (List.assoc_opt "evaluator_cold" kernels,
-     List.assoc_opt "evaluator_cold_obs" kernels)
+    (List.assoc_opt "flat_cold" kernels,
+     List.assoc_opt "flat_cold_obs" kernels)
   with
   | Some off, Some on
     when off.Schema.mean_ns > 0. && on.Schema.mean_ns > 0. ->
@@ -367,7 +366,7 @@ let obs_contract kernels =
               ("sigma_ns", sigma) ] } ) ]
   | _ -> []
 
-(* The work of one cold Flat-session evaluation of the [flat_cold] plan,
+(* The work of one cold session evaluation of the [flat_cold] plan,
    counted with the recorder on: the Algorithm 1 analyses run (the
    observation count of [wcrt.fixpoints]; each solves one normal
    state), the trigger fixpoints solved ([wcrt.fixpoints]) and trigger
@@ -385,7 +384,7 @@ type work = {
 
 let cold_work =
   lazy
-    (let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
+    (ignore (Lazy.force evaluator_ctx);
      Obs.enable ();
      Obs.reset ();
      Fun.protect
@@ -393,9 +392,7 @@ let cold_work =
          Obs.disable ();
          Obs.reset ())
        (fun () ->
-         let session =
-           D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
-         ignore (D.Evaluator.eval session plan);
+         flat_cold_run ();
          let metrics = (Obs.snapshot ()).Obs.metrics in
          let histogram name =
            match List.assoc_opt name metrics with
@@ -447,7 +444,7 @@ let minor_words_of f =
   ignore (f ());
   Gc.minor_words () -. before
 
-(* Minor allocation of one cold Flat-session evaluation of the
+(* Minor allocation of one cold session evaluation of the
    [flat_cold] plan (session creation included), after one warm-up
    evaluation on this domain so the flat arena has already grown to the
    jobset. Counted in minor-heap words, so it is deterministic for a
@@ -459,12 +456,7 @@ let minor_words_of f =
    0.49 MB. *)
 let cold_alloc_contract =
   lazy
-    (let arch, apps, plan, _, _, _ = Lazy.force evaluator_ctx in
-     let words =
-       minor_words_of (fun () ->
-           let session =
-             D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
-           D.Evaluator.eval session plan) in
+    (let words = minor_words_of flat_cold_run in
      let minor_mb = words *. float_of_int (Sys.word_size / 8) /. 1e6 in
      let max_mb = 0.7 in
      ( "cold_eval_alloc",
@@ -473,7 +465,7 @@ let cold_alloc_contract =
            [ ("minor_words", words); ("minor_mb", minor_mb);
              ("max_mb", max_mb) ] } ))
 
-(* Words one Flat session on one domain keeps reachable (its caches,
+(* Words one session on one domain keeps reachable (its caches,
    architecture and application set) after evaluating the [flat_cold]
    plan and the [eval_population] kernel's 16 plans. Counted, so
    deterministic for a given build. A session that cached each
@@ -482,8 +474,7 @@ let cold_alloc_contract =
 let session_retained_contract =
   lazy
     (let arch, apps, plan, population, _, _ = Lazy.force evaluator_ctx in
-     let session =
-       D.Evaluator.create ~engine:D.Evaluator.Flat ~domains:1 arch apps in
+     let session = D.Evaluator.create ~domains:1 arch apps in
      ignore (D.Evaluator.eval session plan);
      ignore (D.Evaluator.eval_population session population);
      let words = float_of_int (Obj.reachable_words (Obj.repr session)) in
@@ -551,6 +542,34 @@ let warm_analyze_contract =
        Server.work pool ~no_lint:req.Protocol.no_lint req.Protocol.body in
      ignore (work ());
      words_contract "warm_analyze_alloc" ~max_words:20_000. work)
+
+(* The minor words the enabled recorder adds to one cold [flat_cold]
+   evaluation: the labelled cache-tier counters, the [wcrt.*] and
+   [flat.*] observations flushed once per analysis, and the spans. Each
+   run is measured after a warm-up run in the same recorder state, so
+   the recorder's tables already hold every key; far below the span
+   cap, the spans kept cost the same words on every run. The disabled
+   run read 60,665 words and the enabled one 65,815 when the contract
+   was written; a labelled [Obs.incr] per job the flat sweep recomputes
+   (20,435 of them) added 373k. *)
+let obs_enabled_alloc_contract =
+  lazy
+    (let disabled = minor_words_of flat_cold_run in
+     Obs.enable ();
+     Obs.reset ();
+     let enabled =
+       Fun.protect
+         ~finally:(fun () ->
+           Obs.disable ();
+           Obs.reset ())
+         (fun () -> minor_words_of flat_cold_run) in
+     let words = enabled -. disabled in
+     let max_words = 7_500. in
+     ( "obs_enabled_alloc",
+       { Schema.ok = words <= max_words;
+         numbers =
+           [ ("disabled_words", disabled); ("enabled_words", enabled);
+             ("minor_words", words); ("max_words", max_words) ] } ))
 
 (* Minor allocation of 10,000 calls each of the recording entry points
    with the recorder off: [Obs.incr] with and without a label,
@@ -637,4 +656,4 @@ let contracts ~flat_pairs kernels =
       Lazy.force flat_fixpoint_alloc_contract; Lazy.force work_contract;
       Lazy.force lint_alloc_contract; Lazy.force frame_decode_contract;
       Lazy.force warm_analyze_contract; Lazy.force session_retained_contract;
-      Lazy.force obs_disabled_contract ]
+      Lazy.force obs_disabled_contract; Lazy.force obs_enabled_alloc_contract ]

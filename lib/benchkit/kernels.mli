@@ -1,5 +1,5 @@
 (** The Bechamel kernel suite behind [mcmap bench run]: one
-    micro-benchmark per table/figure kernel plus the evaluator-session,
+    micro-benchmark per table/figure kernel plus the evaluation,
     campaign and lint-gate kernels, measured with per-kernel
     dispersion (min/mean/stddev across the raw samples, OLS estimate
     for the central value).
@@ -25,9 +25,10 @@ val run_all :
     as each kernel finishes. Returns measurements in suite order. *)
 
 val measure_flat_pairs : unit -> (float * float) list
-(** [(reference_ns, flat_ns)] of 41 interleaved cold DT-large
-    evaluations ([evaluator_cold] then [flat_cold], or the reverse on
-    odd pairs), after one warm-up pair. *)
+(** [(reference_ns, flat_ns)] of 41 interleaved DT-large evaluations
+    ([reference_cold], one [Evaluate.evaluate], then [flat_cold], one
+    cold session evaluation, or the reverse on odd pairs), after one
+    warm-up pair. *)
 
 val contracts :
   flat_pairs:(float * float) list ->
@@ -35,26 +36,26 @@ val contracts :
   (string * Schema.contract) list
 (** The performance contracts derivable from a set of measurements:
 
-    - ["flat_vs_reference"]: cold DT-large evaluation on the flat
-      engine is at least 3x faster than on the reference engine, by the
-      median per-pair ratio of [flat_pairs] (from
+    - ["flat_vs_reference"]: a cold DT-large session evaluation (flat
+      engine) is at least 3x faster than [Evaluate.evaluate] (reference
+      engine), by the median per-pair ratio of [flat_pairs] (from
       {!measure_flat_pairs}); omitted when [flat_pairs] is empty.
-    - ["obs_overhead"]: an enabled-recorder cold evaluation
-      ([evaluator_cold_obs]) costs at most 2% over the disabled-recorder
-      one — an upper bound on the disabled-mode instrumentation tax,
-      since the disabled path does strictly less work. A difference
-      within 3 combined standard deviations also passes (the contract
-      must not flake on timer noise).
+    - ["obs_overhead"]: an enabled-recorder cold session evaluation
+      ([flat_cold_obs]) costs at most 2% over the disabled-recorder one
+      ([flat_cold]) — an upper bound on the disabled-mode
+      instrumentation tax, since the disabled path does strictly less
+      work. A difference within 3 combined standard deviations also
+      passes (the contract must not flake on timer noise).
 
     - ["budget_edge"]: the [budget_edge] kernel runs within 100 ms.
       Omitted when that kernel has no estimate.
-    - ["scenario_sharing"]: one cold Flat-session evaluation of the
+    - ["scenario_sharing"]: one cold session evaluation of the
       [flat_cold] plan solves at most 0.75 fixpoints per scenario it
       walks (triggers with equal exec vectors share one fixpoint), read
       from the [wcrt.fixpoints] and [wcrt.scenarios] histograms with the
       normal state counted once on each side. Counted, not timed, so it
       is always derived.
-    - ["cold_eval_alloc"]: one cold Flat-session evaluation of the
+    - ["cold_eval_alloc"]: one cold session evaluation of the
       [flat_cold] plan, after a warm-up evaluation that grows the flat
       arena, allocates at most 0.7 MB (10^6 bytes) on the minor heap.
       Counted in words, so it is always derived.
@@ -85,7 +86,11 @@ val contracts :
       of [Obs.incr] (with and without [~label]), [Obs.observe],
       [Obs.gauge] and [Obs.with_span] around a preallocated thunk
       allocate 0 minor words. Counted, so it is always derived.
-    - ["session_retained"]: one Flat session on one domain, after
+    - ["obs_enabled_alloc"]: the minor words the enabled recorder adds
+      to one cold [flat_cold] evaluation (enabled minus disabled, each
+      after a warm-up run) are at most 7,500. Counted, so it is always
+      derived.
+    - ["session_retained"]: one session on one domain, after
       evaluating the [flat_cold] plan and the [eval_population]
       kernel's 16 plans, keeps at most 120k words reachable
       ([Obj.reachable_words]). Counted, so it is always derived.

@@ -103,16 +103,15 @@ let violation_magnitude js report reliability_violations =
         Happ.deadline (Happ.graph happ g)) in
   violation_of ~deadlines report.Wcrt.required_wcrt reliability_violations
 
-let schedulable_of_plan ?max_iterations arch apps plan =
+let schedulable_of_plan arch apps plan =
   let happ = Happ.build arch apps plan in
   let js = Jobset.build happ in
   let ctx = Bounds.make js in
-  let report = Wcrt.analyze ?max_iterations ctx in
+  let report = Wcrt.analyze ctx in
   (happ, js, report, Wcrt.schedulable js report)
 
-let evaluate ?(check_rescue = true) ?max_iterations arch apps plan =
-  let happ, js, report, schedulable =
-    schedulable_of_plan ?max_iterations arch apps plan in
+let evaluate ?(check_rescue = true) arch apps plan =
+  let happ, js, report, schedulable = schedulable_of_plan arch apps plan in
   let reliability_violations = Reliability.violations arch apps plan in
   let reliable = reliability_violations = [] in
   let power = power_of_happ arch happ in
@@ -129,7 +128,7 @@ let evaluate ?(check_rescue = true) ?max_iterations arch apps plan =
           ~decisions:(Array.map Array.copy plan.Plan.decisions)
           ~dropped:(Array.make (Appset.n_graphs apps) false) in
       let _, _, _, schedulable_without =
-        schedulable_of_plan ?max_iterations arch apps no_drop in
+        schedulable_of_plan arch apps no_drop in
       not schedulable_without
     end in
   { plan; power; service; schedulable; reliable; violation; rescued;

@@ -60,7 +60,6 @@ val violation_of :
 
 val evaluate :
   ?check_rescue:bool ->
-  ?max_iterations:int ->
   Mcmap_model.Arch.t ->
   Mcmap_model.Appset.t ->
   Mcmap_hardening.Plan.t ->

@@ -7,7 +7,6 @@ module Technique = Mcmap_hardening.Technique
 module Happ = Mcmap_hardening.Happ
 module Reliability = Mcmap_reliability.Analysis
 module Jobset = Mcmap_sched.Jobset
-module Bounds = Mcmap_sched.Bounds
 module Flat = Mcmap_sched.Flat
 module Wcrt = Mcmap_analysis.Wcrt
 module Verdict = Mcmap_analysis.Verdict
@@ -123,11 +122,8 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
 (* Cross-domain sharing audit (the discipline [mcmap serve] and
    [eval_population] rely on):
 
-   - Every LRU tier ([results], [sched], [rows], [rates]), the stat
-     counters and [last_ok] are mutated only under [lock] — including
-     the hit-counter bumps, which share the critical section of the
-     lookup that observed the hit (a bump outside it loses updates when
-     domains race).
+   - Every LRU tier ([results], [sched], [rows], [rates]) and
+     [last_ok] are mutated only under [lock].
    - Cached values ([Evaluate.t], [sched_info], hardened graphs, rates)
      are immutable once published, so a value evicted while another
      domain still holds it stays valid — eviction only drops the
@@ -147,19 +143,9 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
      assumes one mutator per domain: safe from domains, but NOT from
      multiple systhreads sharing one domain while it is armed. *)
 
-type engine = Reference | Flat
-
 type sched_info = {
   required : Verdict.t array;  (* per source graph: required WCRT *)
   ok : bool;  (* every required verdict meets its deadline *)
-}
-
-type stats = {
-  hits : int;
-  misses : int;
-  sched_hits : int;
-  sched_misses : int;
-  evictions : int;
 }
 
 type t = {
@@ -169,9 +155,7 @@ type t = {
       (* absorbs the architecture (interconnect + processor count) into
          every plan/row cache key, so fingerprints from sessions over
          different backends can never alias *)
-  engine : engine;
   check_rescue : bool;
-  max_iterations : int;
   domains : int;
   n_graphs : int;
   deadlines : int array;
@@ -187,10 +171,6 @@ type t = {
   sched : (Fingerprint.t, sched_info) Lru.t;
   rows : (Fingerprint.t, Happ.hgraph) Lru.t;
   rates : (Fingerprint.t, float) Lru.t;
-  mutable n_hits : int;
-  mutable n_misses : int;
-  mutable n_sched_hits : int;
-  mutable n_sched_misses : int;
   mutable last_ok : bool option;
       (* previous eval's schedulable bit, for verdict-flip events *)
 }
@@ -205,8 +185,7 @@ let with_lock t f =
     Mutex.unlock t.lock;
     raise e
 
-let create ?(cache_capacity = 4096) ?(domains = 1) ?(engine = Flat)
-    ?(check_rescue = true) ?(max_iterations = Bounds.default_max_iterations)
+let create ?(cache_capacity = 4096) ?(domains = 1) ?(check_rescue = true)
     arch apps =
   if domains < 1 then invalid_arg "Evaluator.create: domains < 1";
   if cache_capacity < 0 then
@@ -222,15 +201,13 @@ let create ?(cache_capacity = 4096) ?(domains = 1) ?(engine = Flat)
     Mcmap_model.Interconnect.fingerprint
       (Fingerprint.int Fingerprint.empty (Arch.n_procs arch))
       arch.Arch.interconnect in
-  { arch; apps; salt; engine; check_rescue; max_iterations; domains;
-    n_graphs; deadlines;
+  { arch; apps; salt; check_rescue; domains; n_graphs; deadlines;
     rel_bounds; lock = Mutex.create ();
     population_lock = Mutex.create ();
     results = Lru.create ~capacity:cache_capacity ();
     sched = Lru.create ~capacity:cache_capacity ();
     rows = Lru.create ~capacity:(4 * (cache_capacity + 1)) ();
     rates = Lru.create ~capacity:(4 * (cache_capacity + 1)) ();
-    n_hits = 0; n_misses = 0; n_sched_hits = 0; n_sched_misses = 0;
     last_ok = None }
 
 (* Cache-tier attribution: one labelled counter family per tier
@@ -328,39 +305,24 @@ let violations_of t plan keys =
 (* ------------------------------------------------------------------ *)
 (* Scheduling: Algorithm 1 on the whole jobset.                        *)
 
-(* [Wcrt.analyze_with] on the session's engine, with the default
-   horizon (four hyperperiods plus the latest absolute deadline, which
-   is plan-independent). Both engines agree field for field — the
-   [flat-agreement] oracle enforces it — so the engine changes
-   wall-clock only, never results. *)
-let analyze (type c) ((module E) as engine : c Wcrt.engine) t happ =
-  Wcrt.analyze_with engine ~max_iterations:t.max_iterations
-    (E.make (Jobset.build happ))
-
+(* [Wcrt.analyze_with] on the flat engine, with the default horizon
+   (four hyperperiods plus the latest absolute deadline, which is
+   plan-independent). *)
 let compute_sched t (happ : Happ.t) =
   let report =
-    match t.engine with
-    | Reference -> analyze (module Bounds) t happ
-    | Flat -> analyze (module Flat) t happ in
+    Wcrt.analyze_with (module Flat) (Flat.make (Jobset.build happ)) in
   let required = report.Wcrt.required_wcrt in
   { required; ok = Array.for_all2 Verdict.within required t.deadlines }
 
 let sched_of t fp (happ : Happ.t Lazy.t) =
-  match
-    with_lock t (fun () ->
-        let found = Lru.find t.sched fp in
-        if found <> None then t.n_sched_hits <- t.n_sched_hits + 1;
-        found)
-  with
+  match with_lock t (fun () -> Lru.find t.sched fp) with
   | Some info ->
     tier_hit "evaluator.sched";
     info
   | None ->
     tier_miss "evaluator.sched";
     let info = compute_sched t (Lazy.force happ) in
-    with_lock t (fun () ->
-        t.n_sched_misses <- t.n_sched_misses + 1;
-        tier_add "evaluator.sched" t.sched fp info);
+    with_lock t (fun () -> tier_add "evaluator.sched" t.sched fp info);
     info
 
 (* ------------------------------------------------------------------ *)
@@ -405,9 +367,7 @@ let eval_fresh t fp plan =
 let find_cached t fp plan =
   with_lock t (fun () ->
       match Lru.find t.results fp with
-      | Some e when canonical_equal e.Evaluate.plan plan ->
-        t.n_hits <- t.n_hits + 1;
-        Some e
+      | Some e when canonical_equal e.Evaluate.plan plan -> Some e
       | Some _ ->
         (* fingerprint collision: treat as a miss *)
         tier_event "evaluator.result" Flight.Cache_collision "collision";
@@ -425,9 +385,7 @@ let eval t plan =
         tier_miss "evaluator.result";
         let e = eval_fresh t fp plan in
         note_verdict t e.Evaluate.schedulable;
-        with_lock t (fun () ->
-            t.n_misses <- t.n_misses + 1;
-            tier_add "evaluator.result" t.results fp e);
+        with_lock t (fun () -> tier_add "evaluator.result" t.results fp e);
         e)
 
 let eval_population t plans =
@@ -488,11 +446,3 @@ let eval_population t plans =
           | Some e ->
             if rep.(i) = i then e else { e with Evaluate.plan = plans.(i) }
           | None -> assert false))
-
-let stats t =
-  with_lock t (fun () ->
-      { hits = t.n_hits; misses = t.n_misses; sched_hits = t.n_sched_hits;
-        sched_misses = t.n_sched_misses;
-        evictions =
-          Lru.evictions t.results + Lru.evictions t.sched
-          + Lru.evictions t.rows + Lru.evictions t.rates })

@@ -15,10 +15,11 @@
       mutation touching one graph rebuilds only that graph's image.
 
     A scheduling miss runs Algorithm 1 once on the whole jobset
-    ([Mcmap_sched.Jobset.build], the engine's [make], then
-    [Mcmap_analysis.Wcrt.analyze_with]): the same scenario driver as
-    [mcmap analyze], so triggers with equal exec vectors share one
-    fixpoint and the first diverged trigger scenario ends the walk.
+    ([Mcmap_sched.Jobset.build], [Mcmap_sched.Flat.make], then
+    [Mcmap_analysis.Wcrt.analyze_with] on the flat engine): the same
+    scenario driver as [mcmap analyze], so triggers with equal exec
+    vectors share one fixpoint and the first diverged trigger scenario
+    ends the walk.
 
     Every cached path reproduces [Evaluate.evaluate] {e exactly} — field
     for field, bit for bit on floats — which the [evaluator-agreement]
@@ -27,33 +28,18 @@
 
 type t
 
-type engine =
-  | Reference  (** {!Mcmap_sched.Bounds} — the record-based oracle *)
-  | Flat  (** {!Mcmap_sched.Flat} — the zero-allocation flat kernel *)
-(** Which Algorithm 1 fixed-point implementation the session runs. Both
-    return equal results on every input — the [flat-agreement] check
-    oracle enforces exact agreement — so the choice affects speed only.
-    Every user path runs [Flat] (the default), the structure-of-arrays
-    kernel; [Reference] keeps the original {!Mcmap_sched.Bounds} engine
-    for the oracles, the [flat_vs_reference] kernel and the tests. *)
-
 val create :
   ?cache_capacity:int ->
   ?domains:int ->
-  ?engine:engine ->
   ?check_rescue:bool ->
-  ?max_iterations:int ->
   Mcmap_model.Arch.t ->
   Mcmap_model.Appset.t ->
   t
 (** [cache_capacity] (default 4096) bounds the result and scheduling
     LRUs; 0 disables caching (every call analyses afresh — useful for
-    measuring). [domains] (default 1)
-    parallelises {!eval_population}. [engine] (default {!Flat}) selects
-    the fixed-point implementation. [check_rescue] and [max_iterations]
-    are the session-wide analysis options previously restated at every
-    [Evaluate.evaluate] call site; [max_iterations] defaults to
-    {!Mcmap_sched.Bounds.default_max_iterations}.
+    measuring). [domains] (default 1) parallelises {!eval_population}.
+    [check_rescue] (default true) is {!Evaluate.evaluate}'s option, set
+    once per session.
     @raise Invalid_argument if [domains < 1] or [cache_capacity < 0]. *)
 
 val arch : t -> Mcmap_model.Arch.t
@@ -62,9 +48,9 @@ val apps : t -> Mcmap_model.Appset.t
 
 val eval : t -> Mcmap_hardening.Plan.t -> Evaluate.t
 (** Evaluate one plan through the session caches. Exactly equal to
-    [Evaluate.evaluate ~check_rescue ~max_iterations arch apps plan]
-    (with the session's option values), except the returned [plan] field
-    is the argument itself.
+    [Evaluate.evaluate ~check_rescue arch apps plan] (with the session's
+    [check_rescue]), except the returned [plan] field is the argument
+    itself.
 
     Domain safety: safe to call concurrently from any number of
     domains. Every cache tier is guarded by one session lock, cached
@@ -103,19 +89,12 @@ val canonical_equal : Mcmap_hardening.Plan.t -> Mcmap_hardening.Plan.t -> bool
     equivalence whose classes {!fingerprint} keys, used as the collision
     guard on every result-cache hit. *)
 
-type stats = {
-  hits : int;  (** result-cache hits (incl. population dedup hits) *)
-  misses : int;  (** full fresh evaluations *)
-  sched_hits : int;  (** scheduling-info cache hits *)
-  sched_misses : int;
-  evictions : int;  (** total LRU evictions over all session caches *)
-}
+(** {1 Metrics}
 
-val stats : t -> stats
-(** Counters since [create]. With the recorder enabled the same events
-    are mirrored to {!Mcmap_obs.Obs} counters, one labelled family per
-    cache tier ([evaluator.<tier>~hit|miss|evict|collision] for the
-    [result], [sched], [rows] and [rates] tiers), and to the spans
+    With the recorder enabled a session counts every cache decision in
+    {!Mcmap_obs.Obs}, one labelled counter family per tier
+    ([evaluator.<tier>~hit|miss|evict|collision] for the [result],
+    [sched], [rows] and [rates] tiers), and records the spans
     [evaluator.eval] and [evaluator.eval_population]; a scheduling miss
     also records Algorithm 1's own [wcrt.*] metrics and its
     [jobset.build], [flat.make] and [wcrt.analyze] spans. *)

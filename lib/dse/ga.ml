@@ -6,7 +6,6 @@ module Arch = Mcmap_model.Arch
 module Proc = Mcmap_model.Proc
 module Plan = Mcmap_hardening.Plan
 module Technique = Mcmap_hardening.Technique
-module Bounds = Mcmap_sched.Bounds
 
 type selector = Spea2_selector | Nsga2_selector
 
@@ -18,7 +17,6 @@ type config = {
   seed : int;
   force_no_dropping : bool;
   check_rescue : bool;
-  max_iterations : int;
   selector : selector;
   domains : int;
   eval_cache : int;
@@ -27,8 +25,8 @@ type config = {
 let default_config =
   { population = 40; offspring = 40; generations = 40;
     mutation_rate = 0.05; seed = 1; force_no_dropping = false;
-    check_rescue = true; max_iterations = Bounds.default_max_iterations;
-    selector = Spea2_selector; domains = 1; eval_cache = 4096 }
+    check_rescue = true; selector = Spea2_selector; domains = 1;
+    eval_cache = 4096 }
 
 type generation_stats = {
   generation : int;
@@ -97,12 +95,11 @@ let optimize ?on_generation config arch apps =
      function (each candidate carries its own pre-split generator), while
      analyses flow through the session's fingerprint caches —
      crossover/mutation duplicates and re-decoded elites are served from
-     the result cache, mutations that touch one processor re-solve only
-     the changed components. *)
+     the result cache, and a mutation that touches one graph rebuilds
+     only that graph's hardened image and reliability rate. *)
   let session =
     Evaluator.create ~cache_capacity:config.eval_cache
-      ~domains:config.domains ~check_rescue:config.check_rescue
-      ~max_iterations:config.max_iterations arch apps in
+      ~domains:config.domains ~check_rescue:config.check_rescue arch apps in
   let decode_candidate (genome, candidate_rng) =
     Decode.decode candidate_rng
       ~force_no_dropping:config.force_no_dropping arch apps genome in

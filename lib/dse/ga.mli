@@ -28,7 +28,6 @@ type config = {
       (** ablation: decode every candidate with an empty dropped set *)
   check_rescue : bool;
       (** per-candidate double evaluation for the §5.2 rescue ratio *)
-  max_iterations : int;  (** fixed-point sweep cap of the backend *)
   selector : selector;  (** default {!Spea2_selector} *)
   domains : int;  (** parallel evaluation domains (default 1) *)
   eval_cache : int;

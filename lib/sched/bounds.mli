@@ -51,10 +51,11 @@ val make : ?horizon:int -> Jobset.t -> ctx
 val jobset : ctx -> Jobset.t
 
 val default_max_iterations : int
-(** The single shared fixed-point sweep cap (64). Every layer that
-    forwards a [?max_iterations] — {!analyze}, [Wcrt.analyze],
-    [Evaluator.create], [Ga.config] — defaults to this value; callers
-    should not restate the constant. *)
+(** The single shared fixed-point sweep cap (64): the default of both
+    engines' [?max_iterations] ({!analyze}, {!analyze_into} and
+    [Flat]'s). The layers above the engines — [Wcrt], [Naive],
+    [Evaluate], [Evaluator], [Ga] — take no cap and always run at this
+    one. *)
 
 val analyze :
   ?max_iterations:int -> ctx -> exec:(Job.t -> int * int) -> result

@@ -262,9 +262,9 @@ let test_gate_regressions () =
 
 let test_contract_derivation () =
   let kernels =
-    [ ("evaluator_cold", kernel ~mean:9000. ~stddev:10. ());
+    [ ("reference_cold", kernel ~mean:9000. ~stddev:10. ());
       ("flat_cold", kernel ~mean:1000. ~stddev:10. ());
-      ("evaluator_cold_obs", kernel ~mean:9050. ~stddev:10. ()) ] in
+      ("flat_cold_obs", kernel ~mean:1006. ~stddev:10. ()) ] in
   (* The flat speed-up is the median of per-pair ratios: one wild pair
      (a load spike on the flat side) does not move it. *)
   let flat_pairs =
@@ -320,10 +320,34 @@ let test_contract_derivation () =
       | Some mb -> check Alcotest.bool "some allocation measured" true (mb > 0.)
       | None -> Alcotest.fail "minor_mb not recorded")
    | None -> Alcotest.fail "allocation contract not derived");
+  (* Counted in minor words: what the enabled recorder adds to that
+     evaluation. One word per recomputed job would already exceed the
+     bound, so a recording call in the sweep's per-job path fails it. *)
+  (match
+     ( List.assoc_opt "obs_enabled_alloc" contracts,
+       List.assoc_opt "cold_eval_work" contracts )
+   with
+   | Some c, Some work ->
+     check Alcotest.bool "enabled-recorder allocation holds" true c.Schema.ok;
+     let number name =
+       match List.assoc_opt name c.Schema.numbers with
+       | Some x -> x
+       | None -> Alcotest.failf "%s not recorded" name in
+     check Alcotest.bool "the recorder allocates when enabled" true
+       (number "minor_words" > 0.);
+     check Alcotest.bool "enabled minus disabled" true
+       (number "minor_words"
+        = number "enabled_words" -. number "disabled_words");
+     (match List.assoc_opt "recomputed_jobs" work.Schema.numbers with
+      | Some jobs ->
+        check Alcotest.bool "a word per recomputed job fails" true
+          (jobs > number "max_words")
+      | None -> Alcotest.fail "recomputed_jobs not recorded")
+   | _ -> Alcotest.fail "enabled-recorder allocation contract not derived");
   (* an over-budget, out-of-noise overhead fails *)
   let heavy =
-    [ ("evaluator_cold", kernel ~mean:9000. ~stddev:10. ());
-      ("evaluator_cold_obs", kernel ~mean:9900. ~stddev:10. ()) ] in
+    [ ("flat_cold", kernel ~mean:1000. ~stddev:10. ());
+      ("flat_cold_obs", kernel ~mean:1100. ~stddev:10. ()) ] in
   (match
      List.assoc_opt "obs_overhead" (Kernels.contracts ~flat_pairs:[] heavy)
    with

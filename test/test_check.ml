@@ -66,18 +66,17 @@ let test_corpus_io () =
         (Runner.load_corpus path))
 
 (* Every corpus seed, not only the flat-agreement sentinels, is replayed
-   once per engine at full-evaluation level: whatever scenario a seed
-   pins, both fixed-point kernels must evaluate it identically. *)
+   at full-evaluation level on both fixed-point kernels: whatever
+   scenario a seed pins, a session (flat engine) must evaluate it as
+   [Evaluate.evaluate] (reference engine) does. *)
 let test_corpus_both_engines () =
   let entries = Runner.load_corpus corpus_path in
   List.iter
     (fun (seed, _oracle) ->
       let sys = Gen.random_system seed in
-      let eval engine =
-        let session =
-          Evaluator.create ~engine sys.Gen.arch sys.Gen.apps in
-        Evaluator.eval session sys.Gen.plan in
-      let r = eval Evaluator.Reference and f = eval Evaluator.Flat in
+      let arch = sys.Gen.arch and apps = sys.Gen.apps in
+      let r = Mcmap_dse.Evaluate.evaluate arch apps sys.Gen.plan
+      and f = Evaluator.eval (Evaluator.create arch apps) sys.Gen.plan in
       check Alcotest.bool
         (Printf.sprintf "seed %d: engines evaluate identically" seed)
         true
@@ -86,7 +85,7 @@ let test_corpus_both_engines () =
 
 (* The pinned system whose verdicts a diverged trigger scenario decides,
    a case random systems almost never reach: the session must equal the
-   fresh evaluation on both engines. *)
+   fresh evaluation. *)
 let test_corpus_external_last () =
   let module Spec = Mcmap_spec.Spec in
   let sys =
@@ -99,12 +98,9 @@ let test_corpus_external_last () =
     | Error e -> Alcotest.fail e in
   let arch = sys.Spec.arch and apps = sys.Spec.apps in
   let fresh = Mcmap_dse.Evaluate.evaluate arch apps plan in
-  List.iter
-    (fun (engine, name) ->
-      let e = Evaluator.eval (Evaluator.create ~engine arch apps) plan in
-      check Alcotest.bool (name ^ ": session equals fresh") true
-        (Oracles.evaluations_equal e fresh))
-    [ (Evaluator.Flat, "flat"); (Evaluator.Reference, "reference") ]
+  let e = Evaluator.eval (Evaluator.create arch apps) plan in
+  check Alcotest.bool "session equals fresh" true
+    (Oracles.evaluations_equal e fresh)
 
 let test_replay_unknown_oracle () =
   check Alcotest.bool "unknown oracle is an error" true

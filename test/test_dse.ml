@@ -434,6 +434,26 @@ let test_evaluator_fingerprint_canonical () =
   check Alcotest.bool "rebinding breaks canonical equality" false
     (Evaluator.canonical_equal plan rebound)
 
+(* [f ()] with the metrics recorder on, from an empty snapshot: its
+   result and a reader of the counters it recorded (0 for one never
+   recorded). *)
+let with_counters f =
+  let module Obs = Mcmap_obs.Obs in
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let v = f () in
+      let metrics = (Obs.snapshot ()).Obs.metrics in
+      ( v,
+        fun name ->
+          match List.assoc_opt name metrics with
+          | Some (Obs.Counter n) -> n
+          | Some _ | None -> 0 ))
+
 (* A schedulable plan with a dropped graph re-checks its no-drop twin
    for the rescue flag; evaluating that twin next in the same session
    finds the twin's scheduling info already cached under the session's
@@ -451,9 +471,10 @@ let test_evaluator_rescue_twin_shares_sched () =
   let e = Evaluator.eval session plan in
   check Alcotest.bool "the plan drops a graph and schedules" true
     (Plan.dropped_graphs plan <> [] && e.Evaluate.schedulable);
-  let twin = Evaluator.eval session no_drop in
+  let twin, counter =
+    with_counters (fun () -> Evaluator.eval session no_drop) in
   check Alcotest.int "the twin's scheduling info is reused" 1
-    (Evaluator.stats session).Evaluator.sched_hits;
+    (counter "evaluator.sched~hit");
   check_evaluation_equal "plan" (Evaluate.evaluate arch apps plan) e;
   check_evaluation_equal "no-drop twin"
     (Evaluate.evaluate arch apps no_drop) twin
@@ -487,23 +508,24 @@ let test_evaluator_matches_fresh () =
      must not depend on hit rate. *)
   let session = Evaluator.create ~cache_capacity:2 arch apps in
   let plans = sample_plans arch apps 6 in
-  Array.iter
-    (fun plan ->
-      let fresh = Evaluate.evaluate arch apps plan in
-      check_evaluation_equal "session = fresh"
-        (Evaluator.eval session plan) fresh;
-      check_evaluation_equal "session replay = fresh"
-        (Evaluator.eval session plan) fresh)
-    plans;
-  let stats = Evaluator.stats session in
+  let (), counter =
+    with_counters (fun () ->
+        Array.iter
+          (fun plan ->
+            let fresh = Evaluate.evaluate arch apps plan in
+            check_evaluation_equal "session = fresh"
+              (Evaluator.eval session plan) fresh;
+            check_evaluation_equal "session replay = fresh"
+              (Evaluator.eval session plan) fresh)
+          plans) in
   check Alcotest.bool "replays hit the result cache" true
-    (stats.Evaluator.hits >= 1);
+    (counter "evaluator.result~hit" >= 1);
   check Alcotest.bool "tiny cache evicts" true
-    (stats.Evaluator.evictions >= 1)
+    (counter "evaluator.result~evict" >= 1)
 
 (* DT-large's sampler plan of seed 15 has a diverged trigger scenario:
    the session's Algorithm 1 run stops its scenario walk there and still
-   equals the fresh reference on both engines. *)
+   equals the fresh reference. *)
 let test_evaluator_diverged_scenario () =
   let bench = Mcmap_benchmarks.Registry.find_exn "dt-large" in
   let arch = bench.Mcmap_benchmarks.Benchmark.arch
@@ -512,17 +534,16 @@ let test_evaluator_diverged_scenario () =
   let fresh = Evaluate.evaluate arch apps plan in
   check Alcotest.bool "the plan is unschedulable" false
     fresh.Evaluate.schedulable;
-  List.iter
-    (fun (engine, label) ->
-      let session = Evaluator.create ~engine arch apps in
-      check_evaluation_equal (label ^ ": session = fresh")
-        (Evaluator.eval session plan) fresh)
-    [ (Evaluator.Flat, "flat"); (Evaluator.Reference, "reference") ]
+  check_evaluation_equal "session = fresh"
+    (Evaluator.eval (Evaluator.create arch apps) plan)
+    fresh
 
 (* `mcmap explore` at its defaults on cruise and dt-med, with every
-   archive entry of every generation re-evaluated on one reference-engine
-   session: the flat engine's fronts are the reference's, entry by
-   entry. *)
+   archive entry of every generation held to [Evaluate.evaluate] on the
+   reference engine: the flat engine's fronts are the reference's, entry
+   by entry. Archives repeat plans from generation to generation, so
+   each distinct plan (by fingerprint, guarded by canonical equality) is
+   evaluated once. *)
 let test_explore_flat_equals_reference () =
   let config = { Ga.default_config with Ga.seed = 42 } in
   List.iter
@@ -530,7 +551,21 @@ let test_explore_flat_equals_reference () =
       let bench = Mcmap_benchmarks.Registry.find_exn name in
       let arch = bench.Mcmap_benchmarks.Benchmark.arch
       and apps = bench.Mcmap_benchmarks.Benchmark.apps in
-      let reference = Evaluator.create ~engine:Evaluator.Reference arch apps in
+      let evaluated = Hashtbl.create 256 in
+      let reference (plan : Plan.t) =
+        let fp = Evaluator.fingerprint plan in
+        let seen = Option.value ~default:[] (Hashtbl.find_opt evaluated fp) in
+        match
+          List.find_opt
+            (fun (r : Evaluate.t) ->
+              Evaluator.canonical_equal r.Evaluate.plan plan)
+            seen
+        with
+        | Some r -> r
+        | None ->
+          let r = Evaluate.evaluate arch apps plan in
+          Hashtbl.replace evaluated fp (r :: seen);
+          r in
       let checked = ref 0 in
       let on_generation generation archive =
         Array.iter
@@ -538,7 +573,7 @@ let test_explore_flat_equals_reference () =
             incr checked;
             if not
                  (Mcmap_check.Oracles.evaluations_equal
-                    (Evaluator.eval reference e.Evaluate.plan) e)
+                    (reference e.Evaluate.plan) e)
             then
               Alcotest.failf "%s: generation %d: flat and reference differ"
                 name generation)

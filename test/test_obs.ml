@@ -624,7 +624,7 @@ let test_scenario_sharing_metrics () =
   (* every flat.analyses run is a counted fixpoint: the normal state and
      the trigger fixpoints *)
   check Alcotest.int "flat.analyses" (1 + fixpoints) analyses;
-  let session = D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
+  let session = D.Evaluator.create arch apps in
   ignore (D.Evaluator.eval session plan);
   check
     Alcotest.(triple int int int)
@@ -666,7 +666,7 @@ let test_scenarios_absorbed_metrics () =
   Obs.reset ();
   ignore (Mcmap_analysis.Wcrt.analyze_with (module Mcmap_sched.Flat) ctx);
   check_absorbed "Algorithm 1";
-  let session = D.Evaluator.create ~engine:D.Evaluator.Flat arch apps in
+  let session = D.Evaluator.create arch apps in
   ignore (D.Evaluator.eval session plan);
   check_absorbed "session"
 
