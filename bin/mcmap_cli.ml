@@ -338,8 +338,9 @@ let explore_cmd =
                            (results are identical for any count).")
           $ Arg.(value & opt int 4096
                  & info [ "eval-cache" ]
-                     ~doc:"Evaluator-session result-cache capacity \
-                           (0 disables caching).")
+                     ~doc:"Evaluator-session result-tier capacity; the \
+                           row tier holds four times as many entries \
+                           (0 disables both).")
           $ Arg.(value & flag
                  & info [ "quiet" ]
                      ~doc:"Suppress the per-generation progress lines.")
@@ -1119,12 +1120,16 @@ let bench_out_arg =
 let bench_run_cmd =
   let run fast out =
     let kernels = K.run_all ~fast ~progress:print_endline () in
-    let flat_pairs = K.measure_flat_pairs () in
-    Printf.printf "%-32s %d interleaved pairs\n%!" "flat_vs_reference"
-      (List.length flat_pairs);
+    let pairs name measure =
+      let pairs = measure () in
+      Printf.printf "%-32s %d interleaved pairs\n%!" name
+        (List.length pairs);
+      pairs in
+    let flat_pairs = pairs "flat_vs_reference" K.measure_flat_pairs in
+    let obs_pairs = pairs "obs_overhead" K.measure_obs_pairs in
     Bschema.write out
       { Bschema.fast; env = Bschema.env_now (); kernels;
-        contracts = K.contracts ~flat_pairs kernels };
+        contracts = K.contracts ~flat_pairs ~obs_pairs kernels };
     Printf.printf "benchmark summary written to %s\n%!" out;
     0 in
   Cmd.v

@@ -50,12 +50,11 @@ let micro_ga =
 (* Evaluation kernels (DT-large, the heaviest benchmark):
    [reference_cold] is one [Evaluate.evaluate] of the balanced seed-42
    plan on the reference engine (the denominator of the flat speed-up
-   contract), [flat_cold] pays a fresh session + full analysis per run,
-   [flat_cold_obs] is [flat_cold] with the metrics recorder enabled
-   (the numerator of the obs-overhead contract), [evaluator_warm]
-   queries a pre-warmed session (the result-cache hit path every
-   optimisation loop rides on), [eval_population] evaluates a 16-plan
-   population on a fresh multi-domain session per run. *)
+   contract), [flat_cold] pays a fresh session + full analysis per run
+   (timed with the recorder on and off by the obs-overhead pairs),
+   [evaluator_warm] queries a pre-warmed session (the result-cache hit
+   path every optimisation loop rides on), [eval_population] evaluates
+   a 16-plan population on a fresh multi-domain session per run. *)
 let evaluator_ctx =
   lazy
     (let bench = B.Registry.find_exn "dt-large" in
@@ -140,22 +139,11 @@ let flat_cold_run () =
   let session = D.Evaluator.create arch apps in
   ignore (D.Evaluator.eval session plan)
 
-(* A kernel is a Bechamel test plus optional bracketing (used to flip
-   the metrics recorder around [flat_cold_obs] without timing the
-   flip itself). *)
-type kernel_spec = {
-  k_name : string;
-  k_test : Bechamel.Test.t;
-  k_setup : unit -> unit;
-  k_teardown : unit -> unit;
-}
-
-let nothing () = ()
+type kernel_spec = { k_name : string; k_test : Bechamel.Test.t }
 
 let plain name f =
   { k_name = name;
-    k_test = Bechamel.Test.make ~name (Bechamel.Staged.stage f);
-    k_setup = nothing; k_teardown = nothing }
+    k_test = Bechamel.Test.make ~name (Bechamel.Staged.stage f) }
 
 let suite =
   [ (* Table 2 column "Proposed": one full Algorithm 1 run *)
@@ -197,11 +185,6 @@ let suite =
         let arch, apps, plan = Lazy.force noc_ctx in
         let session = D.Evaluator.create arch apps in
         ignore (D.Evaluator.eval session plan));
-    { (plain "flat_cold_obs" flat_cold_run) with
-      k_setup = (fun () -> Obs.enable ());
-      (* Drop what the benchmark recorded: the kernels after it time the
-         disabled recorder, and nothing reads these metrics. *)
-      k_teardown = (fun () -> Obs.disable (); Obs.reset ()) };
     plain "evaluator_warm" (fun () ->
         let _, _, plan, _, warm, _ = Lazy.force evaluator_ctx in
         ignore (D.Evaluator.eval warm plan));
@@ -250,31 +233,27 @@ let dispersion (b : Bechamel.Benchmark.t) =
 
 let measure ~fast spec =
   let open Bechamel in
-  spec.k_setup ();
-  Fun.protect ~finally:spec.k_teardown (fun () ->
-      let cfg =
-        Benchmark.cfg ~limit:2000
-          ~quota:(Time.second (if fast then 0.25 else 1.0))
-          ~kde:(Some 100) () in
-      let instance = Toolkit.Instance.monotonic_clock in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:true
-          ~predictors:[| Measure.run |] in
-      let raws = Benchmark.all cfg [ instance ] spec.k_test in
-      let stats = Analyze.all ols instance raws in
-      let estimate =
-        match Hashtbl.find_opt stats spec.k_name with
-        | Some r ->
-          (match Analyze.OLS.estimates r with
-           | Some [ ns ] -> Some ns
-           | Some _ | None -> None)
-        | None -> None in
-      let min_ns, mean_ns, stddev_ns, samples =
-        match Hashtbl.find_opt raws spec.k_name with
-        | Some b -> dispersion b
-        | None -> (0., 0., 0., 0) in
-      { Schema.ns_per_run = estimate; min_ns; mean_ns; stddev_ns;
-        samples })
+  let cfg =
+    Benchmark.cfg ~limit:2000
+      ~quota:(Time.second (if fast then 0.25 else 1.0))
+      ~kde:(Some 100) () in
+  let instance = Toolkit.Instance.monotonic_clock in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  let raws = Benchmark.all cfg [ instance ] spec.k_test in
+  let stats = Analyze.all ols instance raws in
+  let estimate =
+    match Hashtbl.find_opt stats spec.k_name with
+    | Some r ->
+      (match Analyze.OLS.estimates r with
+       | Some [ ns ] -> Some ns
+       | Some _ | None -> None)
+    | None -> None in
+  let min_ns, mean_ns, stddev_ns, samples =
+    match Hashtbl.find_opt raws spec.k_name with
+    | Some b -> dispersion b
+    | None -> (0., 0., 0., 0) in
+  { Schema.ns_per_run = estimate; min_ns; mean_ns; stddev_ns; samples }
 
 let run_all ~fast ?(progress = fun _ -> ()) () =
   List.map
@@ -295,76 +274,90 @@ let run_all ~fast ?(progress = fun _ -> ()) () =
 (* ------------------------------------------------------------------ *)
 (* Contracts *)
 
-(* Paired timing of the flat speed-up. Two separate Bechamel estimates
-   drift apart with the machine's load between kernels (their ratio
-   failed about one full run in six), so the contract times its own
-   interleaved pairs instead: one reference evaluation and one cold
-   flat evaluation per pair, in alternating order, after one warm-up
-   pair, and gates on the median of the per-pair ratios. *)
+(* Paired timing. Two separate Bechamel estimates drift apart with the
+   machine's load between kernels (the flat speed-up's ratio failed
+   about one full run in six, and an unpaired recorder overhead read
+   anywhere from -20% to +50% on unchanged code), so a timed comparison
+   takes its own interleaved pairs instead: [a] and [b] once per pair,
+   in alternating order, after one warm-up pair, judged by the median
+   of the per-pair ratios. *)
 let time_ns f =
   let t0 = Obs.now_ns () in
   f ();
   Int64.to_float (Int64.sub (Obs.now_ns ()) t0)
 
-let measure_flat_pairs () =
-  ignore (time_ns reference_cold_run);
-  ignore (time_ns flat_cold_run);
+let measure_pairs a b =
+  ignore (time_ns a);
+  ignore (time_ns b);
   List.init 41 (fun i ->
       if i mod 2 = 0 then
-        let reference = time_ns reference_cold_run in
-        (reference, time_ns flat_cold_run)
+        let ta = time_ns a in
+        (ta, time_ns b)
       else
-        let flat = time_ns flat_cold_run in
-        (time_ns reference_cold_run, flat))
+        let tb = time_ns b in
+        (time_ns a, tb))
+
+let measure_flat_pairs () = measure_pairs reference_cold_run flat_cold_run
+
+(* The enabled side flips the recorder around its run; what it records
+   is dropped afterwards, so the kernels and contracts after it see an
+   empty, disabled recorder. *)
+let measure_obs_pairs () =
+  let enabled () =
+    Obs.enable ();
+    flat_cold_run ();
+    Obs.disable () in
+  let pairs = measure_pairs flat_cold_run enabled in
+  Obs.reset ();
+  pairs
+
+(* The pair count, each side's median time under its name, and the
+   first quartile, median and third quartile of the per-pair ratios
+   [fst /. snd]. *)
+let paired (fst_name, snd_name) pairs =
+  let pct = Mcmap_util.Stats.percentile in
+  let ratios = List.map (fun (x, y) -> x /. y) pairs in
+  ( [ ("pairs", float_of_int (List.length pairs));
+      (fst_name, pct (List.map fst pairs) 50.);
+      (snd_name, pct (List.map snd pairs) 50.) ],
+    (pct ratios 25., pct ratios 50., pct ratios 75.) )
 
 let flat_contract = function
   | [] -> []
   | pairs ->
     let min_speedup = 3.0 in
-    let ratios = List.map (fun (reference, flat) -> reference /. flat) pairs in
-    let pct = Mcmap_util.Stats.percentile in
-    let speedup = pct ratios 50. in
+    let numbers, (q1, speedup, q3) =
+      paired ("reference_ns", "flat_ns") pairs in
     [ ( "flat_vs_reference",
         { Schema.ok = speedup >= min_speedup;
           numbers =
-            [ ("pairs", float_of_int (List.length pairs));
-              ("reference_ns", pct (List.map fst pairs) 50.);
-              ("flat_ns", pct (List.map snd pairs) 50.);
-              ("speedup", speedup);
-              ("speedup_q1", pct ratios 25.);
-              ("speedup_q3", pct ratios 75.);
-              ("min_speedup", min_speedup) ] } ) ]
+            numbers
+            @ [ ("speedup", speedup); ("speedup_q1", q1); ("speedup_q3", q3);
+                ("min_speedup", min_speedup) ] } ) ]
 
-(* Enabled-recorder overhead on the cold session evaluation. The
-   disabled path does strictly less work per call site (one
-   load-and-branch versus branch + record), so this bounds the
-   disabled-mode tax from above. Pass when within budget or within
-   timer noise (3 combined sigmas) — a contract that flakes teaches CI
-   to ignore it. *)
-let obs_contract kernels =
-  match
-    (List.assoc_opt "flat_cold" kernels,
-     List.assoc_opt "flat_cold_obs" kernels)
-  with
-  | Some off, Some on
-    when off.Schema.mean_ns > 0. && on.Schema.mean_ns > 0. ->
-    let max_pct = 2.0 in
-    let overhead_pct =
-      100. *. (on.Schema.mean_ns -. off.Schema.mean_ns)
-      /. off.Schema.mean_ns in
-    let sigma =
-      sqrt
-        ((off.Schema.stddev_ns ** 2.) +. (on.Schema.stddev_ns ** 2.)) in
-    let within_noise =
-      abs_float (on.Schema.mean_ns -. off.Schema.mean_ns) <= 3. *. sigma in
+(* Enabled-recorder overhead on the cold session evaluation, from
+   interleaved disabled/enabled pairs. The disabled path does strictly
+   less work per call site (one load-and-branch versus branch +
+   record), so this bounds the disabled-mode tax from above. The bound
+   sits well above the medians paired rounds read on unchanged code
+   (0.6-3.4% on a 2-core box) and well below what one labelled
+   [Obs.incr] per recomputed job costs (55-75%). *)
+let obs_contract = function
+  | [] -> []
+  | pairs ->
+    let max_pct = 10.0 in
+    let numbers, (q1, ratio, q3) =
+      paired ("enabled_ns", "disabled_ns")
+        (List.map (fun (off, on) -> (on, off)) pairs) in
+    let pct_of ratio = 100. *. (ratio -. 1.) in
+    let overhead_pct = pct_of ratio in
     [ ( "obs_overhead",
-        { Schema.ok = overhead_pct <= max_pct || within_noise;
+        { Schema.ok = overhead_pct <= max_pct;
           numbers =
-            [ ("disabled_ns", off.Schema.mean_ns);
-              ("enabled_ns", on.Schema.mean_ns);
-              ("overhead_pct", overhead_pct); ("max_pct", max_pct);
-              ("sigma_ns", sigma) ] } ) ]
-  | _ -> []
+            numbers
+            @ [ ("overhead_pct", overhead_pct);
+                ("overhead_q1", pct_of q1); ("overhead_q3", pct_of q3);
+                ("max_pct", max_pct) ] } ) ]
 
 (* The work of one cold session evaluation of the [flat_cold] plan,
    counted with the recorder on: the Algorithm 1 analyses run (the
@@ -584,7 +577,7 @@ let obs_disabled_contract =
          Obs.incr ~label:"hit" "bench.count";
          Obs.observe "bench.value" i;
          Obs.gauge "bench.level" 1.;
-         Obs.with_span "bench.span" nothing
+         Obs.with_span "bench.span" ignore
        done in
      let words = minor_words_of calls in
      ( "obs_disabled_alloc",
@@ -648,8 +641,8 @@ let work_contract =
                [ (name, float_of_int n); ("max_" ^ name, float_of_int pin) ])
              counts } ))
 
-let contracts ~flat_pairs kernels =
-  flat_contract flat_pairs @ obs_contract kernels
+let contracts ~flat_pairs ~obs_pairs kernels =
+  flat_contract flat_pairs @ obs_contract obs_pairs
   @ budget_edge_contract kernels
   @ [ Lazy.force sharing_contract; Lazy.force cold_alloc_contract;
       Lazy.force flat_make_alloc_contract;

@@ -122,13 +122,12 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
 (* Cross-domain sharing audit (the discipline [mcmap serve] and
    [eval_population] rely on):
 
-   - Every LRU tier ([results], [sched], [rows], [rates]) and
-     [last_ok] are mutated only under [lock].
-   - Cached values ([Evaluate.t], [sched_info], hardened graphs, rates)
-     are immutable once published, so a value evicted while another
-     domain still holds it stays valid — eviction only drops the
-     cache's reference.
-   - Analysis contexts are built per sched-tier miss and never shared:
+   - Both LRU tiers ([results], [rows]) and [last_ok] are mutated only
+     under [lock].
+   - Cached values ([Evaluate.t], row entries) are immutable once
+     published, so a value evicted while another domain still holds it
+     stays valid — eviction only drops the cache's reference.
+   - Analysis contexts are built per fresh evaluation and never shared:
      [Flat.ctx]'s scratch lives in a per-domain arena (Domain.DLS), so
      concurrent analyses on different domains do not meet.
    - Two domains missing the same key may compute the same entry
@@ -143,10 +142,9 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
      assumes one mutator per domain: safe from domains, but NOT from
      multiple systhreads sharing one domain while it is armed. *)
 
-type sched_info = {
-  required : Verdict.t array;  (* per source graph: required WCRT *)
-  ok : bool;  (* every required verdict meets its deadline *)
-}
+(* One graph's row entry: its hardened image and, when the graph has a
+   reliability bound, its failure rate ([nan] otherwise, never read). *)
+type row = { hgraph : Happ.hgraph; rate : float }
 
 type t = {
   arch : Arch.t;
@@ -168,11 +166,9 @@ type t = {
          spans. One population at a time is the discipline [mcmap
          serve] relies on (its pool keeps one lock per session). *)
   results : (Fingerprint.t, Evaluate.t) Lru.t;
-  sched : (Fingerprint.t, sched_info) Lru.t;
-  rows : (Fingerprint.t, Happ.hgraph) Lru.t;
-  rates : (Fingerprint.t, float) Lru.t;
+  rows : (Fingerprint.t, row) Lru.t;
   mutable last_ok : bool option;
-      (* previous eval's schedulable bit, for verdict-flip events *)
+      (* previous fresh verdict of a caller's plan, for flip events *)
 }
 
 let with_lock t f =
@@ -205,9 +201,7 @@ let create ?(cache_capacity = 4096) ?(domains = 1) ?(check_rescue = true)
     rel_bounds; lock = Mutex.create ();
     population_lock = Mutex.create ();
     results = Lru.create ~capacity:cache_capacity ();
-    sched = Lru.create ~capacity:cache_capacity ();
-    rows = Lru.create ~capacity:(4 * (cache_capacity + 1)) ();
-    rates = Lru.create ~capacity:(4 * (cache_capacity + 1)) ();
+    rows = Lru.create ~capacity:(4 * cache_capacity) ();
     last_ok = None }
 
 (* Cache-tier attribution: one labelled counter family per tier
@@ -248,121 +242,57 @@ let arch t = t.arch
 let apps t = t.apps
 
 (* ------------------------------------------------------------------ *)
-(* Hardened-graph and reliability caches (keyed per decision row).     *)
+(* The row tier: hardened graphs and failure rates per decision row.   *)
 
-(* Per-row cache keys of a plan, computed once per fresh evaluation and
-   shared by the hardened-graph and rate tiers. Validates the plan
-   first, with the same error as the fresh [Happ.build] path. *)
-let row_keys t plan =
+(* A plan's row entries, one per graph, each keyed by the salted
+   fingerprint of its decision row. Validates the plan first, with the
+   same error as the fresh [Happ.build] path. *)
+let rows_of t plan =
   (match Plan.errors t.arch t.apps plan with
    | [] -> ()
    | msg :: _ -> invalid_arg ("Happ.build: " ^ msg));
   Array.init t.n_graphs (fun gi ->
-      Fingerprint.combine t.salt (row_fingerprint plan gi))
+      let key = Fingerprint.combine t.salt (row_fingerprint plan gi) in
+      match with_lock t (fun () -> Lru.find t.rows key) with
+      | Some row ->
+        tier_hit "evaluator.rows";
+        row
+      | None ->
+        tier_miss "evaluator.rows";
+        let rate =
+          match t.rel_bounds.(gi) with
+          | Some _ ->
+            Reliability.graph_failure_rate t.arch t.apps plan ~graph:gi
+          | None -> Float.nan in
+        let hgraph = Happ.hardened_graph t.arch t.apps plan gi in
+        let row = { hgraph; rate } in
+        with_lock t (fun () -> tier_add "evaluator.rows" t.rows key row);
+        row)
 
-let hgraph_for t plan keys gi =
-  let key = keys.(gi) in
-  match with_lock t (fun () -> Lru.find t.rows key) with
-  | Some hg ->
-    tier_hit "evaluator.rows";
-    hg
-  | None ->
-    tier_miss "evaluator.rows";
-    let hg = Happ.hardened_graph t.arch t.apps plan gi in
-    with_lock t (fun () -> tier_add "evaluator.rows" t.rows key hg);
-    hg
-
-let happ_of t plan keys =
-  let graphs = Array.init t.n_graphs (fun gi -> hgraph_for t plan keys gi) in
-  Happ.assemble t.arch t.apps plan graphs
-
-let rate_of t plan keys gi =
-  let key = keys.(gi) in
-  match with_lock t (fun () -> Lru.find t.rates key) with
-  | Some r ->
-    tier_hit "evaluator.rates";
-    r
-  | None ->
-    tier_miss "evaluator.rates";
-    let r = Reliability.graph_failure_rate t.arch t.apps plan ~graph:gi in
-    with_lock t (fun () -> tier_add "evaluator.rates" t.rates key r);
-    r
+let happ_of t plan rows =
+  Happ.assemble t.arch t.apps plan (Array.map (fun r -> r.hgraph) rows)
 
 (* Same iteration order and float comparisons as
    [Reliability.violations]; the cached rate is the identical double. *)
-let violations_of t plan keys =
+let violations_of t rows =
   let acc = ref [] in
   for gi = t.n_graphs - 1 downto 0 do
     match t.rel_bounds.(gi) with
     | None -> ()
     | Some bound ->
-      let failure_rate = rate_of t plan keys gi in
+      let failure_rate = rows.(gi).rate in
       if failure_rate > bound then
         acc := { Reliability.graph = gi; failure_rate; bound } :: !acc
   done;
   !acc
 
 (* ------------------------------------------------------------------ *)
-(* Scheduling: Algorithm 1 on the whole jobset.                        *)
-
-(* [Wcrt.analyze_with] on the flat engine, with the default horizon
-   (four hyperperiods plus the latest absolute deadline, which is
-   plan-independent). *)
-let compute_sched t (happ : Happ.t) =
-  let report =
-    Wcrt.analyze_with (module Flat) (Flat.make (Jobset.build happ)) in
-  let required = report.Wcrt.required_wcrt in
-  { required; ok = Array.for_all2 Verdict.within required t.deadlines }
-
-let sched_of t fp (happ : Happ.t Lazy.t) =
-  match with_lock t (fun () -> Lru.find t.sched fp) with
-  | Some info ->
-    tier_hit "evaluator.sched";
-    info
-  | None ->
-    tier_miss "evaluator.sched";
-    let info = compute_sched t (Lazy.force happ) in
-    with_lock t (fun () -> tier_add "evaluator.sched" t.sched fp info);
-    info
-
-(* ------------------------------------------------------------------ *)
-(* Evaluation.                                                         *)
+(* The result tier and evaluation.                                     *)
 
 let power t plan =
-  Evaluate.power_of_happ t.arch (happ_of t plan (row_keys t plan))
+  Evaluate.power_of_happ t.arch (happ_of t plan (rows_of t plan))
 
-let eval_fresh t fp plan =
-  let keys = row_keys t plan in
-  let happ = happ_of t plan keys in
-  let sinfo = sched_of t fp (lazy happ) in
-  let reliability_violations = violations_of t plan keys in
-  let reliable = reliability_violations = [] in
-  let power = Evaluate.power_of_happ t.arch happ in
-  let service = Evaluate.service_of_plan t.apps plan in
-  let violation =
-    if sinfo.ok && reliable then 0.
-    else
-      Evaluate.violation_of ~deadlines:t.deadlines sinfo.required
-        reliability_violations in
-  let rescued =
-    if (not t.check_rescue) || not sinfo.ok then false
-    else if Plan.dropped_graphs plan = [] then false
-    else begin
-      let no_drop =
-        Plan.make t.apps
-          ~decisions:(Array.map Array.copy plan.Plan.decisions)
-          ~dropped:(Array.make t.n_graphs false) in
-      (* Row keys read only the decisions, which [no_drop] shares; the
-         sched key is salted as in [eval], so the twin's own evaluation
-         reuses this entry. *)
-      let ninfo =
-        sched_of t
-          (Fingerprint.combine t.salt (fingerprint no_drop))
-          (lazy (happ_of t no_drop keys)) in
-      not ninfo.ok
-    end in
-  { Evaluate.plan; power; service; schedulable = sinfo.ok; reliable;
-    violation; rescued; objectives = [| power; -.service |] }
+let plan_key t plan = Fingerprint.combine t.salt (fingerprint plan)
 
 let find_cached t fp plan =
   with_lock t (fun () ->
@@ -374,75 +304,101 @@ let find_cached t fp plan =
         None
       | None -> None)
 
+(* The one plan-keyed lookup: a guarded hit, or a fresh evaluation that
+   is then inserted. [note] marks a caller's own plan, whose fresh
+   verdict feeds the flip events; [rows], when given, are the plan's
+   row entries. *)
+let rec result_of ~note t fp plan ?rows () =
+  match find_cached t fp plan with
+  | Some e ->
+    tier_hit "evaluator.result";
+    { e with Evaluate.plan }
+  | None ->
+    tier_miss "evaluator.result";
+    let rows = match rows with Some rows -> rows | None -> rows_of t plan in
+    let e = eval_fresh t plan rows in
+    if note then note_verdict t e.Evaluate.schedulable;
+    with_lock t (fun () -> tier_add "evaluator.result" t.results fp e);
+    e
+
+(* Algorithm 1 on the flat engine over the whole jobset, with the
+   default horizon (four hyperperiods plus the latest absolute
+   deadline, which is plan-independent). *)
+and eval_fresh t plan rows =
+  let happ = happ_of t plan rows in
+  let required =
+    (Wcrt.analyze_with (module Flat) (Flat.make (Jobset.build happ)))
+      .Wcrt.required_wcrt in
+  let schedulable = Array.for_all2 Verdict.within required t.deadlines in
+  let reliability_violations = violations_of t rows in
+  let reliable = reliability_violations = [] in
+  let power = Evaluate.power_of_happ t.arch happ in
+  let service = Evaluate.service_of_plan t.apps plan in
+  let violation =
+    if schedulable && reliable then 0.
+    else
+      Evaluate.violation_of ~deadlines:t.deadlines required
+        reliability_violations in
+  let rescued =
+    t.check_rescue && schedulable && Plan.dropped_graphs plan <> []
+    && begin
+      (* The no-drop twin shares the plan's decisions, hence its rows;
+         its own later evaluation finds this result. *)
+      let twin =
+        Plan.make t.apps
+          ~decisions:(Array.map Array.copy plan.Plan.decisions)
+          ~dropped:(Array.make t.n_graphs false) in
+      not
+        (result_of ~note:false t (plan_key t twin) twin ~rows ())
+          .Evaluate.schedulable
+    end in
+  { Evaluate.plan; power; service; schedulable; reliable; violation;
+    rescued; objectives = [| power; -.service |] }
+
 let eval t plan =
   Obs.with_span "evaluator.eval" (fun () ->
-      let fp = Fingerprint.combine t.salt (fingerprint plan) in
-      match find_cached t fp plan with
-      | Some e ->
-        tier_hit "evaluator.result";
-        { e with Evaluate.plan }
-      | None ->
-        tier_miss "evaluator.result";
-        let e = eval_fresh t fp plan in
-        note_verdict t e.Evaluate.schedulable;
-        with_lock t (fun () -> tier_add "evaluator.result" t.results fp e);
-        e)
+      result_of ~note:true t (plan_key t plan) plan ())
 
 let eval_population t plans =
   (* One population fan-out at a time (see [population_lock]): a second
      concurrent caller blocks here until the first finishes, rather
-     than doubling the spawned domains. [eval] itself is reentrant
-     under this lock — population workers call it freely. *)
+     than doubling the spawned domains. The lookup itself is reentrant
+     under this lock — population workers and [eval] share it. *)
   Mutex.lock t.population_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.population_lock)
   @@ fun () ->
   Obs.with_span "evaluator.eval_population" (fun () ->
       let n = Array.length plans in
-      let fps =
-        Array.map
-          (fun p -> Fingerprint.combine t.salt (fingerprint p))
-          plans in
-      (* Representative of each canonical-equality class: the first
-         occurrence. Classes are found via the fingerprint with a
-         structural guard, so colliding-but-different plans stay
-         separate. *)
-      let rep = Array.make n (-1) in
+      let fps = Array.map (plan_key t) plans in
+      (* The first occurrence of each canonical-equality class, found
+         via the fingerprint with a structural guard, so
+         colliding-but-different plans stay separate. *)
+      let firsts = ref [] in
       let classes = Hashtbl.create (2 * n) in
       for i = 0 to n - 1 do
         let seen =
           Option.value ~default:[] (Hashtbl.find_opt classes fps.(i)) in
-        match
-          List.find_opt (fun j -> canonical_equal plans.(j) plans.(i)) seen
-        with
-        | Some j -> rep.(i) <- j
-        | None ->
-          rep.(i) <- i;
+        let dup j = canonical_equal plans.(j) plans.(i) in
+        if not (List.exists dup seen) then begin
+          firsts := i :: !firsts;
           Hashtbl.replace classes fps.(i) (i :: seen)
-      done;
-      let results = Array.make n None in
-      let work = ref [] in
-      for i = n - 1 downto 0 do
-        if rep.(i) = i then begin
-          match find_cached t fps.(i) plans.(i) with
-          | Some e ->
-            tier_hit "evaluator.result";
-            results.(i) <- Some { e with Evaluate.plan = plans.(i) }
-          | None -> work := i :: !work
         end
       done;
-      let work = Array.of_list !work in
-      (* Unevaluated representatives fan out over domains; [eval] guards
-         every shared cache with the session lock and any racy duplicate
+      (* First occurrences fan out over domains through the lookup. The
+         session lock guards every shared cache and any racy duplicate
          work produces bit-identical results, so the merge below is
          deterministic for any domain count. *)
-      let fresh =
-        Parallel.map_array ~domains:t.domains
-          (fun i -> eval t plans.(i))
-          work in
-      Array.iteri (fun k i -> results.(i) <- Some fresh.(k)) work;
+      let work = Array.of_list (List.rev !firsts) in
+      let results = Array.make n None in
+      Array.iter2
+        (fun i e -> results.(i) <- Some e)
+        work
+        (Parallel.map_array ~domains:t.domains
+           (fun i -> result_of ~note:true t fps.(i) plans.(i) ())
+           work);
+      (* A folded duplicate is served by its class's result entry. *)
       Array.init n (fun i ->
-          match results.(rep.(i)) with
-          | Some e ->
-            if rep.(i) = i then e else { e with Evaluate.plan = plans.(i) }
-          | None -> assert false))
+          match results.(i) with
+          | Some e -> e
+          | None -> result_of ~note:true t fps.(i) plans.(i) ()))

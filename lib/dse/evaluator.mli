@@ -3,18 +3,18 @@
 
     A session [create arch apps] precomputes everything plan-independent
     — deadlines and reliability bounds — and memoises everything
-    plan-dependent behind canonical 128-bit fingerprints:
+    plan-dependent in two bounded LRU tiers behind canonical 128-bit
+    fingerprints:
 
-    - a bounded LRU of full evaluation results keyed by the plan
-      fingerprint (crossover/mutation duplicates and GA re-elites are
-      near-free), guarded by structural plan equality against collisions;
-    - a bounded LRU of scheduling verdicts keyed by the same
-      fingerprint, which the rescue re-check of a plan's no-drop twin
-      shares with the twin's own evaluation;
-    - hardened graphs and reliability rates keyed per decision row, so a
-      mutation touching one graph rebuilds only that graph's image.
+    - results: full evaluations keyed by the plan fingerprint and
+      guarded by structural plan equality against collisions. GA
+      duplicates, re-elites and the no-drop twin of the rescue re-check
+      all go through it;
+    - rows: per decision row, the hardened graph and, for a graph with a
+      reliability bound, its failure rate, so a mutation touching one
+      graph rebuilds only that graph's image.
 
-    A scheduling miss runs Algorithm 1 once on the whole jobset
+    A result miss runs Algorithm 1 once on the whole jobset
     ([Mcmap_sched.Jobset.build], [Mcmap_sched.Flat.make], then
     [Mcmap_analysis.Wcrt.analyze_with] on the flat engine): the same
     scenario driver as [mcmap analyze], so triggers with equal exec
@@ -35,9 +35,10 @@ val create :
   Mcmap_model.Arch.t ->
   Mcmap_model.Appset.t ->
   t
-(** [cache_capacity] (default 4096) bounds the result and scheduling
-    LRUs; 0 disables caching (every call analyses afresh — useful for
-    measuring). [domains] (default 1) parallelises {!eval_population}.
+(** [cache_capacity] (default 4096) bounds the result tier, and the row
+    tier at four times that; 0 disables both (every call analyses afresh,
+    population duplicates included — useful for measuring). [domains]
+    (default 1) parallelises {!eval_population}.
     [check_rescue] (default true) is {!Evaluate.evaluate}'s option, set
     once per session.
     @raise Invalid_argument if [domains < 1] or [cache_capacity < 0]. *)
@@ -64,10 +65,11 @@ val eval : t -> Mcmap_hardening.Plan.t -> Evaluate.t
 
 val eval_population :
   t -> Mcmap_hardening.Plan.t array -> Evaluate.t array
-(** Evaluate a population: canonical duplicates are folded onto one
-    representative, cached results are served, and the remaining fresh
-    evaluations fan out over the session's domains. The result array is
-    index-aligned and byte-identical for any domain count.
+(** Evaluate a population: the first plan of each canonical-equality
+    class goes through the result tier on the session's domains, and
+    each later duplicate is then served from its class's entry (one
+    result hit). The result array is index-aligned and byte-identical
+    for any domain count.
 
     Concurrent calls on one session are serialised (each call owns the
     session's single population fan-out at a time); [mcmap serve]
@@ -93,8 +95,8 @@ val canonical_equal : Mcmap_hardening.Plan.t -> Mcmap_hardening.Plan.t -> bool
 
     With the recorder enabled a session counts every cache decision in
     {!Mcmap_obs.Obs}, one labelled counter family per tier
-    ([evaluator.<tier>~hit|miss|evict|collision] for the [result],
-    [sched], [rows] and [rates] tiers), and records the spans
-    [evaluator.eval] and [evaluator.eval_population]; a scheduling miss
-    also records Algorithm 1's own [wcrt.*] metrics and its
-    [jobset.build], [flat.make] and [wcrt.analyze] spans. *)
+    ([evaluator.result~hit|miss|evict|collision] and
+    [evaluator.rows~hit|miss|evict]), and records the spans
+    [evaluator.eval] and [evaluator.eval_population]; a result miss also
+    records Algorithm 1's own [wcrt.*] metrics and its [jobset.build],
+    [flat.make] and [wcrt.analyze] spans. *)

@@ -43,6 +43,12 @@ let encode_text s =
     Buffer.contents b
   end
 
+let hex_digit = function
+  | '0' .. '9' as c -> Some (Char.code c - Char.code '0')
+  | 'A' .. 'F' as c -> Some (Char.code c - Char.code 'A' + 10)
+  | 'a' .. 'f' as c -> Some (Char.code c - Char.code 'a' + 10)
+  | _ -> None
+
 let decode_text s =
   if s = "%" then Ok ""
   else begin
@@ -56,11 +62,11 @@ let decode_text s =
       end
       else if i + 2 >= n then Error "truncated % escape"
       else
-        match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-        | Some code ->
-          Buffer.add_char b (Char.chr code);
+        match (hex_digit s.[i + 1], hex_digit s.[i + 2]) with
+        | Some hi, Some lo ->
+          Buffer.add_char b (Char.chr ((16 * hi) + lo));
           go (i + 3)
-        | None -> Error (Printf.sprintf "malformed %% escape at %d" i)
+        | _ -> Error (Printf.sprintf "malformed %% escape at %d" i)
     in
     go 0
   end

@@ -263,14 +263,16 @@ let test_gate_regressions () =
 let test_contract_derivation () =
   let kernels =
     [ ("reference_cold", kernel ~mean:9000. ~stddev:10. ());
-      ("flat_cold", kernel ~mean:1000. ~stddev:10. ());
-      ("flat_cold_obs", kernel ~mean:1006. ~stddev:10. ()) ] in
-  (* The flat speed-up is the median of per-pair ratios: one wild pair
-     (a load spike on the flat side) does not move it. *)
+      ("flat_cold", kernel ~mean:1000. ~stddev:10. ()) ] in
+  (* Both timed contracts judge the median of per-pair ratios: one wild
+     pair (a load spike on one side) does not move it. *)
   let flat_pairs =
     [ (9000., 1000.); (9100., 1000.); (8900., 1000.); (9000., 5000.);
       (9000., 1000.) ] in
-  let contracts = Kernels.contracts ~flat_pairs kernels in
+  let obs_pairs =
+    [ (1000., 1006.); (1000., 1004.); (1000., 1500.); (1000., 1008.);
+      (1000., 1006.) ] in
+  let contracts = Kernels.contracts ~flat_pairs ~obs_pairs kernels in
   (match List.assoc_opt "flat_vs_reference" contracts with
    | Some c ->
      check Alcotest.bool "9x speedup passes" true c.Schema.ok;
@@ -285,11 +287,18 @@ let test_contract_derivation () =
    | None -> Alcotest.fail "flat contract not derived");
   check Alcotest.bool "no pairs, no flat contract" false
     (List.mem_assoc "flat_vs_reference"
-       (Kernels.contracts ~flat_pairs:[] kernels));
+       (Kernels.contracts ~flat_pairs:[] ~obs_pairs:[] kernels));
   (match List.assoc_opt "obs_overhead" contracts with
    | Some c ->
-     check Alcotest.bool "0.6% overhead passes" true c.Schema.ok
+     check Alcotest.bool "0.6% overhead passes" true c.Schema.ok;
+     check
+       Alcotest.(option (float 1e-6))
+       "median overhead recorded" (Some 0.6)
+       (List.assoc_opt "overhead_pct" c.Schema.numbers)
    | None -> Alcotest.fail "obs contract not derived");
+  check Alcotest.bool "no pairs, no obs contract" false
+    (List.mem_assoc "obs_overhead"
+       (Kernels.contracts ~flat_pairs ~obs_pairs:[] kernels));
   (* Counted, not timed: the DT-large cold evaluation walks 68 scenarios
      (one normal state, 67 triggers) and shares some of their
      fixpoints. *)
@@ -344,19 +353,20 @@ let test_contract_derivation () =
           (jobs > number "max_words")
       | None -> Alcotest.fail "recomputed_jobs not recorded")
    | _ -> Alcotest.fail "enabled-recorder allocation contract not derived");
-  (* an over-budget, out-of-noise overhead fails *)
-  let heavy =
-    [ ("flat_cold", kernel ~mean:1000. ~stddev:10. ());
-      ("flat_cold_obs", kernel ~mean:1100. ~stddev:10. ()) ] in
+  (* an over-budget median overhead fails, however wide the pairs
+     spread: there is no noise escape *)
+  let heavy = [ (1000., 1200.); (1000., 800.); (1000., 1250.) ] in
   (match
-     List.assoc_opt "obs_overhead" (Kernels.contracts ~flat_pairs:[] heavy)
+     List.assoc_opt "obs_overhead"
+       (Kernels.contracts ~flat_pairs:[] ~obs_pairs:heavy [])
    with
-   | Some c -> check Alcotest.bool "10% overhead fails" false c.Schema.ok
+   | Some c -> check Alcotest.bool "20% overhead fails" false c.Schema.ok
    | None -> Alcotest.fail "obs contract not derived (heavy)");
   (* a slow flat kernel fails the speedup contract *)
   let slow = [ (2000., 1000.); (2100., 1000.); (9000., 1000.) ] in
   match
-    List.assoc_opt "flat_vs_reference" (Kernels.contracts ~flat_pairs:slow [])
+    List.assoc_opt "flat_vs_reference"
+      (Kernels.contracts ~flat_pairs:slow ~obs_pairs:[] [])
   with
   | Some c -> check Alcotest.bool "2x speedup fails" false c.Schema.ok
   | None -> Alcotest.fail "flat contract not derived (slow)"
@@ -365,7 +375,7 @@ let test_contract_derivation () =
    evaluation's work stays within its pinned counts; both are counted,
    so they are derived without any timing. *)
 let test_counted_contracts () =
-  let contracts = Kernels.contracts ~flat_pairs:[] [] in
+  let contracts = Kernels.contracts ~flat_pairs:[] ~obs_pairs:[] [] in
   (* One [Flat.make] on the DT-large jobset: per-job bitset records and
      per-pair classification read 10.6k words. *)
   (match List.assoc_opt "flat_make_alloc" contracts with
@@ -444,7 +454,7 @@ let test_counted_contracts () =
    and an [Ok] per node), and decoding a DT-large [analyze] frame under
    40k (135k with that reader). *)
 let test_text_plane_alloc () =
-  let contracts = Kernels.contracts ~flat_pairs:[] [] in
+  let contracts = Kernels.contracts ~flat_pairs:[] ~obs_pairs:[] [] in
   List.iter
     (fun (name, budget) ->
       match List.assoc_opt name contracts with
@@ -469,7 +479,7 @@ let test_budget_edge_contract () =
   let verdict ns =
     match
       List.assoc_opt "budget_edge"
-        (Kernels.contracts ~flat_pairs:[]
+        (Kernels.contracts ~flat_pairs:[] ~obs_pairs:[]
            [ ("budget_edge", kernel ?ns_per_run:ns ~mean:1. ~stddev:0. ()) ])
     with
     | Some c -> Some c.Schema.ok
@@ -478,7 +488,8 @@ let test_budget_edge_contract () =
   check Alcotest.(option bool) "1 s fails" (Some false) (verdict (Some 1e9));
   check Alcotest.(option bool) "no estimate, no contract" None (verdict None);
   check Alcotest.bool "absent kernel, no contract" false
-    (List.mem_assoc "budget_edge" (Kernels.contracts ~flat_pairs:[] []))
+    (List.mem_assoc "budget_edge"
+       (Kernels.contracts ~flat_pairs:[] ~obs_pairs:[] []))
 
 let suite =
   [ Alcotest.test_case "BENCH.json v2 round trip" `Quick

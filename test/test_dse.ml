@@ -455,11 +455,10 @@ let with_counters f =
           | Some _ | None -> 0 ))
 
 (* A schedulable plan with a dropped graph re-checks its no-drop twin
-   for the rescue flag; evaluating that twin next in the same session
-   finds the twin's scheduling info already cached under the session's
-   salted key (one sched hit), and both results equal a fresh
-   evaluation. *)
-let test_evaluator_rescue_twin_shares_sched () =
+   for the rescue flag through the result tier; evaluating that twin
+   next in the same session is one result hit that runs no Algorithm 1,
+   and both results equal a fresh evaluation. *)
+let test_evaluator_rescue_twin_shares_result () =
   let sys = Test_gen.random_system 46 in
   let arch = sys.Test_gen.arch and apps = sys.Test_gen.apps in
   let plan = sys.Test_gen.plan in
@@ -473,11 +472,86 @@ let test_evaluator_rescue_twin_shares_sched () =
     (Plan.dropped_graphs plan <> [] && e.Evaluate.schedulable);
   let twin, counter =
     with_counters (fun () -> Evaluator.eval session no_drop) in
-  check Alcotest.int "the twin's scheduling info is reused" 1
-    (counter "evaluator.sched~hit");
+  check Alcotest.int "the twin's result is reused" 1
+    (counter "evaluator.result~hit");
+  check Alcotest.int "no result miss" 0 (counter "evaluator.result~miss");
+  check Alcotest.int "no Algorithm 1 run" 0 (counter "wcrt.analyses");
   check_evaluation_equal "plan" (Evaluate.evaluate arch apps plan) e;
   check_evaluation_equal "no-drop twin"
     (Evaluate.evaluate arch apps no_drop) twin
+
+(* Every population duplicate folded onto its class's first plan is one
+   result hit: 12 cruise plans of which 5 are distinct read 5 misses and
+   7 hits, structural copies included. *)
+let test_eval_population_counts_duplicates () =
+  let bench = Mcmap_benchmarks.Cruise.benchmark () in
+  let arch = bench.Mcmap_benchmarks.Benchmark.arch
+  and apps = bench.Mcmap_benchmarks.Benchmark.apps in
+  let base = sample_plans arch apps 5 in
+  let population =
+    Array.init 12 (fun i ->
+        let p = base.(i mod 5) in
+        if i < 10 then p
+        else
+          Plan.make apps
+            ~decisions:(Array.map Array.copy p.Plan.decisions)
+            ~dropped:(Array.copy p.Plan.dropped)) in
+  let results, counter =
+    with_counters (fun () ->
+        Evaluator.eval_population (Evaluator.create arch apps) population)
+  in
+  check Alcotest.int "misses" 5 (counter "evaluator.result~miss");
+  check Alcotest.int "hits" 7 (counter "evaluator.result~hit");
+  Array.iteri
+    (fun i e ->
+      check Alcotest.bool "result carries its own plan" true
+        (e.Evaluate.plan == population.(i));
+      check_evaluation_equal "population = fresh"
+        (Evaluate.evaluate arch apps population.(i)) e)
+    results
+
+(* A session of capacity 0 caches nothing: repeated plans, population
+   duplicates and the rescue re-check's twin record no hit of any tier,
+   and every result still equals a fresh evaluation. *)
+let test_evaluator_capacity_zero () =
+  let sys = Test_gen.random_system 46 in
+  let arch = sys.Test_gen.arch and apps = sys.Test_gen.apps in
+  let plan = sys.Test_gen.plan in
+  let no_drop =
+    Plan.make apps
+      ~decisions:(Array.map Array.copy plan.Plan.decisions)
+      ~dropped:(Array.make (Appset.n_graphs apps) false) in
+  let plans = [| plan; no_drop; plan; no_drop; plan |] in
+  let session = Evaluator.create ~cache_capacity:0 arch apps in
+  let results, hits =
+    let module Obs = Mcmap_obs.Obs in
+    Obs.enable ();
+    Obs.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let singles = Array.map (Evaluator.eval session) plans in
+        let population = Evaluator.eval_population session plans in
+        let hits =
+          List.filter_map
+            (fun (name, m) ->
+              match m with
+              | Obs.Counter n
+                when String.starts_with ~prefix:"evaluator." name
+                     && String.ends_with ~suffix:"~hit" name
+                     && n > 0 ->
+                Some name
+              | _ -> None)
+            (Obs.snapshot ()).Obs.metrics in
+        (Array.append singles population, hits)) in
+  check Alcotest.(list string) "no tier hit" [] hits;
+  Array.iteri
+    (fun i e ->
+      check_evaluation_equal "capacity 0 = fresh"
+        (Evaluate.evaluate arch apps plans.(i mod 5)) e)
+    results
 
 (* The accumulator-built plan fingerprint equals the allocating fold it
    replaced ([Fingerprint_reference], a literal copy), bit for bit, on
@@ -672,5 +746,10 @@ let suite =
       test_eval_population_deterministic;
     Alcotest.test_case "evaluator: keys equal the reference fold" `Quick
       test_evaluator_keys_match_reference;
-    Alcotest.test_case "evaluator: rescue twin shares the sched tier" `Quick
-      test_evaluator_rescue_twin_shares_sched ]
+    Alcotest.test_case
+      "evaluator: rescue twin shares the schedule through the result tier"
+      `Quick test_evaluator_rescue_twin_shares_result;
+    Alcotest.test_case "evaluator: folded duplicates are result hits"
+      `Quick test_eval_population_counts_duplicates;
+    Alcotest.test_case "evaluator: capacity 0 records no hit" `Quick
+      test_evaluator_capacity_zero ]

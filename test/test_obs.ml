@@ -576,11 +576,11 @@ let test_explore_records_metrics () =
    | Obs.Counter n ->
      check Alcotest.bool "evaluator result misses counted" true (n > 0)
    | _ -> Alcotest.fail "evaluator.result~miss is not a counter");
-  (match metric "evaluator.sched~miss" with
+  (match metric "evaluator.rows~miss" with
    | Obs.Counter n ->
-     check Alcotest.bool "evaluator sched analyses counted" true (n > 0)
-   | _ -> Alcotest.fail "evaluator.sched~miss is not a counter");
-  (* a sched-tier miss runs Algorithm 1, which observes its scenario
+     check Alcotest.bool "evaluator row misses counted" true (n > 0)
+   | _ -> Alcotest.fail "evaluator.rows~miss is not a counter");
+  (* a result-tier miss runs Algorithm 1, which observes its scenario
      walk *)
   match metric "wcrt.fixpoints" with
   | Obs.Histogram h ->

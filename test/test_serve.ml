@@ -240,7 +240,11 @@ let text_roundtrip =
       (match Sexp.parse_one atom with
        | Ok (Sexp.Atom a) -> a = atom
        | Ok (Sexp.List _) | Error _ -> false)
-      && P.decode_text atom = Ok s)
+      && P.decode_text atom = Ok s
+      (* an escape is exactly two hex digits *)
+      && List.for_all
+           (fun bad -> Result.is_error (P.decode_text bad))
+           [ "%1_"; "%_1"; "%+1"; "%G0"; s ^ "%1_" ])
 
 let sexp_gen =
   let open QCheck.Gen in
